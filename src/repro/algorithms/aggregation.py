@@ -56,6 +56,9 @@ class _AggregationProgram(NodeProgram):
         if ctx.node == self._root:
             self._depth = 0
             ctx.send_all(("wave", 0))
+        # Nothing to do unprompted before the upcast slot of depth 0 —
+        # which is also when an unreached node gives up.
+        self.idle_until(2 * self._height)
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
         for sender, message in sorted(inbox.items()):
@@ -63,6 +66,8 @@ class _AggregationProgram(NodeProgram):
             if kind == "wave" and self._depth is None:
                 self._depth = payload + 1
                 self._parent = sender
+                # Next unprompted action: this depth's upcast slot.
+                self.idle_until(2 * self._height - self._depth)
                 if self._depth < self._height:
                     for neighbor in ctx.neighbors:
                         if neighbor not in inbox:

@@ -35,6 +35,10 @@ class _BFSProgram(NodeProgram):
             if self._hops >= 1:
                 ctx.send_all(0)
             self.halt()
+        else:
+            # Until the wave arrives there is nothing to do but give up
+            # at the hop bound.
+            self.idle_until(self._hops)
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
         if self._distance is None and inbox:

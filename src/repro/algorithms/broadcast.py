@@ -22,11 +22,13 @@ __all__ = ["HopBroadcast", "Flooding"]
 
 
 class _BroadcastProgram(NodeProgram):
-    def __init__(self, source: int, token: Any, hops: int):
+    def __init__(self, source: int, token: Any, hops: int, deadline: int):
         super().__init__()
         self._source = source
         self._token = token
         self._hops = hops
+        #: Round at which a node the token never reached gives up.
+        self._deadline = deadline
         self._received: Optional[Any] = None
 
     def on_start(self, ctx: NodeContext) -> None:
@@ -35,6 +37,8 @@ class _BroadcastProgram(NodeProgram):
             if self._hops >= 1:
                 ctx.send_all((self._token, self._hops - 1))
             self.halt()
+        else:
+            self.idle_until(self._deadline)
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
         if self._received is None and inbox:
@@ -47,9 +51,6 @@ class _BroadcastProgram(NodeProgram):
             self.halt()
         elif ctx.round >= self._deadline:
             self.halt()
-
-    # populated by the factory; class attribute as a safe default
-    _deadline = 1 << 30
 
     def output(self) -> Any:
         return self._received
@@ -74,9 +75,9 @@ class HopBroadcast(Algorithm):
         return f"HopBroadcast(src={self.source}, h={self.hops})"
 
     def make_program(self, node: int, ctx: NodeContext) -> NodeProgram:
-        program = _BroadcastProgram(self.source, self.token, self.hops)
-        program._deadline = self.hops
-        return program
+        return _BroadcastProgram(
+            self.source, self.token, self.hops, deadline=self.hops
+        )
 
     def max_rounds(self, network: Network) -> int:
         return self.hops + 2

@@ -36,10 +36,14 @@ class _GossipProgram(NodeProgram):
             self._informed_at = 0
             if self._rounds >= 1:
                 self._push(ctx)
+        else:
+            # Uninformed nodes only wait: for the rumour or the budget.
+            self.idle_until(self._rounds)
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
         if self._informed_at is None and inbox:
             self._informed_at = ctx.round
+            self.idle_until(0)  # informed nodes push every round
         if ctx.round >= self._rounds:
             self.halt()
         elif self._informed_at is not None:

@@ -60,17 +60,22 @@ class _SourceDetectionProgram(NodeProgram):
 
     def _forward(self, ctx: NodeContext) -> None:
         best: Optional[Tuple[int, int]] = None
+        candidates = 0
         for source, distance in self._known.items():
             pair = (distance, source)
             if pair in self._forwarded:
                 continue
             if distance >= self._hops:
                 continue  # no remaining budget
+            candidates += 1
             if best is None or pair < best:
                 best = pair
         if best is not None:
             self._forwarded.add(best)
             ctx.send_all(best)
+        # With nothing left to forward, only a new pair (a non-empty
+        # inbox) or the deadline needs a step.
+        self.idle_until(self._deadline if candidates <= 1 else 0)
 
     def on_start(self, ctx: NodeContext) -> None:
         if self._is_source:

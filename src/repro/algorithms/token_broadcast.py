@@ -36,6 +36,9 @@ class _TokenProgram(NodeProgram):
             token = min(pending)
             self._forwarded.add(token)
             ctx.send_all(token)
+        # With nothing left to forward, only a new token (a non-empty
+        # inbox) or the deadline needs a step.
+        self.idle_until(self._deadline if len(pending) <= 1 else 0)
 
     def on_start(self, ctx: NodeContext) -> None:
         self._forward(ctx)

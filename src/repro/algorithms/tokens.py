@@ -53,6 +53,9 @@ class _PathTokenProgram(NodeProgram):
             self.halt()
         elif self._position is None:
             self.halt()
+        else:
+            # The token arrives (or provably never will) in round = index.
+            self.idle_until(self._position)
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
         expected_round = self._position  # token arrives in round = index

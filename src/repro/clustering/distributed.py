@@ -21,23 +21,31 @@ sub-phases:
    hearing the beacon after ``d`` flood rounds learns its contained
    radius ``h' = d`` (property (4) of Lemma 4.2).
 
-3. **Randomness sharing** (rounds ``2H+2 .. 3H+K+1``): every node cuts
+3. **Randomness sharing** (rounds ``2H+2 .. 4H+2K+1``): every node cuts
    ``Θ(log² n)`` private random bits into ``K = Θ(log n)`` chunks of
-   ``Θ(log n)`` bits, labelled ``(ℓ(u), j)``, with the same initial
-   hop-counts. Each round each node forwards the lexicographically
-   smallest ``(label, chunk)`` message not sent before. By the Lenzen
-   pipelining bound the ``K`` smallest messages reaching ``v`` arrive
-   within ``H + K`` rounds — and ``v``'s own cluster centre is by
-   construction the *smallest* label whose ball covers ``v``, so ``v``
-   collects all of its centre's chunks (Lemma 4.3).
+   ``Θ(log n)`` bits, labelled ``(ℓ(u), j)``. Each round each node
+   forwards the lexicographically smallest ``(label, chunk)`` message not
+   sent before among the streams it *relays*: the labels whose carving
+   message reached it with hop budget to spare and undominated by a
+   smaller label (see ``_CarvingProgram._start_sharing``). Who relays a
+   stream is thus fixed by the settled carving, not by the route its
+   chunks happen to take — chunks overtaken on the shortest path by a
+   detour used to burn their hop budget and die short of the ball's
+   edge. By the Lenzen pipelining bound the ``K`` smallest messages
+   reaching ``v`` arrive within ``H + K`` rounds plus the blocking by
+   the ``O(log n)`` smaller-labelled streams a node relays — and ``v``'s
+   own cluster centre is by construction the *smallest* label whose ball
+   covers ``v``, so ``v`` collects all of its centre's chunks
+   (Lemma 4.3).
 
-Total: ``3H + K + O(1)`` rounds per layer, i.e. ``O(dilation·log n)``;
+Total: ``4H + 2K + O(1)`` rounds per layer, i.e. ``O(dilation·log n)``;
 ``Θ(log n)`` layers give the ``O(dilation·log² n)`` pre-computation bound
 of Theorem 1.3.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -109,16 +117,20 @@ class _CarvingProgram(NodeProgram):
         self._h_prime: Optional[int] = None
         self._boundary_heard = False
 
-        # Sharing state: (label, chunk_id) -> (hop, payload); own chunks in.
+        # Sharing state: (label, chunk_id) -> payload; own chunks in.
         seed_bits = cluster_seed_bits(
             p.seed, p.layer, node, p.num_chunks * p.chunk_bits
         )
         mask = (1 << p.chunk_bits) - 1
-        self._share_pool: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        self._share_pool: Dict[Tuple[int, int], int] = {}
         for j in range(p.num_chunks):
-            chunk = (seed_bits >> (j * p.chunk_bits)) & mask
-            self._share_pool[(self._label, j)] = (own_hop, chunk)
-        self._share_forwarded: set = set()
+            self._share_pool[(self._label, j)] = (
+                seed_bits >> (j * p.chunk_bits)
+            ) & mask
+        # Labels whose streams this node relays (fixed when sharing
+        # starts) and the heap of their chunks not forwarded yet.
+        self._relay: set = set()
+        self._share_queue: List[Tuple[int, int]] = []
         self._collected: Dict[int, int] = {}
 
     # -- phase boundaries (all 1-based rounds) -------------------------
@@ -142,9 +154,10 @@ class _CarvingProgram(NodeProgram):
     @property
     def _share_end(self) -> int:
         # The pipelining bound is H + K; the factor-2 slack absorbs the
-        # blocking by smaller-labelled chunk streams that do not reach
-        # the node but share path prefixes (measured to be enough with
-        # a wide margin; still O(H) = O(dilation·log n) per layer).
+        # blocking by the smaller-labelled chunk streams relayed along
+        # the path that do not reach the node itself (a node relays
+        # O(log n) streams; measured arrivals use under half the window;
+        # still O(H) = O(dilation·log n) per layer).
         return 2 * self._horizon + 1 + 2 * (self._horizon + self._num_chunks)
 
     # -- carving helpers ----------------------------------------------------
@@ -174,33 +187,55 @@ class _CarvingProgram(NodeProgram):
 
     # -- sharing helpers ------------------------------------------------------
 
+    def _start_sharing(self) -> None:
+        """Fix the set of labels whose chunk streams this node relays.
+
+        A stream is worth relaying only if some node reached through here
+        may have its label as cluster centre: the label's carving message
+        got here with hop budget to spare, and no *smaller* label got here
+        with at least as much (that ball would cover everything this one
+        still can, and win there). Carving has settled when sharing
+        starts, and by its blocking argument every such undominated label
+        arrived with its true hop-count, so the set is exact: exactly the
+        nodes of a ball that lie on a shortest path to one of its
+        cluster's members relay its stream, whatever route the chunks
+        themselves take. In label order these are the running minima of
+        the hop-count — ``O(log n)`` of them for random labels, however
+        many balls overlap at the node — which is what keeps the
+        pipelined spreading inside its ``O(H + K)`` window.
+        """
+        lowest = self._horizon
+        for label in sorted(self._pool):
+            hop = self._pool[label][1]
+            if hop < lowest:
+                lowest = hop
+                self._relay.add(label)
+        if self._label in self._relay:
+            self._share_queue = sorted(self._share_pool)
+
     def _absorb_share(self, inbox: Mapping[int, Any]) -> None:
-        for _, message in sorted(inbox.items()):
-            label, chunk_id, hop, payload = message
-            hop += 1
+        for _, (label, chunk_id, payload) in sorted(inbox.items()):
             key = (label, chunk_id)
-            seen = self._share_pool.get(key)
-            if seen is None or hop < seen[0]:
-                self._share_pool[key] = (hop, payload)
+            if key in self._share_pool:
+                continue
+            self._share_pool[key] = payload
+            if label in self._relay:
+                heapq.heappush(self._share_queue, key)
             if label == self._best_label:
                 self._collected[chunk_id] = payload
 
     def _forward_share(self, ctx: NodeContext) -> None:
         # Pipelined k-token spreading: forward the smallest (label, chunk)
-        # message not sent before, within its hop budget. Label-major
-        # priority guarantees a node's cluster centre — the *smallest*
-        # label whose ball covers it — is never starved: its chunks
-        # outrank everything else that can reach the node.
-        best_key = None
-        for key, (hop, _) in self._share_pool.items():
-            if key in self._share_forwarded:
-                continue
-            if hop < self._horizon and (best_key is None or key < best_key):
-                best_key = key
-        if best_key is not None:
-            hop, payload = self._share_pool[best_key]
-            self._share_forwarded.add(best_key)
-            ctx.send_all(("share", (best_key[0], best_key[1], hop, payload)))
+        # message not sent before among the streams this node relays.
+        # Label-major priority guarantees a node's cluster centre — the
+        # *smallest* label whose ball covers it — is never starved: its
+        # chunks outrank everything else that can reach the node.
+        if self._share_queue:
+            key = heapq.heappop(self._share_queue)
+            ctx.send_all(("share", (*key, self._share_pool[key])))
+        # With nothing left to forward, only a new chunk (a non-empty
+        # inbox) or the end of the window needs a step.
+        self.idle_until(0 if self._share_queue else self._share_end)
 
     # -- driver -------------------------------------------------------------
 
@@ -210,13 +245,15 @@ class _CarvingProgram(NodeProgram):
 
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
         r = ctx.round
-        carve_inbox = {s: m[1] for s, m in inbox.items() if m[0] == "carve"}
-        label_inbox = {s: m[1] for s, m in inbox.items() if m[0] == "label"}
-        flood = any(m[0] == "flood" for m in inbox.values())
-        share_inbox = {s: m[1] for s, m in inbox.items() if m[0] == "share"}
+        by_kind: Dict[str, Dict[int, Any]] = {}
+        for sender, (kind, body) in inbox.items():
+            by_kind.setdefault(kind, {})[sender] = body
+        label_inbox = by_kind.get("label", {})
+        flood = "flood" in by_kind
+        share_inbox = by_kind.get("share")
 
-        if carve_inbox:
-            self._absorb_carve(carve_inbox)
+        if "carve" in by_kind:
+            self._absorb_carve(by_kind["carve"])
         if r < self._horizon:
             self._forward_carve(ctx, r + 1)
         elif r == self._horizon:
@@ -230,6 +267,8 @@ class _CarvingProgram(NodeProgram):
                 self._h_prime = 0
                 self._boundary_heard = True
                 ctx.send_all(("flood", None))
+            # Until sharing starts only a beacon (a non-empty inbox) acts.
+            self.idle_until(self._flood_end)
         elif r <= self._flood_end:
             if flood and not self._boundary_heard:
                 self._boundary_heard = True
@@ -240,6 +279,7 @@ class _CarvingProgram(NodeProgram):
                 if self._h_prime is None:
                     self._h_prime = self._horizon
                 # Kick off sharing: first forwards go out next round.
+                self._start_sharing()
                 self._forward_share(ctx)
         elif r <= self._share_end:
             if share_inbox:
@@ -249,7 +289,7 @@ class _CarvingProgram(NodeProgram):
             else:
                 # Own chunks when the node is its own centre.
                 if self._best_label == self._label:
-                    for (label, chunk_id), (_, payload) in self._share_pool.items():
+                    for (label, chunk_id), payload in self._share_pool.items():
                         if label == self._label:
                             self._collected[chunk_id] = payload
                 self.halt()

@@ -15,7 +15,14 @@ from .pattern import (
     time_expanded_graph,
     validate_simulation_mapping,
 )
-from .program import Algorithm, NodeContext, NodeProgram, ProgramHost, Send
+from .program import (
+    Algorithm,
+    HostGroup,
+    NodeContext,
+    NodeProgram,
+    ProgramHost,
+    Send,
+)
 from .simulator import Simulator, SoloRun, solo_run
 from .trace import ExecutionTrace, TraceEvent
 from . import topology
@@ -26,6 +33,7 @@ __all__ = [
     "DirectedEdge",
     "Edge",
     "ExecutionTrace",
+    "HostGroup",
     "Network",
     "NodeContext",
     "NodeProgram",

@@ -25,14 +25,31 @@ deterministically from ``(master seed, algorithm id, node)``. The paper
 treats each node's random bits as part of its input, fixed before the
 execution starts; deterministic seeding reproduces exactly that: every copy
 of an algorithm run by a scheduler draws the same random tape and therefore
-behaves identically given identical inbox histories.
+behaves identically given identical inbox histories. The tape is
+materialised on first access only, so a program that never reads
+``ctx.rng`` never pays for the seed derivation or the generator state.
+
+Stepping. Every engine drives its programs through one :class:`HostGroup`
+(the hosts of one algorithm copy), whose :meth:`HostGroup.step` makes one
+in-order pass over the hosts that have not halted and runs ``on_round``
+only for those that *act*. A program opts out of being stepped with
+:meth:`NodeProgram.idle_until`: until algorithm-round ``r``, an
+``on_round`` with an **empty inbox** would be a no-op — no send, no halt,
+no state or output change, no draw from ``ctx.rng``. The promise may be
+re-declared from any ``on_start``/``on_round``; a non-empty inbox always
+wakes the program; the default (``0``) steps every round, so unannotated,
+wrapped and third-party programs behave as ever. A wrong promise changes
+outputs: ``tests/core/test_hint_erasure.py`` runs every scheduler with the
+hints erased and demands identical results, and is how a new annotation
+is checked.
 """
 
 from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Sequence, Tuple, Union
 
 from ..errors import BandwidthViolation
 from .._util import derive_seed
@@ -44,6 +61,7 @@ __all__ = [
     "NodeContext",
     "NodeProgram",
     "Algorithm",
+    "HostGroup",
     "ProgramHost",
     "Send",
 ]
@@ -93,14 +111,18 @@ class NodeContext:
     and the global parameter ``n``), its private random tape, and the
     :meth:`send` primitive. One context exists per (algorithm copy, node)
     and lives for the whole execution.
+
+    ``seed`` is the tape's integer seed, or a ``(master_seed, tape_id)``
+    pair handed to :meth:`ProgramHost.seed_for` when :attr:`rng` is read.
     """
 
     __slots__ = (
         "node",
         "num_nodes",
         "neighbors",
-        "rng",
         "round",
+        "_seed",
+        "_rng",
         "_message_bits",
         "_outbox",
         "_sent_to",
@@ -112,13 +134,14 @@ class NodeContext:
         self,
         node: int,
         network: Network,
-        seed: int,
+        seed: Union[int, Tuple[int, Any]],
         message_bits: Optional[int] = None,
     ):
         self.node = node
         self.num_nodes = network.num_nodes
         self.neighbors: Tuple[int, ...] = network.neighbors(node)
-        self.rng = random.Random(seed)
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
         #: Current algorithm-round (0 before the first round).
         self.round = 0
         self._message_bits = message_bits
@@ -126,6 +149,17 @@ class NodeContext:
         self._sent_to: set = set()
         self._sent_all = False
         self._broadcast: Any = None
+
+    @property
+    def rng(self) -> random.Random:
+        """The node's private random tape (materialised on first access)."""
+        rng = self._rng
+        if rng is None:
+            seed = self._seed
+            if type(seed) is tuple:
+                seed = ProgramHost.seed_for(seed[0], seed[1], self.node)
+            rng = self._rng = random.Random(seed)
+        return rng
 
     def send(self, neighbor: int, payload: Any) -> None:
         """Buffer one message to ``neighbor``, delivered next round.
@@ -195,6 +229,10 @@ class NodeProgram(ABC):
     messages still addressed to it are dropped by the engine.
     """
 
+    #: See :meth:`idle_until` (a class default: subclasses may skip
+    #: ``super().__init__()``).
+    _idle_until = 0
+
     def __init__(self) -> None:
         self._halted = False
 
@@ -215,6 +253,18 @@ class NodeProgram(ABC):
     def halt(self) -> None:
         """Mark this node as locally finished."""
         self._halted = True
+
+    def idle_until(self, round: int) -> None:
+        """Promise that empty-inbox rounds before ``round`` are no-ops.
+
+        Until algorithm-round ``round``, an :meth:`on_round` with an empty
+        inbox would send nothing, not halt, change no state or output and
+        draw nothing from ``ctx.rng`` — so the engine may skip it. A
+        non-empty inbox always wakes the program; the promise can be
+        re-declared from any ``on_start``/``on_round`` (default ``0``:
+        step every round).
+        """
+        self._idle_until = round
 
     @property
     def halted(self) -> bool:
@@ -250,14 +300,14 @@ class Algorithm(ABC):
 
 
 class ProgramHost:
-    """Drives one (algorithm, node) program on behalf of an engine.
+    """Drives one (algorithm, node) program: its context plus its automaton.
 
-    Engines never touch :class:`NodeProgram` directly; they create one host
-    per participating node and call :meth:`start` once and :meth:`step` once
-    per algorithm-round, collecting the buffered sends. This indirection is
-    shared by the solo simulator and by every scheduler engine, so an
-    algorithm sees exactly the same driving protocol no matter how it is
-    being scheduled.
+    Engines never touch :class:`NodeProgram` directly, nor hosts one by
+    one: they build a :class:`HostGroup` per algorithm copy, which applies
+    the driving protocol — :meth:`start` once, then one ``on_round`` per
+    algorithm-round — to every participating node, so an algorithm sees
+    the same protocol however it is scheduled. ``seed`` as in
+    :class:`NodeContext`.
     """
 
     __slots__ = ("node", "ctx", "program", "_started")
@@ -267,7 +317,7 @@ class ProgramHost:
         algorithm: Algorithm,
         node: int,
         network: Network,
-        seed: int,
+        seed: Union[int, Tuple[int, Any]],
         message_bits: Optional[int] = None,
     ):
         self.node = node
@@ -314,3 +364,132 @@ class ProgramHost:
     def output(self) -> Any:
         """The underlying program's output."""
         return self.program.output()
+
+
+class HostGroup:
+    """The hosts of one algorithm copy, stepped together.
+
+    The one stepper behind the solo simulator and every scheduler engine:
+    it owns host construction (tapes are ``ProgramHost.seed_for(
+    master_seed, tape_id, node)``, materialised lazily), the set of hosts
+    that may still act, and the :meth:`NodeProgram.idle_until` skipping;
+    engines keep the scheduling decisions and the message transport.
+    ``limits`` (cluster copies, Lemma 4.4) maps every node to the last
+    algorithm-round it steps. ``on_error(node, exc)`` makes a raising
+    ``on_round`` non-fatal: the round's sends stay undrained and the pass
+    continues (the eager baseline's "confused program" semantics).
+    """
+
+    def __init__(
+        self,
+        algorithm: Algorithm,
+        nodes: Sequence[int],
+        network: Network,
+        master_seed: int,
+        tape_id: Any,
+        message_bits: Optional[int] = None,
+        limits: Optional[Mapping[int, int]] = None,
+        on_error: Optional[Callable[[int, Exception], None]] = None,
+    ):
+        self.algorithm = algorithm
+        self.nodes = nodes
+        #: Hosts that may still act, in ``nodes`` order: started, not
+        #: halted, not past their limit. Crashed and idle hosts stay.
+        self.live: List[ProgramHost] = []
+        #: Live-host × round slots that ran ``on_round`` / that were
+        #: skipped (idle promise or crash-stop).
+        self.host_steps = self.idle_skips = 0
+        self._host_args = (network, (master_seed, tape_id), message_bits)
+        self._limits = limits
+        self._on_error = on_error
+        self._hosts: Optional[List[ProgramHost]] = None
+
+    def start(self) -> Iterator[Tuple[int, Outbox]]:
+        """Build the hosts and run every ``on_start``, yielding ``(node,
+        outbox)`` for each host that sent (its round-1 messages);
+        :attr:`live` is valid once the iterator is exhausted."""
+        if self._hosts is not None:
+            raise RuntimeError("HostGroup.start called twice")
+        hosts = self._hosts = [
+            ProgramHost(self.algorithm, node, *self._host_args)
+            for node in self.nodes
+        ]
+        for host in hosts:
+            outbox = host.start()
+            if outbox:
+                yield host.node, outbox
+        limits = self._limits
+        self.live = [
+            host
+            for host in hosts
+            if not host.program._halted
+            and (limits is None or limits[host.node] >= 1)
+        ]
+
+    def step(
+        self,
+        algo_round: int,
+        inbox_of: Callable[[int], Optional[Mapping[int, Any]]],
+        crashed: Optional[Callable[[int], bool]] = None,
+    ) -> Iterator[Tuple[int, Outbox]]:
+        """Run algorithm-round ``algo_round``: one in-order pass over
+        :attr:`live`, yielding ``(node, outbox)`` for each host that sent.
+
+        ``inbox_of(node)`` is the node's inbox (falsy when nothing
+        arrived). A host with an empty inbox whose program promised
+        :meth:`~NodeProgram.idle_until` a later round is skipped outright;
+        so is one for which ``crashed(node)`` holds (it stays live but
+        never acts again). Hosts that halt or reach their limit leave
+        :attr:`live`, which is updated once the iterator is exhausted.
+        """
+        limits = self._limits
+        on_error = self._on_error
+        kept: List[ProgramHost] = []
+        keep = kept.append
+        steps = 0
+        for host in self.live:
+            node = host.node
+            program = host.program
+            inbox = inbox_of(node)
+            if not inbox:
+                if algo_round < program._idle_until:
+                    if limits is None or algo_round < limits[node]:
+                        keep(host)
+                    continue
+                inbox = {}
+            if crashed is not None and crashed(node):
+                keep(host)
+                continue
+            steps += 1
+            ctx = host.ctx
+            ctx.round = algo_round
+            outbox: Outbox = []
+            try:
+                program.on_round(ctx, inbox)
+                outbox = ctx._drain()
+            except Exception as exc:
+                if on_error is None:
+                    raise
+                on_error(node, exc)
+            if not program._halted and (
+                limits is None or algo_round < limits[node]
+            ):
+                keep(host)
+            if outbox:
+                yield node, outbox
+        self.host_steps += steps
+        self.idle_skips += len(self.live) - steps
+        self.live = kept
+
+    def finished(self, crashed: Optional[Callable[[int], bool]] = None) -> bool:
+        """Whether no host will act again: each has halted, passed its
+        limit or (crash-stop is permanent) satisfies ``crashed(node)``."""
+        return not self.live or (
+            crashed is not None and all(crashed(host.node) for host in self.live)
+        )
+
+    def outputs(self) -> Dict[int, Any]:
+        """``node -> output`` for every node (``None`` before :meth:`start`)."""
+        if self._hosts is None:
+            return dict.fromkeys(self.nodes)
+        return {host.node: host.program.output() for host in self._hosts}

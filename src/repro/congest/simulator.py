@@ -32,7 +32,7 @@ buggy and are pinned by regression tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..errors import SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
@@ -40,7 +40,7 @@ from ..telemetry import NULL_RECORDER, Recorder
 from .message import default_message_bits
 from .network import Network
 from .pattern import CommunicationPattern
-from .program import Algorithm, ProgramHost
+from .program import Algorithm, HostGroup
 from .trace import ExecutionTrace
 
 __all__ = ["SoloRun", "Simulator", "solo_run"]
@@ -187,54 +187,32 @@ class Simulator:
     ) -> SoloRun:
         recorder = self.recorder
         network = self.network
-        hosts: List[ProgramHost] = [
-            ProgramHost(
-                algorithm,
-                node,
-                network,
-                ProgramHost.seed_for(seed, algorithm_id, node),
-                self.message_bits,
-            )
-            for node in network.nodes
-        ]
+        group = HostGroup(
+            algorithm, network.nodes, network, seed, algorithm_id, self.message_bits
+        )
 
         injector = self.injector
         faults = injector.enabled
         # All message buffering, fault routing, trace recording and
-        # payload-size accounting live in the transport channel; this
-        # loop keeps only the scheduling decisions (who steps when, and
-        # when the run is complete).
+        # payload-size accounting live in the transport channel, and all
+        # program stepping (who is live, who may be skipped) in the host
+        # group; this loop keeps only the scheduling decisions (which
+        # round it is, and when the run is complete).
         channel = self.transport.solo_channel(injector, algorithm_id)
         push = channel.push
 
-        for host in hosts:
-            push(host.node, host.start(), 1)
-
-        # Active set: the hosts that may still step. Halted hosts leave
-        # the set permanently (halting is monotone), so each round costs
-        # O(live) instead of O(n) — most algorithms halt the bulk of the
-        # network long before the last node finishes. Order is preserved
-        # (ascending node id), keeping traces bit-identical. Entries are
-        # (node, bound step, program) so the per-round loop reads the
-        # halt flag and steps without re-resolving attributes.
-        live = [
-            (host.node, host.step, host.program)
-            for host in hosts
-            if not host.program._halted
-        ]
+        for node, outbox in group.start():
+            push(node, outbox, 1)
 
         round_index = 0
         completion_round = 0
         previous_messages = 0
         truncated = False
+        # Crash-stopped hosts never halt: they stay live but are never
+        # stepped. The crash tick is the round about to run.
+        crashed = (lambda node: injector.crashed(node, round_index + 1)) if faults else None
         while True:
-            if not live or (
-                faults
-                and all(
-                    injector.crashed(node, round_index + 1)
-                    for node, _step, _program in live
-                )
-            ):
+            if group.finished(crashed):
                 # Don't declare completion while fault-delayed deliveries
                 # are still in flight. With every host halted or crashed no
                 # new sends can occur, so the run ends exactly when the
@@ -256,8 +234,8 @@ class Simulator:
                         )
                     channel.clear_delayed()
                 break
-            round_index += 1
-            if round_index > max_rounds:
+            next_round = round_index + 1
+            if next_round > max_rounds:
                 if recorder.enabled:
                     recorder.counter("sim.limit_exceeded")
                     recorder.event(
@@ -267,7 +245,7 @@ class Simulator:
                     )
                 if on_limit == "truncate":
                     truncated = True
-                    completion_round = round_index - 1
+                    completion_round = round_index
                     break
                 raise SimulationLimitExceeded(
                     f"{algorithm.name} exceeded {max_rounds} rounds "
@@ -275,23 +253,10 @@ class Simulator:
                     round=max_rounds,
                     algorithm=algorithm.name,
                 )
-            deliveries = channel.deliver(round_index)
-            inbox_of = deliveries.get
-            next_round = round_index + 1
-            still_live = []
-            append = still_live.append
-            for entry in live:
-                node, step, program = entry
-                if faults and injector.crashed(node, round_index):
-                    # Crashed but not halted: stays tracked (the
-                    # completion check above consults the injector).
-                    append(entry)
-                    continue
-                inbox = inbox_of(node)
-                push(node, step(round_index, inbox if inbox is not None else {}), next_round)
-                if not program._halted:
-                    append(entry)
-            live = still_live
+            deliveries = channel.deliver(next_round)
+            for node, outbox in group.step(next_round, deliveries.get, crashed):
+                push(node, outbox, next_round + 1)
+            round_index = next_round
             if recorder.enabled:
                 recorder.sample(
                     "sim.round_messages",
@@ -304,10 +269,11 @@ class Simulator:
             recorder.counter("sim.runs")
             recorder.counter("sim.rounds", completion_round)
             recorder.counter("sim.messages", trace.num_messages)
-        outputs = {host.node: host.output() for host in hosts}
+            recorder.counter("sim.host_steps", group.host_steps)
+            recorder.counter("sim.idle_skips", group.idle_skips)
         return SoloRun(
             algorithm=algorithm,
-            outputs=outputs,
+            outputs=group.outputs(),
             rounds=trace.last_round,
             completion_round=completion_round,
             trace=trace,

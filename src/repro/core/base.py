@@ -125,9 +125,10 @@ def _surface_engine_counters(telemetry: Dict[str, Any]) -> None:
 
     The engines emit ``sim.late_deliveries`` / ``sim.skipped_rounds`` /
     ``phase.skipped_phases`` / ``cluster.skipped_rounds`` only when the
-    corresponding code path fired; recorded reports surface all of them
-    uniformly so downstream aggregation (the service metrics, dashboards)
-    never special-cases which engine ran.
+    corresponding code path fired, and ``<engine>.host_steps`` /
+    ``.idle_skips`` only for the engine that ran; recorded reports
+    surface all of them uniformly so downstream aggregation (the service
+    metrics, dashboards) never special-cases which engine ran.
     """
     counters = telemetry.setdefault("counters", {})
     for name in ENGINE_COUNTERS:

@@ -46,10 +46,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..clustering.layers import Clustering
-from ..congest.program import ProgramHost
+from ..congest.program import HostGroup
 from ..errors import CoverageError, ReproError, SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
@@ -119,36 +119,15 @@ def select_output_layers(
     return chosen
 
 
-class _Copy:
-    """One (layer, cluster, algorithm) copy and its participating hosts."""
+class _Copy(NamedTuple):
+    """One (layer, cluster, algorithm) copy."""
 
-    __slots__ = (
-        "layer",
-        "center",
-        "aid",
-        "delay",
-        "hosts",
-        "limits",
-        "finished",
-        "max_limit",
-        "live",
-    )
-
-    def __init__(self, layer: int, center: int, aid: int, delay: int):
-        self.layer = layer
-        self.center = center
-        self.aid = aid
-        self.delay = delay
-        self.hosts: List[ProgramHost] = []
-        #: Per host: last algorithm-round this node will step.
-        self.limits: List[int] = []
-        self.finished = False
-        self.max_limit = 0
-        #: Active subset of ``zip(hosts, limits)``: hosts that may still
-        #: step. Halting, passing one's truncation limit, and
-        #: crash-stop (logical time) are all monotone, so departures are
-        #: permanent; node order is preserved.
-        self.live: List[Tuple[ProgramHost, int]] = []
+    layer: int
+    aid: int
+    delay: int
+    #: The cluster members' hosts (enforces their truncation limits).
+    group: HostGroup
+    max_limit: int
 
 
 def run_cluster_copies(
@@ -199,60 +178,42 @@ def run_cluster_copies(
     if output_layers is None:
         output_layers = select_output_layers(workload, clustering)
 
-    # Every copy of (aid, node) runs the same random tape (the paper's
-    # randomness-as-input); derive each seed once, not once per layer.
-    seed_cache: Dict[Tuple[int, int], int] = {}
-
-    def tape_seed(aid: int, node: int) -> int:
-        key = (aid, node)
-        value = seed_cache.get(key)
-        if value is None:
-            value = ProgramHost.seed_for(
-                workload.master_seed, workload.tape_id(aid), node
-            )
-            seed_cache[key] = value
-        return value
-
-    # Build copy descriptors grouped by start big-round.
-    copies: List[_Copy] = []
+    # Build copy descriptors grouped by start big-round. Every copy of
+    # (aid, node) runs the same random tape (the paper's
+    # randomness-as-input): the group derives it from the tape id alone.
+    copy_at: Dict[Tuple[int, int, int], _Copy] = {}
+    starts: Dict[int, List[_Copy]] = {}
     for layer_index, layer in enumerate(clustering.layers):
+        h_prime = layer.h_prime
         for center, members in layer.clusters().items():
             for aid in workload.aids:
                 delay = delay_of(layer_index, center, aid)
                 if delay < 0:
                     raise ReproError("delays must be non-negative")
-                copy = _Copy(layer_index, center, aid, delay)
-                for v in members:
-                    h = layer.h_prime[v]
-                    # Fully covered nodes run to their solo halt; truncated
-                    # nodes stop stepping at their contained radius (their
-                    # step-t emissions are round-(t+1) sends, covering the
-                    # allowed horizon h' + 1). h' = 0 nodes still start:
-                    # their round-1 sends are input-only and may feed
-                    # same-cluster neighbours.
-                    limit = hard_caps[aid] if h >= dilations[aid] else h
-                    copy.limits.append(limit)
-                    copy.hosts.append(
-                        ProgramHost(
-                            workload.algorithms[aid],
-                            v,
-                            network,
-                            tape_seed(aid, v),
-                            workload.message_bits,
-                        )
-                    )
-                copy.max_limit = max(copy.limits, default=0)
-                copies.append(copy)
-
-    starts: Dict[int, List[_Copy]] = {}
-    for copy in copies:
-        starts.setdefault(copy.delay, []).append(copy)
+                # Fully covered nodes run to their solo halt; truncated
+                # nodes stop stepping at their contained radius (their
+                # step-t emissions are round-(t+1) sends, covering the
+                # allowed horizon h' + 1). h' = 0 nodes still start:
+                # their round-1 sends are input-only and may feed
+                # same-cluster neighbours.
+                dilation, hard_cap = dilations[aid], hard_caps[aid]
+                limits = {
+                    v: hard_cap if h_prime[v] >= dilation else h_prime[v]
+                    for v in members
+                }
+                copy = _Copy(
+                    layer_index, aid, delay,
+                    workload.host_group(aid, members, limits=limits),
+                    max(limits.values(), default=0),
+                )
+                copy_at[(layer_index, center, aid)] = copy
+                starts.setdefault(delay, []).append(copy)
+    copies = list(copy_at.values())
 
     if max_big_rounds is None:
-        max_delay = max((c.delay for c in copies), default=0)
-        max_big_rounds = max_delay + max(hard_caps, default=1) + 4
+        max_big_rounds = max(starts, default=0) + max(hard_caps, default=1) + 4
 
-    # Shared message pool: (aid, node) -> round -> {sender: payload}.
+    # Shared message pool: (aid, round) -> node -> {sender: payload}.
     # A message becomes visible here only once it has finished traversing
     # its big-round: emissions made *during* processing traverse the next
     # big-round and are therefore deferred (physical timing fidelity).
@@ -276,32 +237,25 @@ def run_cluster_copies(
     active: List[_Copy] = []
 
     big_round = -1
+    algo_round = 0
     remaining = len(copies)
     skipped_rounds = 0
     truncated = False
+    crashed = (lambda node: injector.crashed(node, algo_round)) if faults else None
     while remaining > 0:
         big_round += 1
         if not active and channel.next_round_empty() and big_round not in starts:
             # Silent big-round: no copy is running, nothing is traversing,
             # and no copy starts now — fast-forward to the next start
             # (one exists: remaining > 0 with no active copy means some
-            # start is still pending). Deferred deliveries coming due in
-            # the skipped span are deposited into the pool up front; no
-            # copy reads the pool before the jump target, so the state at
-            # the target is identical to the round-by-round walk. The
-            # jump is clamped so the big-round cap fires at the same
-            # point either way.
+            # start is still pending). No copy reads the pool before the
+            # jump target, so the state at the target is identical to the
+            # round-by-round walk. The jump is clamped so the big-round
+            # cap fires at the same point either way.
             target = min((r for r in starts if r > big_round), default=None)
             if target is not None:
                 clamped = min(target, max_big_rounds + 1)
                 if clamped > big_round:
-                    for due in sorted(r for r in deferred if r < clamped):
-                        for aid_, msg_round_, sender_, receiver_, payload_ in (
-                            deferred.pop(due)
-                        ):
-                            pool.setdefault(
-                                (aid_, receiver_), {}
-                            ).setdefault(msg_round_, {})[sender_] = payload_
                     skipped_rounds += clamped - big_round
                     big_round = clamped
         if big_round > max_big_rounds:
@@ -320,20 +274,16 @@ def run_cluster_copies(
         channel.begin_round()
 
         # Messages that finished traversing (plus any whose fault delay
-        # expires now) become visible this big-round.
-        for aid_, msg_round_, sender_, receiver_, payload_ in deferred.pop(
-            big_round, ()
-        ):
-            pool.setdefault((aid_, receiver_), {}).setdefault(msg_round_, {})[
-                sender_
-            ] = payload_
+        # expires now, or expired in a fast-forwarded span) become
+        # visible this big-round.
+        for due in sorted(r for r in deferred if r <= big_round):
+            for aid_, msg_round_, sender_, receiver_, payload_ in deferred.pop(due):
+                pool.setdefault((aid_, msg_round_), {}).setdefault(
+                    receiver_, {}
+                )[sender_] = payload_
 
         def transmit(
-            copy: _Copy,
-            sender: int,
-            sends: List[Tuple[int, Any]],
-            msg_round: int,
-            deposit_now: bool,
+            copy: _Copy, sender: int, sends: Any, msg_round: int, deposit_now: bool
         ) -> None:
             """Apply truncation gates + dedup; deposit into the pool."""
             nonlocal messages_sent, messages_deduplicated, messages_truncated
@@ -378,8 +328,8 @@ def run_cluster_copies(
                     visible_at = big_round if deposit_now else big_round + 1
                     for offset in offsets:
                         if offset == 0 and deposit_now:
-                            pool.setdefault((aid, receiver), {}).setdefault(
-                                msg_round, {}
+                            pool.setdefault((aid, msg_round), {}).setdefault(
+                                receiver, {}
                             )[sender] = payload
                         else:
                             deferred.setdefault(visible_at + offset, []).append(
@@ -393,13 +343,8 @@ def run_cluster_copies(
         # Copies starting now emit their round-1 messages (traversing this
         # big-round).
         for copy in starts.get(big_round, ()):
-            for host in copy.hosts:
-                transmit(copy, host.node, host.start(), 1, True)
-            copy.live = [
-                (host, limit)
-                for host, limit in zip(copy.hosts, copy.limits)
-                if not host.halted
-            ]
+            for node, sends in copy.group.start():
+                transmit(copy, node, sends, 1, True)
             active.append(copy)
 
         # Active copies process the inbox of their current round and emit
@@ -408,31 +353,16 @@ def run_cluster_copies(
         for copy in active:
             algo_round = big_round - copy.delay + 1
             if algo_round > copy.max_limit:
-                copy.finished = True
                 remaining -= 1
                 continue
-            inbox_pool = pool
-            aid = copy.aid
-            any_alive = False
-            live_pairs: List[Tuple[ProgramHost, int]] = []
-            for host, limit in copy.live:
-                if algo_round > limit:
-                    continue
-                if faults and injector.crashed(host.node, algo_round):
-                    # Crash-stop (in logical time, so every copy agrees;
-                    # monotone in the copy's round — drop permanently).
-                    continue
-                inbox = inbox_pool.get((aid, host.node), {}).get(algo_round, {})
-                sends = host.step(algo_round, inbox)
-                transmit(copy, host.node, sends, algo_round + 1, False)
-                if not host.halted and algo_round < limit:
-                    live_pairs.append((host, limit))
-                    any_alive = True
-            copy.live = live_pairs
-            if any_alive:
+            group = copy.group
+            inbox_of = pool.get((copy.aid, algo_round), _NO_INBOXES).get
+            for node, sends in group.step(algo_round, inbox_of, crashed):
+                transmit(copy, node, sends, algo_round + 1, False)
+            # Crash-stop is in logical time, so every copy agrees on it.
+            if not group.finished(crashed):
                 still_active.append(copy)
             else:
-                copy.finished = True
                 remaining -= 1
         active = still_active
 
@@ -458,21 +388,25 @@ def run_cluster_copies(
         recorder.counter("cluster.messages_truncated", messages_truncated)
         recorder.counter("cluster.copies", len(copies))
         recorder.observe("cluster.max_load", channel.max_load)
+        groups = [copy.group for copy in copies]
+        recorder.counter("cluster.host_steps", sum(g.host_steps for g in groups))
+        recorder.counter("cluster.idle_skips", sum(g.idle_skips for g in groups))
 
     # Collect outputs from the chosen layers.
     outputs: OutputMap = {}
-    host_index: Dict[Tuple[int, int, int], ProgramHost] = {}
-    for copy in copies:
-        for host in copy.hosts:
-            host_index[(copy.layer, copy.aid, host.node)] = host
+    copy_outputs: Dict[Tuple[int, int, int], Dict[int, Any]] = {}
     for (aid, v), layer_index in output_layers.items():
-        host = host_index.get((layer_index, aid, v))
-        if host is None:
-            raise CoverageError(
-                f"no host for output of algorithm {aid} at node {v} "
-                f"in layer {layer_index}"
-            )
-        outputs[(aid, v)] = host.output()
+        key = (layer_index, center_of[layer_index][v], aid)
+        values = copy_outputs.get(key)
+        if values is None:
+            copy = copy_at.get(key)
+            if copy is None:
+                raise CoverageError(
+                    f"no host for output of algorithm {aid} at node {v} "
+                    f"in layer {layer_index}"
+                )
+            values = copy_outputs[key] = copy.group.outputs()
+        outputs[(aid, v)] = values[v]
 
     return ClusterExecution(
         outputs=outputs,
@@ -487,11 +421,5 @@ def run_cluster_copies(
     )
 
 
-class _Missing:
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<missing>"
-
-
-_MISSING = _Missing()
+_MISSING = object()
+_NO_INBOXES: Dict[int, Dict[int, Any]] = {}

@@ -20,14 +20,12 @@ concurrency corrupts outputs, motivating the delay/cluster machinery.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from ..congest.program import ProgramHost
+from typing import List
 
 from ..metrics.schedule import ScheduleReport
 from .base import ScheduleResult, Scheduler
 from .transport import resolve_transport
-from .workload import OutputMap, Workload
+from .workload import Workload, group_outputs
 
 __all__ = ["EagerScheduler"]
 
@@ -46,27 +44,11 @@ class EagerScheduler(Scheduler):
         self.max_rounds_factor = max_rounds_factor
 
     def run(self, workload: Workload, seed: int = 0) -> ScheduleResult:
-        network = workload.network
         params = workload.params()
         k = workload.num_algorithms
         cap = self.max_rounds_factor * (
             params.congestion + params.dilation + k + 4
         )
-
-        hosts: Dict[int, List[ProgramHost]] = {}
-        for aid in workload.aids:
-            hosts[aid] = [
-                ProgramHost(
-                    workload.algorithms[aid],
-                    node,
-                    network,
-                    ProgramHost.seed_for(
-                        workload.master_seed, workload.tape_id(aid), node
-                    ),
-                    workload.message_bits,
-                )
-                for node in network.nodes
-            ]
 
         # The per-directed-edge FIFO queues live in the transport channel
         # (kept object-per-message in every backend: the inbox build
@@ -74,18 +56,22 @@ class EagerScheduler(Scheduler):
         channel = resolve_transport(self.transport).eager_channel()
         overwrites = 0
         delivered_late = 0
-
-        for aid in workload.aids:
-            for host in hosts[aid]:
-                channel.push(aid, host.node, host.start())
+        # A confused program may violate CONGEST rules (e.g. double-sends
+        # after duplicate deliveries); naive execution just drops the
+        # round's sends.
+        confused: List[int] = []
+        groups = [
+            workload.host_group(aid, on_error=lambda node, exc: confused.append(node))
+            for aid in workload.aids
+        ]
+        for aid, group in enumerate(groups):
+            for node, outbox in group.start():
+                channel.push(aid, node, outbox)
 
         physical_round = 0
         last_message_round = 0
         while True:
-            all_halted = all(
-                host.halted for group in hosts.values() for host in group
-            )
-            if all_halted or (
+            if not any(group.live for group in groups) or (
                 channel.in_flight == 0 and physical_round > params.dilation
             ):
                 break
@@ -100,27 +86,14 @@ class EagerScheduler(Scheduler):
                 last_message_round = physical_round
 
             # Every algorithm advances one round, ready or not.
-            for aid in workload.aids:
-                for host in hosts[aid]:
-                    if host.halted:
-                        continue
-                    inbox = inboxes.pop((aid, host.node), {})
-                    try:
-                        channel.push(
-                            aid, host.node, host.step(physical_round, inbox)
-                        )
-                    except Exception:
-                        # A confused program may violate CONGEST rules
-                        # (e.g. double-sends after duplicate deliveries);
-                        # naive execution just drops the round's sends.
-                        delivered_late += 1
+            for aid, group in enumerate(groups):
+                for node, outbox in group.step(
+                    physical_round,
+                    lambda node: inboxes.pop((aid, node), None),
+                ):
+                    channel.push(aid, node, outbox)
             # Messages addressed to already-halted programs vanish.
             delivered_late += len(inboxes)
-
-        outputs: OutputMap = {}
-        for aid in workload.aids:
-            for host in hosts[aid]:
-                outputs[(aid, host.node)] = host.output()
 
         report = ScheduleReport(
             scheduler=self.name,
@@ -129,8 +102,8 @@ class EagerScheduler(Scheduler):
             notes={
                 "in_flight_at_cutoff": channel.in_flight,
                 "inbox_overwrites": overwrites,
-                "late_or_dropped": delivered_late,
+                "late_or_dropped": delivered_late + len(confused),
                 "cap": cap,
             },
         )
-        return self._finish(workload, outputs, report)
+        return self._finish(workload, group_outputs(groups), report)

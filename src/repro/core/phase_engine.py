@@ -26,12 +26,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..congest.program import ProgramHost
 from ..errors import SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
 from .transport import resolve_transport
-from .workload import OutputMap, Workload
+from .workload import OutputMap, Workload, group_outputs
 
 __all__ = ["PhaseExecution", "run_delayed_phases"]
 
@@ -127,17 +126,13 @@ def run_delayed_phases(
             max(delays) + max(a.max_rounds(network) for a in workload.algorithms) + 4
         )
 
-    # hosts[aid][node]; created lazily per algorithm at its start phase so
-    # memory stays proportional to concurrently active algorithms.
-    hosts: List[Optional[List[ProgramHost]]] = [None] * k
-    # Per-algorithm active set: the hosts that may still step (halting is
-    # monotone, so halted hosts leave permanently; order — ascending
-    # node id — is preserved). Crashed hosts stay: the crash check is
-    # per-phase against the injector.
-    live_hosts: List[List[ProgramHost]] = [[] for _ in range(k)]
-    # All message buffering, fault routing and load accounting live in
-    # the transport channel; the loop below keeps only the scheduling
-    # decisions (who starts when, who steps, when the run is complete).
+    # One host group per algorithm; its hosts are built when it starts, so
+    # memory stays proportional to the algorithms started so far. Program
+    # stepping (who is live, who may be skipped) lives in the group, all
+    # message buffering, fault routing and load accounting in the
+    # transport channel; the loop below keeps only the scheduling
+    # decisions (who starts when, when the run is complete).
+    groups = [workload.host_group(aid) for aid in range(k)]
     channel = resolve_transport(transport).phase_channel(
         k, injector, collect_histogram
     )
@@ -157,6 +152,7 @@ def run_delayed_phases(
 
     phase = -1
     truncated = False
+    crashed = (lambda node: injector.crashed(node, phase + 1)) if faults else None
     while remaining > 0:
         phase += 1
         if (
@@ -198,22 +194,8 @@ def run_delayed_phases(
         starting = start_at.get(phase)
         if starting:
             for aid in starting:
-                algorithm = workload.algorithms[aid]
-                hosts[aid] = [
-                    ProgramHost(
-                        algorithm,
-                        node,
-                        network,
-                        ProgramHost.seed_for(
-                            workload.master_seed, workload.tape_id(aid), node
-                        ),
-                        workload.message_bits,
-                    )
-                    for node in network.nodes
-                ]
-                for host in hosts[aid]:
-                    push(aid, host.node, host.start(), phase, True)
-                live_hosts[aid] = [h for h in hosts[aid] if not h.halted]
+                for node, outbox in groups[aid].start():
+                    push(aid, node, outbox, phase, True)
             active_aids.extend(starting)
             active_aids.sort()
 
@@ -223,26 +205,14 @@ def run_delayed_phases(
         next_phase = phase + 1
         still_active: List[int] = []
         for aid in active_aids:
-            algo_round = phase - delays[aid] + 1
+            group = groups[aid]
             deliveries = channel.deliver(aid, phase)
-            alive_hosts: List[ProgramHost] = []
-            all_halted = True
-            for host in live_hosts[aid]:
-                if faults and injector.crashed(host.node, next_phase):
-                    # Crash-stop counts as terminated for scheduling (the
-                    # host stays tracked; the check is per-phase).
-                    alive_hosts.append(host)
-                    continue
-                inbox = deliveries.get(host.node, {})
-                push(
-                    aid, host.node, host.step(algo_round, inbox), next_phase,
-                    False,
-                )
-                if not host.halted:
-                    alive_hosts.append(host)
-                    all_halted = False
-            live_hosts[aid] = alive_hosts
-            if all_halted and channel.idle(aid):
+            for node, outbox in group.step(
+                phase - delays[aid] + 1, deliveries.get, crashed
+            ):
+                push(aid, node, outbox, next_phase, False)
+            # (crash-stop counts as terminated for scheduling)
+            if group.finished(crashed) and channel.idle(aid):
                 remaining -= 1
             else:
                 still_active.append(aid)
@@ -262,22 +232,12 @@ def run_delayed_phases(
         if skipped_phases:
             recorder.counter("phase.skipped_phases", skipped_phases)
         recorder.observe("phase.max_load", channel.max_load)
-
-    outputs: OutputMap = {}
-    for aid in range(k):
-        algorithm_hosts = hosts[aid]
-        if algorithm_hosts is None:
-            # Only reachable when truncated before this algorithm's start
-            # phase: report "no output" for every node.
-            assert truncated
-            for node in network.nodes:
-                outputs[(aid, node)] = None
-            continue
-        for host in algorithm_hosts:
-            outputs[(aid, host.node)] = host.output()
+        recorder.counter("phase.host_steps", sum(g.host_steps for g in groups))
+        recorder.counter("phase.idle_skips", sum(g.idle_skips for g in groups))
 
     return PhaseExecution(
-        outputs=outputs,
+        # (an algorithm truncated before its start phase reports None)
+        outputs=group_outputs(groups),
         num_phases=last_active_phase + 1,
         max_phase_load=channel.max_load,
         load_histogram=channel.histogram(),

@@ -21,20 +21,30 @@ Pass ``solo_cache=None`` (or set ``REPRO_SOLO_CACHE=0``) to opt out.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..congest.message import default_message_bits
 from ..congest.network import Network
 from ..congest.pattern import CommunicationPattern
-from ..congest.program import Algorithm
+from ..congest.program import Algorithm, HostGroup
 from ..congest.simulator import Simulator, SoloRun
 from ..metrics.congestion import WorkloadParams, measure_params
 from ..parallel.cache import SoloRunCache, default_cache
 
-__all__ = ["Workload", "OutputMap"]
+__all__ = ["Workload", "OutputMap", "group_outputs"]
 
 #: Scheduled outputs: ``(algorithm id, node) -> value``.
 OutputMap = Dict[Tuple[int, int], Any]
+
+
+def group_outputs(groups: Sequence[HostGroup]) -> OutputMap:
+    """The outputs of ``groups[aid]`` for every aid (``None`` for every
+    node of a group that never started)."""
+    return {
+        (aid, node): value
+        for aid, group in enumerate(groups)
+        for node, value in group.outputs().items()
+    }
 
 
 class Workload:
@@ -111,12 +121,32 @@ class Workload:
         """The tape identity of algorithm ``aid`` (defaults to ``aid``).
 
         Everything that derives a node's private random tape —
-        :meth:`~repro.congest.program.ProgramHost.seed_for` in the
-        execution engines, :meth:`solo_runs` for the references — must
-        go through this so explicit ``algorithm_ids`` take effect
-        consistently.
+        :meth:`host_group` for the execution engines, :meth:`solo_runs`
+        for the references — goes through this so explicit
+        ``algorithm_ids`` take effect consistently.
         """
         return self.algorithm_ids[aid] if self.algorithm_ids is not None else aid
+
+    def host_group(
+        self,
+        aid: int,
+        nodes: Optional[Sequence[int]] = None,
+        limits: Optional[Dict[int, int]] = None,
+        on_error: Optional[Callable[[int, Exception], None]] = None,
+    ) -> HostGroup:
+        """The hosts of one copy of algorithm ``aid`` on ``nodes`` (default:
+        all), drawing the tapes :meth:`tape_id` names; ``limits`` and
+        ``on_error`` as in :class:`~repro.congest.program.HostGroup`."""
+        return HostGroup(
+            self.algorithms[aid],
+            self.network.nodes if nodes is None else nodes,
+            self.network,
+            self.master_seed,
+            self.tape_id(aid),
+            self.message_bits,
+            limits,
+            on_error,
+        )
 
     def _resolve_cache(self) -> Optional[SoloRunCache]:
         if self.solo_cache == "default":

@@ -41,7 +41,7 @@ from ..clustering.layers import (
     extend_clustering,
 )
 from ..congest.network import Network
-from ..congest.program import Algorithm, ProgramHost
+from ..congest.program import Algorithm, HostGroup
 from ..errors import CoverageError
 
 __all__ = ["BellagioResult", "run_with_private_randomness"]
@@ -147,32 +147,30 @@ def _run_layer(
     the round cost of the layer is the longest truncated execution.
     """
     layer = clustering.layers[layer_index]
-    algorithms: Dict[int, Algorithm] = {}
-    for center in layer.centers:
-        shared_seed = cluster_seed_bits(seed, layer_index, center, seed_bits)
-        algorithms[center] = make_algorithm(shared_seed)
-
-    hosts: Dict[int, ProgramHost] = {}
-    limits: Dict[int, int] = {}
+    h_prime = layer.h_prime
+    center_of = layer.center
+    run_to_halt = set(needed)
+    # One host group per cluster: its own algorithm instance (built from
+    # the cluster's shared seed) and its own tape id.
+    groups: List[HostGroup] = []
     cap = 0
-    for v in network.nodes:
-        h = layer.h_prime[v]
-        center = layer.center[v]
-        algorithm = algorithms[center]
+    for center, members in layer.clusters().items():
+        shared_seed = cluster_seed_bits(seed, layer_index, center, seed_bits)
+        algorithm = make_algorithm(shared_seed)
         hard_cap = algorithm.max_rounds(network)
-        limits[v] = hard_cap if v in needed else h
         cap = max(cap, hard_cap)
-        hosts[v] = ProgramHost(
-            algorithm,
-            v,
-            network,
-            ProgramHost.seed_for(seed, ("bellagio", layer_index, center), v),
+        limits = {
+            v: hard_cap if v in run_to_halt else h_prime[v] for v in members
+        }
+        groups.append(
+            HostGroup(
+                algorithm, members, network, seed,
+                ("bellagio", layer_index, center), limits=limits,
+            )
         )
 
     # Synchronous big-round loop; messages across cluster boundaries (or
     # beyond a sender's executed prefix) are discarded, as in Lemma 4.4.
-    h_prime = layer.h_prime
-    center_of = layer.center
     pending: Dict[int, Dict[int, Any]] = {}
     rounds_used = 0
 
@@ -183,33 +181,26 @@ def _run_layer(
         if msg_round > h_prime[sender] + 1:
             return
         for receiver, payload in sends:
-            if center_of[receiver] != center_of[sender]:
-                continue
-            if receiver in hosts:
+            if center_of[receiver] == center_of[sender]:
                 pending.setdefault(receiver, {})[sender] = payload
 
-    for v, host in hosts.items():
-        ship(v, host.start(), 1)
+    for group in groups:
+        for v, sends in group.start():
+            ship(v, sends, 1)
 
-    algo_round = 0
-    while True:
-        algo_round += 1
-        if algo_round > cap:
-            break
+    while rounds_used < cap:
+        rounds_used += 1
         deliveries, pending = pending, {}
-        alive = False
-        for v, host in hosts.items():
-            if host.halted or algo_round > limits[v]:
-                continue
-            inbox = deliveries.get(v, {})
-            ship(v, host.step(algo_round, inbox), algo_round + 1)
-            if not host.halted and algo_round < limits[v]:
-                alive = True
-        rounds_used = algo_round
-        if not alive and not pending:
+        for group in groups:
+            for v, sends in group.step(rounds_used, deliveries.get):
+                ship(v, sends, rounds_used + 1)
+        if not pending and not any(group.live for group in groups):
             break
 
+    layer_outputs: Dict[int, Any] = {}
+    for group in groups:
+        layer_outputs.update(group.outputs())
     for v in needed:
-        outputs[v] = hosts[v].output()
+        outputs[v] = layer_outputs[v]
         output_layer[v] = layer_index
     return rounds_used

@@ -75,16 +75,21 @@ class _InnerContext:
     context.
     """
 
-    __slots__ = ("node", "num_nodes", "neighbors", "rng", "round", "_outbox", "_sent_to")
+    __slots__ = ("node", "num_nodes", "neighbors", "round", "_outer", "_outbox", "_sent_to")
 
     def __init__(self, outer: NodeContext):
         self.node = outer.node
         self.num_nodes = outer.num_nodes
         self.neighbors = outer.neighbors
-        self.rng = outer.rng
         self.round = 0
+        self._outer = outer
         self._outbox: List[Send] = []
         self._sent_to: set = set()
+
+    @property
+    def rng(self):
+        """The outer context's tape (materialised on first access)."""
+        return self._outer.rng
 
     def send(self, neighbor: int, payload: Any) -> None:
         """Buffer one inner message (same constraints as the real context)."""

@@ -38,6 +38,15 @@ ENGINE_COUNTERS = (
     "sim.skipped_rounds",
     "phase.skipped_phases",
     "cluster.skipped_rounds",
+    # Stepping (see repro.congest.program.HostGroup): of the live-host ×
+    # round slots an engine walked, how many ran ``on_round`` and how
+    # many were skipped (an ``idle_until`` promise, or crash-stop).
+    "sim.host_steps",
+    "sim.idle_skips",
+    "phase.host_steps",
+    "phase.idle_skips",
+    "cluster.host_steps",
+    "cluster.idle_skips",
 )
 
 

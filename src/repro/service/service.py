@@ -1227,22 +1227,28 @@ class SchedulerService:
         """All jobs ever submitted, in submission order."""
         return sorted(self.queue.jobs.values(), key=lambda j: j.job_id)
 
+    def engine_totals(self) -> Dict[str, float]:
+        """The :data:`~repro.metrics.schedule.ENGINE_COUNTERS` this
+        service's executions accumulated — read off the execution reports
+        (recorded reports surface them zero-filled), so no engine
+        internals are touched. Every batch runs under the service's one
+        recorder and stamps a *cumulative* snapshot into its report, so
+        the total is the largest value seen, not the sum."""
+        engines = {name: 0.0 for name in ENGINE_COUNTERS}
+        for report in self.reports:
+            for name, value in report.engine_counters().items():
+                engines[name] = max(engines[name], value)
+        return engines
+
     def stats(self) -> Dict[str, Any]:
         """Service-level aggregate: states, queue, latency, registry.
 
-        The ``engine_counters`` block sums the uniform
-        :data:`~repro.metrics.schedule.ENGINE_COUNTERS` over every
-        execution report — possible without touching engine internals
-        because recorded reports surface them zero-filled. The
+        The ``engine_counters`` block is :meth:`engine_totals`. The
         ``latency`` block is derived by replaying the job-lifecycle
         event log (:func:`repro.service.events.latency_stats`):
         p50/p90/p99 queue and end-to-end latency plus jobs/sec; it is
         ``None`` when the service was built with ``events=None``.
         """
-        engines = {name: 0.0 for name in ENGINE_COUNTERS}
-        for report in self.reports:
-            for name, value in report.engine_counters().items():
-                engines[name] += value
         latency = (
             latency_stats(self.events.events)
             if self.events is not None
@@ -1262,7 +1268,7 @@ class SchedulerService:
             "backlog": self.queue.backlog,
             "batches": self._batch_counter,
             "registry": self.registry.stats(),
-            "engine_counters": engines,
+            "engine_counters": self.engine_totals(),
             "latency": latency,
             "journal": journal,
             "events": len(self.events) if self.events is not None else 0,

@@ -324,9 +324,13 @@ class ShardedSchedulerService:
                         staged.append((shard,) + item)
                 if not staged:
                     break
+                # A serial runner executes in-process, so (like
+                # SchedulerService.run_once) the batch can record into
+                # its shard's recorder; a pool needs a picklable one.
+                pooled = self.runner.workers > 1
                 payloads = [
                     (
-                        shard._batch_scheduler(for_pickle=True),
+                        shard._batch_scheduler(for_pickle=pooled),
                         workload,
                         shard.schedule_seed,
                     )
@@ -469,8 +473,9 @@ class ShardedSchedulerService:
     def stats(self) -> Dict[str, Any]:
         """Cross-shard aggregate with the single-service stats shape.
 
-        Per-state job counts, batch counts, and engine counters sum;
-        latency merges per-shard
+        Per-state job counts and batch counts sum, and so do the shards'
+        :meth:`~repro.service.service.SchedulerService.engine_totals`
+        when each shard records separately; latency merges per-shard
         :class:`~repro.service.events.LatencyAccumulator` sketches
         (histogram buckets add, window = min first-submit .. max
         last-terminal); the registry block is the shared registry's own
@@ -478,7 +483,6 @@ class ShardedSchedulerService:
         hot-shard visibility.
         """
         jobs: Dict[str, int] = {state.value: 0 for state in JobState}
-        engines: Dict[str, float] = {name: 0.0 for name in ENGINE_COUNTERS}
         batches = 0
         events = 0
         journal_records = 0
@@ -491,9 +495,6 @@ class ShardedSchedulerService:
         for key, shard in self.shards.items():
             for state, count in shard.queue.by_state().items():
                 jobs[state] = jobs.get(state, 0) + count
-            for report in shard.reports:
-                for name, value in report.engine_counters().items():
-                    engines[name] = engines.get(name, 0.0) + value
             batches += shard._batch_counter
             if shard.events is not None:
                 have_events = True
@@ -512,6 +513,14 @@ class ShardedSchedulerService:
                 "batches": shard._batch_counter,
                 "jobs": shard.queue.by_state(),
             }
+        # Shards with their own recorders accumulate separately; shards
+        # sharing the service recorder all report its running totals.
+        combine = sum if self.per_shard_recorders else max
+        totals = [shard.engine_totals() for shard in self.shards.values()]
+        engines = {
+            name: float(combine([0.0] + [total[name] for total in totals]))
+            for name in ENGINE_COUNTERS
+        }
         journal = None
         if journal_segments:
             journal = {

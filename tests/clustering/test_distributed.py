@@ -98,3 +98,86 @@ def test_sharing_verification_catches_tampering(grid4):
     # a different master seed yields different expected bits -> detected
     bad = cluster_seed_bits(999, 0, out.center, num_bits)
     assert out.shared_bits(protocol.chunk_bits) != bad
+
+
+# -- sharing under overlapping balls (the `python -m repro` instance) --------
+
+
+def _private_grid_workload():
+    """12×12 grid, 16 alternating BFS/HopBroadcast (hops 4): with
+    ``R = 8`` and ``H = 80`` every ball spans a good part of the grid, so
+    up to ~140 chunk streams overlap at a node."""
+    import random
+
+    from repro.algorithms import BFS, HopBroadcast
+    from repro.core import Workload
+
+    net = topology.grid_graph(12, 12)
+    pattern = random.Random("private_grid:pattern")
+    algorithms = [
+        BFS(source, 4) if index % 2 == 0 else HopBroadcast(source, 7 + index, 4)
+        for index, source in enumerate(pattern.randrange(144) for _ in range(16))
+    ]
+    return Workload(net, algorithms, master_seed=7, solo_cache=None)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 11])
+def test_sharing_survives_overlapping_streams(seed):
+    """Regression: chunks that overtook the shortest path on a detour
+    burnt their hop budget and died short of the ball's edge — ``0/12
+    chunks`` at the far nodes for every seed tried — because relaying was
+    gated on the hop-count the *chunk* had travelled. It is gated on the
+    settled carving now (``_CarvingProgram._start_sharing``)."""
+    from repro.core import PrivateScheduler
+
+    workload = _private_grid_workload()
+    # the path `python -m repro` takes; raises ReproError if sharing fails
+    distributed = PrivateScheduler(
+        distributed_precomputation=True
+    )._build_clustering(workload, seed)
+    oracle = PrivateScheduler()._build_clustering(workload, seed)
+    assert distributed.built_distributed and not oracle.built_distributed
+    assert distributed.num_layers == oracle.num_layers
+    for lo, ld in zip(oracle.layers, distributed.layers):
+        assert lo.center == ld.center
+        assert [min(h, oracle.horizon) for h in lo.h_prime] == ld.h_prime
+    result = PrivateScheduler(clustering=distributed).run(workload, seed)
+    assert result.correct
+    assert result.outputs == PrivateScheduler(clustering=oracle).run(workload, seed).outputs
+
+
+def test_relayed_streams_are_few():
+    """A node relays the running minima of (label → hop-count): a handful
+    of streams — ``O(log n)`` — not one per overlapping ball."""
+    net = topology.grid_graph(8, 8)
+    protocol = CarvingProtocol(net, 6, layer=0, seed=2)
+    programs = []
+    make = protocol.make_program
+
+    def recording_make(node, ctx):
+        programs.append(make(node, ctx))
+        return programs[-1]
+
+    protocol.make_program = recording_make
+    Simulator(net).run(protocol, seed=2)
+    overlapping = max(len(program._pool) for program in programs)
+    relayed = max(len(program._relay) for program in programs)
+    assert relayed <= 6 < overlapping  # log2(n) = 6
+
+
+def test_idle_hints_do_not_change_the_protocol(grid4):
+    """The protocol's ``idle_until`` promises (flood wait, drained share
+    queue) only skip no-op steps: erasing them changes nothing."""
+    from unittest import mock
+
+    from repro.congest.program import NodeProgram
+
+    def observe():
+        protocol = CarvingProtocol(grid4, 2, layer=1, seed=9)
+        run = Simulator(grid4).run(protocol, seed=9)
+        return run.outputs, list(run.trace.events()), run.rounds, run.completion_round
+
+    shipped = observe()
+    with mock.patch.object(NodeProgram, "idle_until", lambda self, round: None):
+        erased = observe()
+    assert shipped == erased

@@ -14,6 +14,7 @@ from repro.congest import solo_run, topology
 from repro.core import RandomDelayScheduler, RoundRobinScheduler, Scheduler
 from repro.errors import ScheduleError
 from repro.faults import FaultPlan
+from repro.metrics.schedule import ENGINE_COUNTERS
 from repro.parallel import ParallelRunner, SoloRunCache
 from repro.service import (
     AdmissionPolicy,
@@ -302,12 +303,15 @@ class TestTelemetry:
         stats = service.stats()
         engines = stats["engine_counters"]
         # uniform aggregation: every well-known engine counter present
-        assert set(engines) == {
+        assert set(engines) == set(ENGINE_COUNTERS)
+        assert {
             "sim.late_deliveries",
             "sim.skipped_rounds",
             "phase.skipped_phases",
             "cluster.skipped_rounds",
-        }
+            "phase.host_steps",
+            "phase.idle_skips",
+        } <= set(engines)
 
     def test_round_robin_scheduler_supported(self, grid):
         service = SchedulerService(

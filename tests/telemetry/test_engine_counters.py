@@ -3,8 +3,10 @@
 Every recorded :class:`~repro.metrics.schedule.ScheduleReport` surfaces
 the well-known engine counters — ``sim.late_deliveries``,
 ``sim.skipped_rounds``, ``phase.skipped_phases``,
-``cluster.skipped_rounds`` — zero-filled when the engine didn't emit
-them, so downstream aggregation never special-cases which engine ran.
+``cluster.skipped_rounds``, and the stepping pair
+``<engine>.host_steps`` / ``<engine>.idle_skips`` — zero-filled when the
+engine didn't emit them, so downstream aggregation never special-cases
+which engine ran.
 """
 
 import pytest
@@ -85,3 +87,34 @@ class TestEdgeCases:
         assert engines["sim.skipped_rounds"] >= 0.0
         raw = report.telemetry["counters"].get("sim.skipped_rounds", 0.0)
         assert engines["sim.skipped_rounds"] == raw
+
+
+class TestSteppingCounters:
+    """``host_steps`` + ``idle_skips`` = the live-host × round slots an
+    engine walked; the split says how many of them actually ran."""
+
+    @pytest.mark.parametrize(
+        "scheduler_factory, engine",
+        [(RandomDelayScheduler, "phase"), (PrivateScheduler, "cluster")],
+    )
+    def test_only_the_engine_that_ran_reports(
+        self, workload, scheduler_factory, engine
+    ):
+        scheduler = scheduler_factory().with_recorder(InMemoryRecorder())
+        engines = scheduler.run(workload, seed=1).report.engine_counters()
+        assert engines[f"{engine}.host_steps"] > 0
+        # BFS and HopBroadcast nodes wait for the wave: most slots idle
+        assert engines[f"{engine}.idle_skips"] > engines[f"{engine}.host_steps"]
+        other = "cluster" if engine == "phase" else "phase"
+        assert engines[f"{other}.host_steps"] == 0.0
+
+    def test_solo_simulator_reports_its_slots(self):
+        from repro.congest import Simulator
+
+        recorder = InMemoryRecorder()
+        net = topology.path_graph(6)
+        Simulator(net, recorder=recorder).run(BFS(0, hops=5))
+        counters = recorder.snapshot()["counters"]
+        # node v halts in round v: 5 steps, and 4+3+2+1 idle waits
+        assert counters["sim.host_steps"] == 5
+        assert counters["sim.idle_skips"] == 10
