@@ -426,6 +426,47 @@ def _read_state(base) -> dict:
     return json.loads(path.read_text())
 
 
+#: ``spool.seq`` is one fixed-width decimal line, so reserving ids is a
+#: single in-place write that never changes the file's length.
+_SEQ_WIDTH = 20
+
+
+def _last_spool_id(base) -> int:
+    """The highest id in use under ``base``, by scanning: 0 when none.
+
+    Ids continue across serve runs, so both the waiting spool files and
+    the already-served jobs recorded in ``state.json`` count.
+    """
+    existing = {p.stem for p in _spool_dir(base).glob("s*.json")}
+    existing.update(_read_state(base).get("jobs", {}))
+    numbers = [int(sid[1:]) for sid in existing if sid[1:].isdigit()]
+    return max(numbers) if numbers else 0
+
+
+def _reserve_spool_ids(base, count: int) -> int:
+    """Reserve ``count`` spool ids; return the last id taken before them.
+
+    ``<base>/spool.seq`` holds the last id handed out. It is read and
+    advanced under an exclusive ``flock``, and fsynced before the lock
+    is released, so concurrent submits never share an id and a crash
+    can skip ids but not repeat one. A missing, empty or unreadable
+    counter (fresh directory, or one written by an older version) is
+    re-derived from the directory scan.
+    """
+    import fcntl
+
+    fd = os.open(os.path.join(base, "spool.seq"), os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        text = os.pread(fd, _SEQ_WIDTH, 0).strip()
+        last = int(text) if text.isdigit() else _last_spool_id(base)
+        os.pwrite(fd, b"%0*d\n" % (_SEQ_WIDTH, last + count), 0)
+        os.fsync(fd)
+    finally:
+        os.close(fd)  # also drops the lock
+    return last
+
+
 def _submit_cli(args) -> None:
     import json
 
@@ -436,12 +477,7 @@ def _submit_cli(args) -> None:
     parse_algorithm(args.algo, network=parse_network(args.net))
     spool = _spool_dir(args.dir)
     spool.mkdir(parents=True, exist_ok=True)
-    # Ids continue across serve runs: count both waiting spool files and
-    # already-served jobs recorded in state.json.
-    existing = {p.stem for p in spool.glob("s*.json")}
-    existing.update(_read_state(args.dir).get("jobs", {}))
-    numbers = [int(sid[1:]) for sid in existing if sid[1:].isdigit()]
-    last = max(numbers) if numbers else 0
+    last = _reserve_spool_ids(args.dir, args.count)
     submitted = []
     for offset in range(args.count):
         spool_id = f"s{last + 1 + offset:04d}"
@@ -538,18 +574,50 @@ def _serve_cli(args) -> int:
     # recovery, not resubmission; everything else is submitted fresh.
     seen_spools = set(service.journaled_spools())
     spool_of = {}
+    # One Network per spec string for the life of the serve: the
+    # topology is immutable, so every job naming it can share it.
+    networks = {}
+    # Spool files this serve refused, stem -> reason. sync_state records
+    # them and, once state.json holds the verdict, removes the files.
+    rejections = {}
+
+    def parse_record(text: str, stem: str):
+        record = json.loads(text)
+        if not isinstance(record, dict):
+            raise ValueError("spool record is not a JSON object")
+        missing = [key for key in ("id", "net", "algo") if key not in record]
+        if missing:
+            raise ValueError(f"spool record lacks {'/'.join(missing)}")
+        if record["id"] != stem:
+            raise ValueError(
+                f"spool record id {record['id']!r} does not match its file name"
+            )
+        network = networks.get(record["net"])
+        if network is None:
+            network = networks[record["net"]] = parse_network(record["net"])
+        return record, network, parse_algorithm(record["algo"], network=network)
 
     def poll() -> int:
+        if not spool.exists():
+            return 0
         submitted = 0
-        for path in sorted(spool.glob("s*.json")) if spool.exists() else []:
-            record = json.loads(path.read_text())
-            if record["id"] in seen_spools:
+        # A file is read once: queued, parked and refused records are
+        # all known by their stem on every later poll.
+        new = (p for p in spool.glob("s*.json") if p.stem not in seen_spools)
+        for path in sorted(new):
+            try:
+                text = path.read_text()
+            except FileNotFoundError:
+                continue  # gone since the glob
+            seen_spools.add(path.stem)
+            try:
+                record, network, algorithm = parse_record(text, path.stem)
+            except Exception as exc:  # one bad record must not end the serve
+                rejections[path.stem] = str(exc) or type(exc).__name__
                 continue
-            seen_spools.add(record["id"])
-            network = parse_network(record["net"])
             job = service.submit(
                 network,
-                parse_algorithm(record["algo"], network=network),
+                algorithm,
                 master_seed=record.get("seed", 0),
                 spec=record,
             )
@@ -557,19 +625,24 @@ def _serve_cli(args) -> int:
             submitted += 1
         return submitted
 
+    def spool_record(job):
+        """The spool record ``job`` came from; ``None`` if it has none."""
+        record = spool_of.get(job.job_id)
+        if record is None and job.meta.get("spool") is not None:
+            # Recovered from the journal, which keeps the spec strings.
+            record = {
+                "id": job.meta["spool"],
+                "net": job.meta.get("net", "?"),
+                "algo": job.meta.get("algo", "?"),
+                "seed": job.master_seed,
+            }
+        return record
+
     def sync_state() -> None:
         for job in service.jobs():
-            record = spool_of.get(job.job_id)
+            record = spool_record(job)
             if record is None:
-                spool_id = job.meta.get("spool")
-                if spool_id is None:
-                    continue
-                record = {
-                    "id": spool_id,
-                    "net": job.meta.get("net", "?"),
-                    "algo": job.meta.get("algo", "?"),
-                    "seed": job.master_seed,
-                }
+                continue
             entry = job.describe()
             entry["net"] = record["net"]
             entry["algo"] = record["algo"]
@@ -578,9 +651,13 @@ def _serve_cli(args) -> int:
             state["jobs"][record["id"]] = entry
             if job.terminal:
                 (spool / f"{record['id']}.json").unlink(missing_ok=True)
+        for stem, reason in rejections.items():
+            state["jobs"][stem] = {"state": "rejected", "reason": reason}
         state["version"] = __version__
         state["stats"] = service.stats()
         atomic_write_text(base / "state.json", json.dumps(state, indent=2))
+        for stem in rejections:
+            (spool / f"{stem}.json").unlink(missing_ok=True)
 
     def checkpoint() -> None:
         sync_state()
@@ -603,17 +680,9 @@ def _serve_cli(args) -> int:
 
     rows = []
     for job in service.jobs():
-        record = spool_of.get(job.job_id)
+        record = spool_record(job)
         if record is None:
-            spool_id = job.meta.get("spool")
-            if spool_id is None:
-                continue
-            record = {
-                "id": spool_id,
-                "net": job.meta.get("net", "?"),
-                "algo": job.meta.get("algo", "?"),
-                "seed": job.master_seed,
-            }
+            continue
         rows.append(
             [
                 record["id"],
@@ -625,6 +694,9 @@ def _serve_cli(args) -> int:
                 job.reason or "-",
             ]
         )
+    rows.extend(
+        [stem, "?", "rejected", "-", reason] for stem, reason in rejections.items()
+    )
     stats = service.stats()
 
     print(format_table(["job", "algorithm", "state", "served by", "note"], rows))
@@ -632,7 +704,8 @@ def _serve_cli(args) -> int:
     extra = f" / {quarantined} quarantined" if quarantined else ""
     print(
         f"\n{stats['jobs']['done']} done / {stats['jobs']['failed']} failed / "
-        f"{stats['jobs']['rejected']} rejected / {stats['jobs']['parked']} parked"
+        f"{stats['jobs']['rejected'] + len(rejections)} rejected / "
+        f"{stats['jobs']['parked']} parked"
         f"{extra} in {stats['batches']} batches across "
         f"{len(service.shards)} shard(s); registry {stats['registry']}"
     )
@@ -703,7 +776,10 @@ def _status_cli(args) -> int:
         import json
 
         for path in sorted(spool.glob("s*.json")):
-            record = json.loads(path.read_text())
+            try:
+                record = json.loads(path.read_text())
+            except FileNotFoundError:
+                continue  # served and unlinked since the glob
             jobs.setdefault(
                 record["id"],
                 {"state": "spooled", "algo": record["algo"], "net": record["net"]},

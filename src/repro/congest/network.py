@@ -94,6 +94,11 @@ class Network:
         assumes a connected network).
     """
 
+    #: Memo of :func:`repro.parallel.cache.network_fingerprint`. Like the
+    #: BFS cache it is process-local and dropped on pickling; the class
+    #: default also covers networks unpickled from older journals.
+    _fingerprint: "str | None" = None
+
     def __init__(self, edges: Iterable[Tuple[int, int]], num_nodes: int | None = None):
         edge_set: Set[Edge] = set()
         max_node = -1
@@ -424,7 +429,7 @@ class Network:
         return g
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle support: the BFS cache and recorder are process-local.
+        """Pickle support: the caches and recorder are process-local.
 
         A network crossing a process boundary (e.g. inside a workload
         shipped to a :class:`~repro.parallel.runner.ParallelRunner`
@@ -432,6 +437,7 @@ class Network:
         """
         state = dict(self.__dict__)
         state["_bfs_cache"] = OrderedDict()
+        state.pop("_fingerprint", None)
         state["bfs_stats"] = BfsStats()
         state["_recorder"] = None
         return state

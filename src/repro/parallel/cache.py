@@ -133,8 +133,17 @@ def _stable_render(value: Any, depth: int = 0) -> str:
 
 
 def network_fingerprint(network: Network) -> str:
-    """Stable hex digest of a network's topology (nodes + edge list)."""
-    return stable_digest("network", network.num_nodes, network.edges).hex()
+    """Stable hex digest of a network's topology (nodes + edge list).
+
+    Computed once per :class:`Network` object: the topology is
+    immutable, so the digest is kept on the network.
+    """
+    digest = network._fingerprint
+    if digest is None:
+        digest = network._fingerprint = stable_digest(
+            "network", network.num_nodes, network.edges
+        ).hex()
+    return digest
 
 
 def algorithm_fingerprint(algorithm: Algorithm) -> Optional[str]:
