@@ -41,7 +41,10 @@ wakes the program; the default (``0``) steps every round, so unannotated,
 wrapped and third-party programs behave as ever. A wrong promise changes
 outputs: ``tests/core/test_hint_erasure.py`` runs every scheduler with the
 hints erased and demands identical results, and is how a new annotation
-is checked.
+is checked. Groups that copy one algorithm many times (the cluster
+copies) also share a *start memo*, so that a node whose ``on_start`` only
+made such a promise costs a copy nothing until it first acts — see
+:class:`HostGroup`.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 from typing import Sequence, Tuple, Union
 
-from ..errors import BandwidthViolation
+from ..errors import BandwidthViolation, ReproError
 from .._util import derive_seed
 from .message import check_payload
 from .network import Network
@@ -239,7 +242,16 @@ class NodeProgram(ABC):
     # -- lifecycle -----------------------------------------------------
 
     def on_start(self, ctx: NodeContext) -> None:
-        """Called once before round 1. Sends here are delivered in round 1."""
+        """Called once before round 1. Sends here are delivered in round 1.
+
+        What it does — sends, halting, state, the :meth:`idle_until`
+        promise — must be a function of the node, its network view
+        (``ctx.neighbors``, ``ctx.num_nodes``), its tape (``ctx.rng``) and
+        the message budget only: the paper's randomness-as-input (§4).
+        Every copy of (algorithm, node) then starts identically, which is
+        what lets :class:`HostGroup` remember a start that did nothing
+        and replay it only when the node first acts (its start memo).
+        """
 
     @abstractmethod
     def on_round(self, ctx: NodeContext, inbox: Mapping[int, Any]) -> None:
@@ -299,6 +311,17 @@ class Algorithm(ABC):
         return 4 * network.num_nodes + 16
 
 
+class _Promised:
+    """What a dormant host knows of its program: it has not halted and
+    promised :meth:`NodeProgram.idle_until` this round."""
+
+    __slots__ = ("_idle_until",)
+    _halted = False
+
+    def __init__(self, idle_until: int):
+        self._idle_until = idle_until
+
+
 class ProgramHost:
     """Drives one (algorithm, node) program: its context plus its automaton.
 
@@ -308,6 +331,12 @@ class ProgramHost:
     algorithm-round — to every participating node, so an algorithm sees
     the same protocol however it is scheduled. ``seed`` as in
     :class:`NodeContext`.
+
+    A host made by :meth:`dormant` is a placeholder for one whose
+    ``on_start`` is known to do nothing but promise
+    :meth:`~NodeProgram.idle_until`: it has no context (``ctx is None``)
+    and its ``program`` carries only that promise, until its
+    :class:`HostGroup` builds it in place.
     """
 
     __slots__ = ("node", "ctx", "program", "_started")
@@ -329,6 +358,17 @@ class ProgramHost:
     def seed_for(cls, master_seed: int, algorithm_id: Any, node: int) -> int:
         """The canonical per-(algorithm, node) seed derivation."""
         return derive_seed(master_seed, "node-program", algorithm_id, node)
+
+    @classmethod
+    def dormant(cls, node: int, promise: int) -> "ProgramHost":
+        """The placeholder of a host whose ``on_start`` only promises
+        ``idle_until(promise)``."""
+        host = cls.__new__(cls)
+        host.node = node
+        host.ctx = None
+        host.program = _Promised(promise)
+        host._started = False
+        return host
 
     def start(self) -> Outbox:
         """Run ``on_start``; return sends to be delivered in round 1."""
@@ -378,6 +418,18 @@ class HostGroup:
     algorithm-round it steps. ``on_error(node, exc)`` makes a raising
     ``on_round`` non-fatal: the round's sends stay undrained and the pass
     continues (the eager baseline's "confused program" semantics).
+
+    ``start_memo`` (``node -> idle promise``, shared by the groups that
+    copy one algorithm under one tape id) spares the copies a host they
+    never step. A group records there every node whose ``on_start`` sent
+    nothing, did not halt and promised ``idle_until(T)`` with ``T > 1``;
+    a later group starts such a node as a :meth:`ProgramHost.dormant`
+    placeholder — a live slot like any other, skipped by the same
+    promise — and builds the host only when the slot is stepped (mail,
+    or the promise comes due) or its output is read. ``on_start`` runs
+    then, and must do what the memo says (the contract in
+    :meth:`NodeProgram.on_start`): anything else raises
+    :class:`~repro.errors.ReproError`.
     """
 
     def __init__(
@@ -390,18 +442,23 @@ class HostGroup:
         message_bits: Optional[int] = None,
         limits: Optional[Mapping[int, int]] = None,
         on_error: Optional[Callable[[int, Exception], None]] = None,
+        start_memo: Optional[Dict[int, int]] = None,
     ):
         self.algorithm = algorithm
         self.nodes = nodes
         #: Hosts that may still act, in ``nodes`` order: started, not
-        #: halted, not past their limit. Crashed and idle hosts stay.
+        #: halted, not past their limit. Crashed, idle and dormant hosts
+        #: stay.
         self.live: List[ProgramHost] = []
         #: Live-host × round slots that ran ``on_round`` / that were
         #: skipped (idle promise or crash-stop).
         self.host_steps = self.idle_skips = 0
+        #: Hosts constructed so far / slots that started dormant.
+        self.hosts_built = self.hosts_dormant = 0
         self._host_args = (network, (master_seed, tape_id), message_bits)
         self._limits = limits
         self._on_error = on_error
+        self._start_memo = start_memo
         self._hosts: Optional[List[ProgramHost]] = None
 
     def start(self) -> Iterator[Tuple[int, Outbox]]:
@@ -410,14 +467,34 @@ class HostGroup:
         :attr:`live` is valid once the iterator is exhausted."""
         if self._hosts is not None:
             raise RuntimeError("HostGroup.start called twice")
-        hosts = self._hosts = [
-            ProgramHost(self.algorithm, node, *self._host_args)
-            for node in self.nodes
-        ]
-        for host in hosts:
-            outbox = host.start()
-            if outbox:
-                yield host.node, outbox
+        memo = self._start_memo
+        if memo is None:
+            hosts = self._hosts = [
+                ProgramHost(self.algorithm, node, *self._host_args)
+                for node in self.nodes
+            ]
+            for host in hosts:
+                outbox = host.start()
+                if outbox:
+                    yield host.node, outbox
+        else:
+            hosts = self._hosts = [
+                ProgramHost.dormant(node, memo[node])
+                if node in memo
+                else ProgramHost(self.algorithm, node, *self._host_args)
+                for node in self.nodes
+            ]
+            for host in hosts:
+                if host.ctx is None:
+                    self.hosts_dormant += 1
+                    continue
+                outbox = host.start()
+                program = host.program
+                if outbox:
+                    yield host.node, outbox
+                elif not program._halted and program._idle_until > 1:
+                    memo[host.node] = program._idle_until
+        self.hosts_built = len(hosts) - self.hosts_dormant
         limits = self._limits
         self.live = [
             host
@@ -425,6 +502,25 @@ class HostGroup:
             if not host.program._halted
             and (limits is None or limits[host.node] >= 1)
         ]
+
+    def _wake(self, host: ProgramHost) -> None:
+        """Build dormant ``host`` and check that its ``on_start`` did what
+        the start memo remembers of it."""
+        promise = host.program._idle_until
+        host.__init__(self.algorithm, host.node, *self._host_args)
+        outbox = host.start()
+        self.hosts_built += 1
+        program = host.program
+        if outbox or program._halted or program._idle_until != promise:
+            tape_id = self._host_args[1][1]
+            raise ReproError(
+                f"on_start of algorithm {tape_id!r} at node {host.node} sent "
+                f"nothing, did not halt and promised idle_until({promise}) in "
+                "one copy but not in another: it must be a function of the "
+                "node, its network view, its tape and the message budget only",
+                algorithm=tape_id,
+                node=host.node,
+            )
 
     def step(
         self,
@@ -462,6 +558,9 @@ class HostGroup:
                 continue
             steps += 1
             ctx = host.ctx
+            if ctx is None:
+                self._wake(host)
+                program, ctx = host.program, host.ctx
             ctx.round = algo_round
             outbox: Outbox = []
             try:
@@ -488,8 +587,23 @@ class HostGroup:
             crashed is not None and all(crashed(host.node) for host in self.live)
         )
 
+    def output(self, node: int) -> Any:
+        """The output of ``node`` alone (``None`` before :meth:`start`);
+        a dormant slot is built first, the others stay as they are."""
+        if self._hosts is None:
+            return None
+        host = self._hosts[self.nodes.index(node)]
+        if host.ctx is None:
+            self._wake(host)
+        return host.program.output()
+
     def outputs(self) -> Dict[int, Any]:
-        """``node -> output`` for every node (``None`` before :meth:`start`)."""
+        """``node -> output`` for every node (``None`` before :meth:`start`);
+        dormant slots are built first."""
         if self._hosts is None:
             return dict.fromkeys(self.nodes)
+        if self.hosts_dormant:
+            for host in self._hosts:
+                if host.ctx is None:
+                    self._wake(host)
         return {host.node: host.program.output() for host in self._hosts}

@@ -180,7 +180,10 @@ def run_cluster_copies(
 
     # Build copy descriptors grouped by start big-round. Every copy of
     # (aid, node) runs the same random tape (the paper's
-    # randomness-as-input): the group derives it from the tape id alone.
+    # randomness-as-input): the group derives it from the tape id alone,
+    # and the copies share the workload's start memo (passing ``limits``
+    # opts in), so a member that only waits is built in the copies where
+    # it wakes.
     copy_at: Dict[Tuple[int, int, int], _Copy] = {}
     starts: Dict[int, List[_Copy]] = {}
     for layer_index, layer in enumerate(clustering.layers):
@@ -379,6 +382,18 @@ def run_cluster_copies(
     if leftover_messages:
         last_active = big_round + 1
 
+    # Collect outputs from the chosen layers, one node at a time: a slot
+    # still dormant is built only if its output is wanted.
+    outputs: OutputMap = {}
+    for (aid, v), layer_index in output_layers.items():
+        copy = copy_at.get((layer_index, center_of[layer_index][v], aid))
+        if copy is None:
+            raise CoverageError(
+                f"no host for output of algorithm {aid} at node {v} "
+                f"in layer {layer_index}"
+            )
+        outputs[(aid, v)] = copy.group.output(v)
+
     if recorder.enabled:
         recorder.counter("cluster.big_rounds", last_active + 1)
         if skipped_rounds:
@@ -391,22 +406,10 @@ def run_cluster_copies(
         groups = [copy.group for copy in copies]
         recorder.counter("cluster.host_steps", sum(g.host_steps for g in groups))
         recorder.counter("cluster.idle_skips", sum(g.idle_skips for g in groups))
-
-    # Collect outputs from the chosen layers.
-    outputs: OutputMap = {}
-    copy_outputs: Dict[Tuple[int, int, int], Dict[int, Any]] = {}
-    for (aid, v), layer_index in output_layers.items():
-        key = (layer_index, center_of[layer_index][v], aid)
-        values = copy_outputs.get(key)
-        if values is None:
-            copy = copy_at.get(key)
-            if copy is None:
-                raise CoverageError(
-                    f"no host for output of algorithm {aid} at node {v} "
-                    f"in layer {layer_index}"
-                )
-            values = copy_outputs[key] = copy.group.outputs()
-        outputs[(aid, v)] = values[v]
+        recorder.counter("cluster.hosts_built", sum(g.hosts_built for g in groups))
+        recorder.counter(
+            "cluster.hosts_dormant", sum(g.hosts_dormant for g in groups)
+        )
 
     return ClusterExecution(
         outputs=outputs,

@@ -104,6 +104,7 @@ class Workload:
             tuple(algorithm_ids) if algorithm_ids is not None else None
         )
         self._solo_runs: Optional[List[SoloRun]] = None
+        self._start_memos: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
 
@@ -127,6 +128,14 @@ class Workload:
         """
         return self.algorithm_ids[aid] if self.algorithm_ids is not None else aid
 
+    def start_memo(self, aid: int) -> Dict[int, int]:
+        """Algorithm ``aid``'s start memo, ``node -> idle promise``: what
+        :class:`~repro.congest.program.HostGroup` has seen ``on_start`` do
+        at the nodes where it did nothing else. Network, tape id, master
+        seed and message budget are fixed per workload, so every copy of
+        ``(aid, node)`` starts the same way and the copies share it."""
+        return self._start_memos.setdefault(aid, {})
+
     def host_group(
         self,
         aid: int,
@@ -136,7 +145,13 @@ class Workload:
     ) -> HostGroup:
         """The hosts of one copy of algorithm ``aid`` on ``nodes`` (default:
         all), drawing the tapes :meth:`tape_id` names; ``limits`` and
-        ``on_error`` as in :class:`~repro.congest.program.HostGroup`."""
+        ``on_error`` as in :class:`~repro.congest.program.HostGroup`.
+
+        ``limits`` marks the group as one of the many truncated cluster
+        copies of ``aid`` (Lemma 4.4), and only those share
+        :meth:`start_memo`: an engine that starts each ``(aid, node)``
+        once would fill a memo nobody reads.
+        """
         return HostGroup(
             self.algorithms[aid],
             self.network.nodes if nodes is None else nodes,
@@ -146,6 +161,7 @@ class Workload:
             self.message_bits,
             limits,
             on_error,
+            None if limits is None else self.start_memo(aid),
         )
 
     def _resolve_cache(self) -> Optional[SoloRunCache]:

@@ -47,6 +47,11 @@ ENGINE_COUNTERS = (
     "phase.idle_skips",
     "cluster.host_steps",
     "cluster.idle_skips",
+    # Materialisation (HostGroup's start memo, cluster copies only): of
+    # the copies' member slots, how many hosts were ever constructed and
+    # how many slots started as dormant placeholders.
+    "cluster.hosts_built",
+    "cluster.hosts_dormant",
 )
 
 

@@ -1,8 +1,10 @@
 """No engine materialises a random tape a program never reads.
 
-The engines build ``k·n·Θ(log n)`` hosts (one copy of every algorithm in
-every cluster of every layer, Lemma 4.4); a deterministic workload must
-not pay a seed derivation and a Mersenne-Twister state for each.
+The cluster engine runs ``k·n·Θ(log n)`` host slots (one copy of every
+algorithm in every cluster of every layer, Lemma 4.4) and the other
+engines ``k·n``; a deterministic workload must not pay a seed derivation
+and a Mersenne-Twister state for each. A slot the start memo left dormant
+has no context at all, hence no tape.
 """
 
 import pytest
@@ -38,7 +40,7 @@ def _materialised(groups):
         (group.algorithm.name, host.node)
         for group in groups
         for host in group._hosts or ()
-        if host.ctx._rng is not None
+        if host.ctx is not None and host.ctx._rng is not None
     ]
 
 
