@@ -13,7 +13,7 @@ records, not containers of unbounded size.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Optional
 
 from ..errors import BandwidthViolation
 from .._util import ceil_log2
@@ -22,7 +22,7 @@ __all__ = ["payload_bits", "default_message_bits", "check_payload"]
 
 
 def _int_bits(payload: int) -> int:
-    return max(1, payload.bit_length()) + 1  # + sign bit
+    return (payload.bit_length() or 1) + 1  # + sign bit
 
 
 def _str_bits(payload: Any) -> int:
@@ -31,15 +31,18 @@ def _str_bits(payload: Any) -> int:
 
 def _seq_bits(payload: Any) -> int:
     # 2 framing bits per element so () and ((),) differ.
-    total = 0
+    total = 2 * len(payload)
     for item in payload:
-        total += payload_bits(item) + 2
+        if type(item) is int:  # the common record field, sized in place
+            total += (item.bit_length() or 1) + 1
+        else:
+            total += payload_bits(item)
     return total
 
 
 #: Exact-type dispatch for the hot path: payload sizing runs once per
-#: message (reference transport) or once per broadcast (numpy transport),
-#: and the isinstance chain it replaces showed up in engine profiles.
+#: ``ctx.send`` / ``ctx.send_all`` (no transport sizes it again), and the
+#: isinstance chain it replaces showed up in engine profiles.
 _SIZERS = {
     type(None): lambda payload: 1,
     bool: lambda payload: 1,
@@ -86,14 +89,15 @@ def default_message_bits(num_nodes: int) -> int:
     return 32 * max(1, ceil_log2(num_nodes + 1)) + 128
 
 
-def check_payload(payload: Any, budget: int) -> int:
+def check_payload(payload: Any, budget: Optional[int] = None) -> int:
     """Validate a payload against a bit budget; return its size.
 
     Raises :class:`~repro.errors.BandwidthViolation` when the payload is
-    oversized or of an unsupported type.
+    oversized or of an unsupported type (the latter under ``budget=None``
+    too, which otherwise only sizes).
     """
     size = payload_bits(payload)
-    if size > budget:
+    if budget is not None and size > budget:
         raise BandwidthViolation(
             f"payload of {size} bits exceeds per-message budget of {budget} bits"
         )

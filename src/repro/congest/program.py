@@ -102,9 +102,12 @@ class Broadcast:
         return f"Broadcast({self.payload!r} -> {len(self.neighbors)} neighbours)"
 
 
-#: What :meth:`NodeContext._drain` hands to the engine: either the
-#: per-message outbox or a compacted broadcast.
-Outbox = Union[List[Send], Broadcast]
+#: What :meth:`NodeContext._drain` hands to the engine: the per-message
+#: outbox, a compacted broadcast, or :data:`_NO_SENDS`.
+Outbox = Union[Sequence[Send], Broadcast]
+
+#: What a step that sent nothing drains: one shared immutable outbox.
+_NO_SENDS: Tuple[Send, ...] = ()
 
 
 class NodeContext:
@@ -114,6 +117,11 @@ class NodeContext:
     and the global parameter ``n``), its private random tape, and the
     :meth:`send` primitive. One context exists per (algorithm copy, node)
     and lives for the whole execution.
+
+    The context owns a payload's size: :meth:`send` / :meth:`send_all`
+    size it once per call (budget or not) and keep the largest seen in
+    :attr:`max_bits`; transports move payloads without looking at them.
+    The outbox exists only from a round's first :meth:`send` to its drain.
 
     ``seed`` is the tape's integer seed, or a ``(master_seed, tape_id)``
     pair handed to :meth:`ProgramHost.seed_for` when :attr:`rng` is read.
@@ -127,6 +135,7 @@ class NodeContext:
         "_seed",
         "_rng",
         "_message_bits",
+        "max_bits",
         "_outbox",
         "_sent_to",
         "_sent_all",
@@ -148,8 +157,12 @@ class NodeContext:
         #: Current algorithm-round (0 before the first round).
         self.round = 0
         self._message_bits = message_bits
-        self._outbox: List[Send] = []
-        self._sent_to: set = set()
+        #: Size in bits of the largest payload sent so far.
+        self.max_bits = 0
+        # This round's individual sends and their destinations; ``None``
+        # (and ``_sent_to`` stale) until the round's first ``send``.
+        self._outbox: Optional[List[Send]] = None
+        self._sent_to: Optional[set] = None
         self._sent_all = False
         self._broadcast: Any = None
 
@@ -171,7 +184,8 @@ class NodeContext:
         neighbour, at most one message per neighbour per round, and the
         payload must fit the per-message bit budget (when one is set).
         """
-        if self._sent_all or neighbor in self._sent_to:
+        outbox = self._outbox
+        if self._sent_all or (outbox is not None and neighbor in self._sent_to):
             raise BandwidthViolation(
                 f"node {self.node} sent twice to {neighbor} in round {self.round}",
                 node=self.node,
@@ -184,10 +198,15 @@ class NodeContext:
                 node=self.node,
                 round=self.round,
             )
-        if self._message_bits is not None:
-            check_payload(payload, self._message_bits)
-        self._sent_to.add(neighbor)
-        self._outbox.append((neighbor, payload))
+        bits = check_payload(payload, self._message_bits)
+        if bits > self.max_bits:
+            self.max_bits = bits
+        if outbox is None:
+            self._outbox = [(neighbor, payload)]
+            self._sent_to = {neighbor}
+        else:
+            outbox.append((neighbor, payload))
+            self._sent_to.add(neighbor)
 
     def send_all(self, payload: Any) -> None:
         """Send the same payload to every neighbour.
@@ -201,12 +220,13 @@ class NodeContext:
         Mixed with prior individual sends, the checked per-neighbour
         path runs instead (duplicate detection).
         """
-        if self._sent_to or self._sent_all:
+        if self._outbox is not None or self._sent_all:
             for neighbor in self.neighbors:
                 self.send(neighbor, payload)
             return
-        if self._message_bits is not None:
-            check_payload(payload, self._message_bits)
+        bits = check_payload(payload, self._message_bits)
+        if bits > self.max_bits:
+            self.max_bits = bits
         self._sent_all = True
         self._broadcast = payload
 
@@ -215,9 +235,10 @@ class NodeContext:
             self._sent_all = False
             payload, self._broadcast = self._broadcast, None
             return Broadcast(payload, self.neighbors)
-        out, self._outbox = self._outbox, []
-        if self._sent_to:
-            self._sent_to.clear()
+        out = self._outbox
+        if out is None:
+            return _NO_SENDS
+        self._outbox = None
         return out
 
 
@@ -562,7 +583,7 @@ class HostGroup:
                 self._wake(host)
                 program, ctx = host.program, host.ctx
             ctx.round = algo_round
-            outbox: Outbox = []
+            outbox: Outbox = _NO_SENDS
             try:
                 program.on_round(ctx, inbox)
                 outbox = ctx._drain()
@@ -586,6 +607,12 @@ class HostGroup:
         return not self.live or (
             crashed is not None and all(crashed(host.node) for host in self.live)
         )
+
+    def max_bits(self) -> int:
+        """Size in bits of the largest payload sent so far (0 for none; a
+        dormant slot never sent)."""
+        contexts = (host.ctx for host in self._hosts or ())
+        return max((c.max_bits for c in contexts if c is not None), default=0)
 
     def output(self, node: int) -> Any:
         """The output of ``node`` alone (``None`` before :meth:`start`);

@@ -193,11 +193,11 @@ class Simulator:
 
         injector = self.injector
         faults = injector.enabled
-        # All message buffering, fault routing, trace recording and
-        # payload-size accounting live in the transport channel, and all
-        # program stepping (who is live, who may be skipped) in the host
-        # group; this loop keeps only the scheduling decisions (which
-        # round it is, and when the run is complete).
+        # All message buffering, fault routing and trace recording live
+        # in the transport channel, and all program stepping (who is
+        # live, who may be skipped) and payload sizing in the host group;
+        # this loop keeps only the scheduling decisions (which round it
+        # is, and when the run is complete).
         channel = self.transport.solo_channel(injector, algorithm_id)
         push = channel.push
 
@@ -258,11 +258,11 @@ class Simulator:
                 push(node, outbox, next_round + 1)
             round_index = next_round
             if recorder.enabled:
+                messages = channel.message_count
                 recorder.sample(
-                    "sim.round_messages",
-                    channel.message_count - previous_messages,
+                    "sim.round_messages", messages - previous_messages
                 )
-                previous_messages = channel.message_count
+                previous_messages = messages
 
         trace = channel.finalize()
         if recorder.enabled:
@@ -277,7 +277,7 @@ class Simulator:
             rounds=trace.last_round,
             completion_round=completion_round,
             trace=trace,
-            max_message_bits=channel.max_bits,
+            max_message_bits=group.max_bits(),
             truncated=truncated,
         )
 

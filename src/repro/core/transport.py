@@ -46,7 +46,6 @@ import os
 from collections import Counter, deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from ..congest.message import payload_bits
 from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
 
@@ -124,15 +123,15 @@ class ReferenceSoloChannel:
     (and the trace) in its traversal round even when the fault injector
     subsequently drops or delays it; late duplicates lose to any fresher
     same-sender message; undelivered final sends still count toward the
-    trace and ``max_bits``.
+    trace. Payloads are moved, never sized: the sending
+    :class:`~repro.congest.program.NodeContext` owns the bit count.
     """
 
-    __slots__ = ("trace", "max_bits", "_injector", "_faults", "_stream",
-                 "_pending", "_delayed")
+    __slots__ = ("trace", "_injector", "_faults", "_stream", "_pending",
+                 "_delayed")
 
     def __init__(self, injector: FaultInjector, stream: Any):
         self.trace = ExecutionTrace()
-        self.max_bits = 0
         self._injector = injector
         self._faults = injector.enabled
         self._stream = stream
@@ -143,7 +142,6 @@ class ReferenceSoloChannel:
 
     def push(self, sender: int, sends: List[Send], round_index: int) -> None:
         """Buffer ``sends`` traversing edges during ``round_index``."""
-        max_bits = self.max_bits
         trace = self.trace
         pending = self._pending
         if self._faults:
@@ -162,17 +160,10 @@ class ReferenceSoloChannel:
                         delayed.setdefault(
                             round_index + offset, {}
                         ).setdefault(receiver, {})[sender] = payload
-                bits = payload_bits(payload)
-                if bits > max_bits:
-                    max_bits = bits
         else:
             for receiver, payload in sends:
                 pending.setdefault(receiver, {})[sender] = payload
                 trace.record(round_index, sender, receiver)
-                bits = payload_bits(payload)
-                if bits > max_bits:
-                    max_bits = bits
-        self.max_bits = max_bits
 
     def deliver(self, round_index: int) -> Inboxes:
         """Pop the inboxes delivered during ``round_index``."""

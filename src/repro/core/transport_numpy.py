@@ -1,22 +1,25 @@
 """Struct-of-arrays message transport backed by numpy.
 
-The reference transport (:mod:`repro.core.transport`) pays three Python
-dict/object operations *per message*: the trace's incremental indices,
-the pending-inbox ``setdefault``, and the per-payload bit accounting.
-Profiling the solo engine shows ``ExecutionTrace.record`` alone is half
-the per-message cost.  This backend replaces all three with columnar
-buffers:
+The reference transport (:mod:`repro.core.transport`) pays two Python
+dict/object operations *per message*: the trace's incremental indices
+and the pending-inbox ``setdefault``.  Profiling the solo engine shows
+``ExecutionTrace.record`` alone is half the per-message cost.  This
+backend replaces both with columnar buffers (neither backend sizes a
+payload: the sending ``NodeContext`` does, once per ``send`` /
+``send_all``):
 
-* sends are buffered per round as ``(sender, outbox)`` pairs — one
-  append per *push*, not per message — and a
+* sends are buffered per round as two parallel lists, senders and
+  drained outboxes — two appends per *push*, not per message, and no
+  object made per push — and a
   :class:`~repro.congest.program.Broadcast` outbox (a ``send_all``)
-  stays one object end to end: one ``payload_bits`` call, one
-  ``(sender, degree)`` run, no per-neighbour tuples;
+  stays one object end to end: one sender, one count, no per-neighbour
+  tuples;
 * the trace is an :class:`ArrayTrace` storing each round
-  **run-length-encoded**: a list of ``(sender, count)`` runs plus one
-  receiver column, adopted **zero-copy** from the channel at delivery
-  time (a full flood round is ``n`` runs and one column, not ``2·|E|``
-  event tuples). Load/congestion indices (``directed_loads``,
+  **run-length-encoded** as int columns: senders and counts (one entry
+  per run) plus one receiver column, adopted **zero-copy** from the
+  channel at delivery time (a full flood round is three flat lists of
+  ints, not ``2·|E|`` event tuples — nothing in it for the cycle
+  collector to walk). Load/congestion indices (``directed_loads``,
   ``edge_round_counts``, ``max_edge_rounds``, …) are built lazily with
   vectorised ``numpy`` kernels (``np.repeat`` expansion, packed
   ``sender << 32 | receiver`` int64 keys, ``np.unique`` folds) on the
@@ -58,8 +61,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..congest.message import payload_bits
-from ..congest.program import Broadcast
+from ..congest.program import Broadcast, Outbox
 from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
 from .transport import (
@@ -67,7 +69,6 @@ from .transport import (
     ReferenceEagerChannel,
     ReferencePhaseChannel,
     ReferenceSoloChannel,
-    Send,
     Transport,
 )
 
@@ -88,14 +89,15 @@ def _pack_counter(keys: np.ndarray, counts: np.ndarray) -> Counter:
 class ArrayTrace(ExecutionTrace):
     """An :class:`~repro.congest.trace.ExecutionTrace` stored columnar.
 
-    Each round is a receiver column plus run-length-encoded senders
-    (``(sender, count)`` per push — engines push one sender's whole
-    outbox at a time), all plain Python ints: pickle-safe, and adopted
-    zero-copy from the numpy solo channel's delivery buffers. The
-    derived indices — directed loads, per-edge round sets/counts — are
-    built lazily on first query with vectorised numpy kernels and
-    invalidated by further recording; every query returns exactly what
-    the incremental reference implementation returns.
+    Each round is a receiver column plus run-length-encoded senders (a
+    senders column and a counts column, one entry per push — engines
+    push one sender's whole outbox at a time), all flat lists of plain
+    Python ints: pickle-safe, and adopted zero-copy from the numpy solo
+    channel's delivery buffers. The derived indices — directed loads,
+    per-edge round sets/counts — are built lazily on first query with
+    vectorised numpy kernels and invalidated by further recording; every
+    query returns exactly what the incremental reference implementation
+    returns.
     """
 
     def __init__(self) -> None:
@@ -103,42 +105,41 @@ class ArrayTrace(ExecutionTrace):
         # allocates the per-message incremental indices this subclass
         # exists to avoid. _num_messages/_last_round keep their base
         # meaning so inherited __repr__/__len__ keep working.
-        self._round_sender_runs: List[List[Tuple[int, int]]] = []
+        self._round_senders: List[List[int]] = []
+        self._round_counts: List[List[int]] = []
         self._round_receivers: List[List[int]] = []
         self._num_messages = 0
         self._last_round = 0
-        # Lazy caches (None until the first query after a mutation).
+        self._invalidate()
+
+    # -- recording -----------------------------------------------------
+
+    def _invalidate(self) -> None:
+        """Drop the lazy caches (``None`` until the next query)."""
         self._loads_cache: Optional[Counter] = None
         self._edge_pairs_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._edge_round_counts_cache: Optional[Counter] = None
         self._edge_rounds_cache: Optional[Dict[Tuple[int, int], Set[int]]] = None
         self._max_edge_rounds_cache: Optional[int] = None
 
-    # -- recording -----------------------------------------------------
-
-    def _invalidate(self) -> None:
-        self._loads_cache = None
-        self._edge_pairs_cache = None
-        self._edge_round_counts_cache = None
-        self._edge_rounds_cache = None
-        self._max_edge_rounds_cache = None
-
     def _reserve(self, round_index: int) -> None:
         if round_index < 1:
             raise ValueError("round indices are 1-based")
-        while len(self._round_sender_runs) < round_index:
-            self._round_sender_runs.append([])
+        while len(self._round_receivers) < round_index:
+            self._round_senders.append([])
+            self._round_counts.append([])
             self._round_receivers.append([])
 
     def record(self, round_index: int, sender: int, receiver: int) -> None:
         """Record a message traversing ``sender -> receiver`` in a round."""
         self._reserve(round_index)
         slot = round_index - 1
-        runs = self._round_sender_runs[slot]
-        if runs and runs[-1][0] == sender:
-            runs[-1] = (sender, runs[-1][1] + 1)
+        senders = self._round_senders[slot]
+        if senders and senders[-1] == sender:
+            self._round_counts[slot][-1] += 1
         else:
-            runs.append((sender, 1))
+            senders.append(sender)
+            self._round_counts[slot].append(1)
         self._round_receivers[slot].append(receiver)
         self._num_messages += 1
         if round_index > self._last_round:
@@ -156,14 +157,17 @@ class ArrayTrace(ExecutionTrace):
     def adopt_round(
         self,
         round_index: int,
-        sender_runs: List[Tuple[int, int]],
+        senders: List[int],
+        counts: List[int],
         receivers: List[int],
     ) -> None:
         """Adopt a whole round's columns (zero-copy; channel internal).
 
-        The caller hands ownership of the lists; the round slot must not
-        already contain messages. Empty columns are not recorded (the
-        reference ``record``-only path never materialises silent rounds).
+        ``senders[i]`` sent to the next ``counts[i]`` entries of
+        ``receivers``. The caller hands ownership of the lists; the round
+        slot must not already contain messages. Empty columns are not
+        recorded (the reference ``record``-only path never materialises
+        silent rounds).
         """
         if not receivers:
             return
@@ -171,7 +175,8 @@ class ArrayTrace(ExecutionTrace):
         slot = round_index - 1
         if self._round_receivers[slot]:  # pragma: no cover - channel misuse
             raise ValueError(f"round {round_index} already has messages")
-        self._round_sender_runs[slot] = sender_runs
+        self._round_senders[slot] = senders
+        self._round_counts[slot] = counts
         self._round_receivers[slot] = receivers
         self._num_messages += len(receivers)
         if round_index > self._last_round:
@@ -180,11 +185,10 @@ class ArrayTrace(ExecutionTrace):
 
     # -- queries -------------------------------------------------------
 
-    @staticmethod
-    def _expand(runs: List[Tuple[int, int]]) -> Iterator[int]:
-        """Iterate a run-length sender column message by message."""
+    def _expand(self, slot: int) -> Iterator[int]:
+        """Iterate one round's senders message by message."""
         return chain.from_iterable(
-            repeat(sender, count) for sender, count in runs
+            map(repeat, self._round_senders[slot], self._round_counts[slot])
         )
 
     def events_at(self, round_index: int) -> List[Tuple[int, int]]:
@@ -192,48 +196,27 @@ class ArrayTrace(ExecutionTrace):
         if not 1 <= round_index <= len(self._round_receivers):
             return []
         slot = round_index - 1
-        return list(
-            zip(
-                self._expand(self._round_sender_runs[slot]),
-                self._round_receivers[slot],
-            )
-        )
+        return list(zip(self._expand(slot), self._round_receivers[slot]))
 
     def events(self) -> Iterator[Tuple[int, int, int]]:
         """Iterate all events as ``(round, sender, receiver)``."""
-        for i, (runs, receivers) in enumerate(
-            zip(self._round_sender_runs, self._round_receivers)
-        ):
-            for sender, receiver in zip(self._expand(runs), receivers):
-                yield (i + 1, sender, receiver)
+        for slot, receivers in enumerate(self._round_receivers):
+            for sender, receiver in zip(self._expand(slot), receivers):
+                yield (slot + 1, sender, receiver)
 
     def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All messages as (senders, receivers, rounds) int64 arrays."""
-        s_parts: List[np.ndarray] = []
-        r_parts: List[np.ndarray] = []
-        t_parts: List[np.ndarray] = []
-        for i, (runs, receivers) in enumerate(
-            zip(self._round_sender_runs, self._round_receivers)
-        ):
-            if not receivers:
-                continue
-            run_values = np.fromiter(
-                (sender for sender, _ in runs), dtype=np.int64, count=len(runs)
-            )
-            run_counts = np.fromiter(
-                (count for _, count in runs), dtype=np.int64, count=len(runs)
-            )
-            s_parts.append(np.repeat(run_values, run_counts))
-            r_parts.append(np.asarray(receivers, dtype=np.int64))
-            t_parts.append(np.full(len(receivers), i + 1, dtype=np.int64))
-        if not s_parts:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        return (
-            np.concatenate(s_parts),
-            np.concatenate(r_parts),
-            np.concatenate(t_parts),
+        flat = chain.from_iterable
+        run_senders = np.fromiter(flat(self._round_senders), np.int64)
+        run_counts = np.fromiter(flat(self._round_counts), np.int64)
+        receivers = np.fromiter(
+            flat(self._round_receivers), np.int64, self._num_messages
         )
+        rounds = np.repeat(
+            np.arange(1, len(self._round_receivers) + 1, dtype=np.int64),
+            [len(column) for column in self._round_receivers],
+        )
+        return np.repeat(run_senders, run_counts), receivers, rounds
 
     def directed_loads(self) -> Counter:
         """Message count per directed edge."""
@@ -310,46 +293,45 @@ class ArrayTrace(ExecutionTrace):
     def __getstate__(self) -> Dict[str, Any]:
         """Ship only the columns; caches rebuild on demand."""
         return {
-            "_round_sender_runs": self._round_sender_runs,
+            "_round_senders": self._round_senders,
+            "_round_counts": self._round_counts,
             "_round_receivers": self._round_receivers,
             "_num_messages": self._num_messages,
             "_last_round": self._last_round,
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state)
+        # Pickles written before the int columns (disk-tier solo-run
+        # cache entries) hold each round as a list of (sender, count).
+        old_runs = state.pop("_round_sender_runs", None)
+        if old_runs is not None:
+            state["_round_senders"] = [[s for s, _ in runs] for runs in old_runs]
+            state["_round_counts"] = [[c for _, c in runs] for runs in old_runs]
         self.__dict__.update(state)
-        self._loads_cache = None
-        self._edge_pairs_cache = None
-        self._edge_round_counts_cache = None
-        self._edge_rounds_cache = None
-        self._max_edge_rounds_cache = None
-
-
-_NO_PAYLOAD = object()
+        self._invalidate()
 
 
 class NumpySoloChannel:
     """Columnar solo-simulator channel (fault-free runs only).
 
-    :meth:`push` is O(1) per call plus the payload-size scan: it adopts
-    the engine's drained outbox list *by reference* as one
-    ``(sender, sends)`` run. Delivery expands the runs in a single pass,
-    building inboxes in push order (preserving the reference backend's
-    dict insertion/overwrite semantics exactly) while emitting the
-    receiver column and run-length sender column the
-    :class:`ArrayTrace` stores zero-copy.
+    :meth:`push` is O(1) and allocates nothing: it appends the sender and
+    the engine's drained outbox (adopted *by reference*) to the round's
+    two parallel lists. Delivery walks them in a single pass, building
+    inboxes in push order (preserving the reference backend's dict
+    insertion/overwrite semantics exactly) while emitting the counts and
+    receiver columns; the :class:`ArrayTrace` stores those and the
+    senders list zero-copy.
     """
 
-    __slots__ = ("trace", "max_bits", "_buffers", "_pushed")
+    __slots__ = ("trace", "_buffers")
 
     def __init__(self) -> None:
         self.trace = ArrayTrace()
-        self.max_bits = 0
-        # round -> list of (sender, drained outbox) runs, push order.
-        self._buffers: Dict[int, List[Tuple[int, List[Send]]]] = {}
-        self._pushed = 0
+        # round -> (senders, their drained outboxes), push order.
+        self._buffers: Dict[int, Tuple[List[int], List[Outbox]]] = {}
 
-    def push(self, sender: int, sends: List[Send], round_index: int) -> None:
+    def push(self, sender: int, sends: Outbox, round_index: int) -> None:
         """Buffer ``sends`` traversing edges during ``round_index``.
 
         Takes ownership of ``sends`` (engines hand over the freshly
@@ -359,30 +341,9 @@ class NumpySoloChannel:
             return
         buf = self._buffers.get(round_index)
         if buf is None:
-            buf = self._buffers[round_index] = []
-        buf.append((sender, sends))
-        if type(sends) is Broadcast:
-            # One payload object to every neighbour: account its size
-            # once, count its copies without expanding them.
-            self._pushed += len(sends.neighbors)
-            bits = payload_bits(sends.payload)
-            if bits > self.max_bits:
-                self.max_bits = bits
-            return
-        self._pushed += len(sends)
-        # Payload-size accounting, deduped by object identity (mixed
-        # send/send_all rounds may still repeat one payload object).
-        max_bits = self.max_bits
-        last = _NO_PAYLOAD
-        for send in sends:
-            payload = send[1]
-            if payload is last:
-                continue
-            last = payload
-            bits = payload_bits(payload)
-            if bits > max_bits:
-                max_bits = bits
-        self.max_bits = max_bits
+            buf = self._buffers[round_index] = ([], [])
+        buf[0].append(sender)
+        buf[1].append(sends)
 
     def deliver(self, round_index: int) -> Inboxes:
         """Pop the inboxes delivered during ``round_index``."""
@@ -390,17 +351,18 @@ class NumpySoloChannel:
         deliveries: Inboxes = {}
         if buf is None:
             return deliveries
-        sender_runs: List[Tuple[int, int]] = []
+        senders, outboxes = buf
+        counts: List[int] = []
         receivers_col: List[int] = []
-        runs_append = sender_runs.append
+        counts_append = counts.append
         col_append = receivers_col.append
         col_extend = receivers_col.extend
         get = deliveries.get
-        for sender, sends in buf:
+        for sender, sends in zip(senders, outboxes):
             if type(sends) is Broadcast:
                 payload = sends.payload
                 neighbors = sends.neighbors
-                runs_append((sender, len(neighbors)))
+                counts_append(len(neighbors))
                 col_extend(neighbors)
                 for receiver in neighbors:
                     box = get(receiver)
@@ -409,7 +371,7 @@ class NumpySoloChannel:
                     else:
                         box[sender] = payload
                 continue
-            runs_append((sender, len(sends)))
+            counts_append(len(sends))
             for receiver, payload in sends:
                 col_append(receiver)
                 box = get(receiver)
@@ -418,8 +380,8 @@ class NumpySoloChannel:
                 else:
                     box[sender] = payload
         # The buffers' job as delivery queues is done; the trace adopts
-        # the run-length sender and receiver columns without copying.
-        self.trace.adopt_round(round_index, sender_runs, receivers_col)
+        # the senders, counts and receiver columns without copying.
+        self.trace.adopt_round(round_index, senders, counts, receivers_col)
         return deliveries
 
     @property
@@ -427,9 +389,12 @@ class NumpySoloChannel:
         """Messages recorded so far (mid-run telemetry sampling).
 
         Counts at *push* time, like the reference channel's
-        ``trace.record``-at-push — in-flight sends are already counted.
+        ``trace.record``-at-push — in-flight sends are already counted,
+        by a walk over the pending pushes, so sample it once per round.
         """
-        return self._pushed
+        return self.trace.num_messages + sum(
+            sum(map(len, outboxes)) for _senders, outboxes in self._buffers.values()
+        )
 
     # Fault-delayed bookkeeping: this channel never handles faults (the
     # transport builds a reference channel when the injector is live).
@@ -447,20 +412,10 @@ class NumpySoloChannel:
         pass
 
     def finalize(self) -> ArrayTrace:
-        """Seal the channel: flush undelivered sends into the trace."""
+        """Seal the channel: flush undelivered sends into the trace (as
+        deliveries nobody reads — the final sends of a run, at most)."""
         for round_index in sorted(self._buffers):
-            buf = self._buffers.pop(round_index)
-            sender_runs: List[Tuple[int, int]] = []
-            receivers_col: List[int] = []
-            for sender, sends in buf:
-                if type(sends) is Broadcast:
-                    sender_runs.append((sender, len(sends.neighbors)))
-                    receivers_col.extend(sends.neighbors)
-                else:
-                    sender_runs.append((sender, len(sends)))
-                    for send in sends:
-                        receivers_col.append(send[0])
-            self.trace.adopt_round(round_index, sender_runs, receivers_col)
+            self.deliver(round_index)
         return self.trace
 
 

@@ -104,6 +104,7 @@ class Workload:
             tuple(algorithm_ids) if algorithm_ids is not None else None
         )
         self._solo_runs: Optional[List[SoloRun]] = None
+        self._params: Optional[WorkloadParams] = None
         self._start_memos: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
@@ -209,8 +210,9 @@ class Workload:
         A workload crossing a process boundary (e.g. into a
         :class:`~repro.parallel.runner.ParallelRunner` worker) rebinds
         to the receiving process's default cache; already-computed solo
-        runs in ``_solo_runs`` travel with it, so pre-warming a workload
-        before fan-out avoids recomputation in every worker.
+        runs in ``_solo_runs`` (and the ``_params`` measured from them)
+        travel with it, so pre-warming a workload before fan-out avoids
+        recomputation in every worker.
         """
         state = dict(self.__dict__)
         if isinstance(state.get("solo_cache"), SoloRunCache):
@@ -229,8 +231,10 @@ class Workload:
         return state
 
     def params(self) -> WorkloadParams:
-        """Measured (congestion, dilation, k)."""
-        return measure_params(self.solo_runs())
+        """Measured (congestion, dilation, k), memoised like the solo runs."""
+        if self._params is None:
+            self._params = measure_params(self.solo_runs())
+        return self._params
 
     def patterns(self) -> List[CommunicationPattern]:
         """The communication pattern of each algorithm's solo run."""

@@ -1,5 +1,8 @@
 """Tests for Workload and the Scheduler base machinery."""
 
+import pickle
+from unittest import mock
+
 import pytest
 
 from repro.algorithms import BFS, HopBroadcast
@@ -35,6 +38,33 @@ class TestWorkload:
         a = Workload(grid4, [BFS(0)], master_seed=1).reference_outputs()
         b = Workload(grid4, [BFS(0)], master_seed=2).reference_outputs()
         assert a == b
+
+    def test_params_measured_once_for_six_schedulers(self, grid4):
+        from repro.core import workload as workload_module
+        from repro.service.specs import parse_scheduler
+
+        work = Workload(grid4, [BFS(0, hops=3), HopBroadcast(5, "x", 2)])
+        expected = workload_module.measure_params(work.solo_runs())
+        with mock.patch.object(
+            workload_module,
+            "measure_params",
+            wraps=workload_module.measure_params,
+        ) as measure:
+            for name in (
+                "sequential",
+                "round-robin",
+                "random-delay",
+                "sparse-phase",
+                "doubling",
+                "private",
+            ):
+                result = parse_scheduler(name).run(work, seed=3)
+                assert result.report.params == expected
+            assert measure.call_count == 1
+            # The memo travels with the solo runs it was measured from.
+            clone = pickle.loads(pickle.dumps(work))
+            assert clone.params() == expected
+            assert measure.call_count == 1
 
 
 class TestVerification:
