@@ -12,7 +12,11 @@ from typing import Any, Dict, Optional, Sequence
 
 
 from ..faults import NULL_INJECTOR, FaultInjector
-from ..metrics.schedule import ScheduleReport, phase_schedule_length
+from ..metrics.schedule import (
+    ScheduleReport,
+    phase_completion_rounds,
+    phase_schedule_length,
+)
 from ..telemetry import NULL_RECORDER, Recorder
 from .base import Scheduler
 from .phase_engine import run_delayed_phases
@@ -78,6 +82,12 @@ def execute_with_delays(
         max_phase_load=execution.max_phase_load,
         messages_sent=execution.messages,
         load_histogram=execution.load_histogram,
+        completion_rounds=phase_completion_rounds(
+            delays,
+            [run.rounds for run in workload.solo_runs()],
+            phase_size,
+            execution.max_phase_load,
+        ),
         notes=dict(notes or {}),
     )
     report.notes.setdefault("delays", list(delays))

@@ -19,7 +19,11 @@ import random
 
 
 from .._util import derive_seed
-from ..metrics.schedule import ScheduleReport, phase_schedule_length
+from ..metrics.schedule import (
+    ScheduleReport,
+    phase_completion_rounds,
+    phase_schedule_length,
+)
 from .base import ScheduleResult, Scheduler
 from .delays import phase_size_log
 from .phase_engine import run_delayed_phases
@@ -95,7 +99,15 @@ class DoublingScheduler(Scheduler):
             max_phase_load=execution.max_phase_load,
             messages_sent=execution.messages,
             load_histogram=execution.load_histogram,
+            completion_rounds=phase_completion_rounds(
+                delays,
+                [run.rounds for run in workload.solo_runs()],
+                phase_size,
+                execution.max_phase_load,
+                offset=wasted_rounds,
+            ),
             notes={
+                "delays": delays,
                 "final_guess": guess,
                 "attempts": attempts,
                 "wasted_rounds": wasted_rounds,

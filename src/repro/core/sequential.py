@@ -7,6 +7,8 @@ concurrent scheduler must beat on workloads with many algorithms.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from ..congest.simulator import Simulator
 from ..metrics.schedule import ScheduleReport
 from .base import ScheduleResult, Scheduler
@@ -54,6 +56,7 @@ class SequentialScheduler(Scheduler):
             params=workload.params(),
             length_rounds=length,
             messages_sent=sum(run.trace.num_messages for run in runs),
+            completion_rounds=list(accumulate(run.rounds for run in runs)),
             notes={"per_algorithm_rounds": [run.rounds for run in runs]},
         )
         if any(run.truncated for run in runs):

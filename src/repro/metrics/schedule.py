@@ -21,12 +21,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from .._version import __version__
 from .congestion import WorkloadParams
 
-__all__ = ["ENGINE_COUNTERS", "ScheduleReport", "phase_schedule_length"]
+__all__ = [
+    "ENGINE_COUNTERS",
+    "ScheduleReport",
+    "phase_completion_rounds",
+    "phase_schedule_length",
+]
 
 #: The execution-engine counters every recorded report surfaces
 #: uniformly in its telemetry snapshot (zero-filled when the engine
@@ -64,6 +69,27 @@ def phase_schedule_length(
     return num_phases * max(phase_size, max_phase_load)
 
 
+def phase_completion_rounds(
+    delays: Sequence[int],
+    solo_rounds: Sequence[int],
+    phase_size: int,
+    max_phase_load: int,
+    offset: int = 0,
+) -> List[int]:
+    """Physical round by which each algorithm of a phase schedule finished.
+
+    Algorithm ``i`` sends its last round in phase ``δ_i + D_i - 1``
+    (0-based), so it is done after ``δ_i + D_i`` phases, each stretched
+    to ``max(phase_size, max_phase_load)`` rounds like the schedule
+    length; ``offset`` adds rounds spent before this schedule started.
+    """
+    width = max(phase_size, max_phase_load)
+    return [
+        offset + (delay + rounds) * width
+        for delay, rounds in zip(delays, solo_rounds)
+    ]
+
+
 @dataclass
 class ScheduleReport:
     """Everything measurable about one scheduled execution."""
@@ -79,6 +105,11 @@ class ScheduleReport:
     messages_sent: Optional[int] = None
     messages_deduplicated: Optional[int] = None
     load_histogram: Optional[Counter] = None
+    #: Per algorithm (by aid), the physical round by which it finished
+    #: (:func:`phase_completion_rounds` for the phase-engine schedulers,
+    #: prefix sums of the solo lengths for the sequential one); ``None``
+    #: where the scheduler does not define it.
+    completion_rounds: Optional[List[int]] = None
     notes: Dict[str, Any] = field(default_factory=dict)
     #: Metrics snapshot from the run's recorder (``None`` when the run
     #: used the default :data:`~repro.telemetry.NULL_RECORDER`).

@@ -14,7 +14,9 @@ The log is the service's source of truth for latency telemetry:
 **queue latency** (submitted → first batched) and **end-to-end latency**
 (submitted → done/failed) quantile histograms plus a **jobs/sec**
 throughput gauge — exactly the p50/p99 serving numbers ROADMAP item 2
-asks for, derived rather than separately maintained.
+asks for, derived rather than separately maintained. The same replay
+collects the ``completion_round`` every executed job's ``done`` event
+carries (:meth:`LatencyAccumulator.completion_stats`).
 
 :class:`EventLog` keeps events in memory and, given a path, appends each
 one as a JSON line to a spool file (``events.jsonl``); :func:`read_events`
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 import atexit
 import json
+import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Optional, Union
@@ -303,6 +307,10 @@ class LatencyAccumulator:
             kind: 0 for kind in ("done", "failed", "quarantined", "rejected")
         }
     )
+    #: ``completion round -> done jobs`` (the ``completion_round`` a
+    #: ``done`` event of an executed job carries); exact, and merged by
+    #: adding counts.
+    completion_rounds: Counter = field(default_factory=Counter)
     events: int = 0
     first_ts: Optional[float] = None
     last_terminal_ts: Optional[float] = None
@@ -327,6 +335,9 @@ class LatencyAccumulator:
                         acc.queue_hist.observe(max(event.ts - start, 0.0))
             elif event.kind in TERMINAL_KINDS:
                 acc.terminals[event.kind] += 1
+                completion = event.attrs.get("completion_round")
+                if completion is not None:
+                    acc.completion_rounds[completion] += 1
                 start = submitted.get(event.job_id)
                 if start is not None:
                     acc.e2e_hist.observe(max(event.ts - start, 0.0))
@@ -343,6 +354,7 @@ class LatencyAccumulator:
         self.e2e_hist.merge(other.e2e_hist)
         for kind, count in other.terminals.items():
             self.terminals[kind] = self.terminals.get(kind, 0) + count
+        self.completion_rounds.update(other.completion_rounds)
         self.events += other.events
         if other.first_ts is not None and (
             self.first_ts is None or other.first_ts < self.first_ts
@@ -373,6 +385,26 @@ class LatencyAccumulator:
             "window_s": window,
             "events": self.events,
         }
+
+    def completion_stats(self) -> Dict[str, Any]:
+        """``{count, mean, p50, p90}`` of the executed jobs' completion
+        rounds (nearest-rank quantiles, exact)."""
+        counts = self.completion_rounds
+        total = sum(counts.values())
+        summary: Dict[str, Any] = {
+            "count": total,
+            "mean": (
+                sum(r * n for r, n in counts.items()) / total if total else 0.0
+            ),
+        }
+        for name, q in (("p50", 0.50), ("p90", 0.90)):
+            rank, seen, value = max(1, math.ceil(q * total)), 0, 0
+            for value in sorted(counts):
+                seen += counts[value]
+                if seen >= rank:
+                    break
+            summary[name] = value
+        return summary
 
 
 def latency_stats(events: Iterable[JobEvent]) -> Dict[str, Any]:

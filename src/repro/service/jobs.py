@@ -108,6 +108,9 @@ class JobResult:
     from_registry: bool = False
     #: Package version that produced the result (provenance).
     version: str = ""
+    #: Round, on its shard's executions laid end to end, by which the
+    #: job's algorithm finished (``None`` when served from the registry).
+    completion_round: Optional[int] = None
 
 
 @dataclass
@@ -202,4 +205,6 @@ class Job:
             record["batch_size"] = self.result.batch_size
             record["scheduler"] = self.result.scheduler
             record["version"] = self.result.version
+            if self.result.completion_round is not None:
+                record["completion_round"] = self.result.completion_round
         return record

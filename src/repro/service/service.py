@@ -56,13 +56,16 @@ from __future__ import annotations
 
 import copy
 import time
+from bisect import bisect_left, insort
 from collections import deque
+from itertools import count
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Deque,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -84,7 +87,7 @@ from ..parallel.cache import SoloRunCache, default_cache
 from ..parallel.runner import ParallelRunner
 from ..telemetry import NULL_RECORDER, Recorder
 from .admission import AdmissionPolicy
-from .events import EventLog, latency_stats
+from .events import EventLog, LatencyAccumulator
 from .jobs import Job, JobResult, JobState, job_fingerprint
 from .journal import (
     TERMINAL_RECORD_STATES,
@@ -123,29 +126,91 @@ class ServiceClosed(RuntimeError):
     """Raised when submitting to a service that has been shut down."""
 
 
-class JobQueue:
-    """FIFO job store with compatibility-aware batch selection.
+class _DilationBucket:
+    """One compatibility class's queued jobs, indexed by dilation.
 
-    Batch selection is O(batch), not O(pending): queued jobs are
-    indexed by their *compatibility key* — the interned network
-    identity plus ``(master_seed, message_bits)``, exactly the
+    ``lanes[d]`` holds the ``(enqueue seq, job id)`` of every queued job
+    of dilation ``d`` in enqueue order; ``dilations`` is the sorted list
+    of the dilations whose lane is non-empty.
+    """
+
+    __slots__ = ("dilations", "lanes")
+
+    def __init__(self) -> None:
+        self.dilations: List[int] = []
+        self.lanes: Dict[int, Deque[Tuple[int, str]]] = {}
+
+    def push(self, dilation: int, seq: int, job_id: str) -> None:
+        lane = self.lanes.get(dilation)
+        if lane is None:
+            lane = self.lanes[dilation] = deque()
+            insort(self.dilations, dilation)
+        lane.append((seq, job_id))
+
+    def pop_nearest(self, dilation: int, limit: int) -> List[Tuple[int, str]]:
+        """Pop up to ``limit`` entries nearest to ``dilation``, the
+        older first among equally near ones.
+
+        ``dilation`` must have a non-empty lane. Two cursors walk
+        outward from it, each at the head of the nearest non-empty lane
+        on its side, so a pop costs O(1) and the call
+        O(limit + log #dilations); the lanes it empties are contiguous
+        and leave ``dilations`` as one slice.
+        """
+        dilations, lanes = self.dilations, self.lanes
+        lo = bisect_left(dilations, dilation)
+        hi = lo + 1
+        taken: List[Tuple[int, str]] = []
+        while len(taken) < limit and (lo >= 0 or hi < len(dilations)):
+            take_lo = hi == len(dilations) or (
+                lo >= 0
+                and (dilation - dilations[lo], lanes[dilations[lo]][0][0])
+                < (dilations[hi] - dilation, lanes[dilations[hi]][0][0])
+            )
+            side = lo if take_lo else hi
+            lane = lanes[dilations[side]]
+            taken.append(lane.popleft())
+            if not lane:
+                del lanes[dilations[side]]
+                if take_lo:
+                    lo -= 1
+                else:
+                    hi += 1
+        del dilations[lo + 1 : hi]
+        return taken
+
+
+def _dilation(job: Job) -> int:
+    """The admission-measured dilation the queue files a job under."""
+    return job.params.dilation if job.params is not None else 0
+
+
+class JobQueue:
+    """Job store with nearest-dilation batch selection.
+
+    The oldest queued job anchors every batch; the rest of the batch
+    comes from the anchor's *compatibility bucket* — the interned
+    network identity plus ``(master_seed, message_bits)``, exactly the
     partition :meth:`~repro.service.jobs.Job.compatible_with` induces —
-    so :meth:`next_batch` pops the anchor's bucket instead of rescanning
-    the whole pending FIFO. Per-state counts (and the parked set) are
-    maintained incrementally through the job transition observer, so
-    :attr:`backlog` / :meth:`by_state` / :meth:`parked` stop iterating
-    every job ever seen on each stats poll.
+    taking the jobs whose admission-measured dilation is closest to the
+    anchor's (see :meth:`next_batch`). Each bucket is indexed by
+    dilation (:class:`_DilationBucket`), so selection is
+    O(batch + log #dilations), not O(pending). Per-state counts (and
+    the parked set) are maintained incrementally through the job
+    transition observer, so :attr:`backlog` / :meth:`by_state` /
+    :meth:`parked` stop iterating every job ever seen on each stats
+    poll.
     """
 
     def __init__(self) -> None:
         self.jobs: Dict[str, Job] = {}
-        #: Global FIFO of queued job ids; ids popped through a bucket
-        #: are skipped lazily when they surface at the head.
+        #: Global enqueue-ordered deque of queued job ids; ids popped
+        #: through a bucket are skipped lazily when they surface at the
+        #: head.
         self._pending: Deque[str] = deque()
         self._popped: set = set()
-        #: Compatibility-key index: each bucket is the pending FIFO
-        #: restricted to one key, in the same relative order.
-        self._buckets: Dict[Tuple[int, int, Optional[int]], Deque[str]] = {}
+        self._enqueued = 0
+        self._buckets: Dict[Tuple[int, int, Optional[int]], _DilationBucket] = {}
         self._key_of: Dict[str, Tuple[int, int, Optional[int]]] = {}
         #: Interned distinct networks (by ``is`` / ``==``), giving each
         #: compatibility class a stable small-integer handle.
@@ -192,7 +257,11 @@ class JobQueue:
         key = self._compat_key(job)
         self._key_of[job.job_id] = key
         self._pending.append(job.job_id)
-        self._buckets.setdefault(key, deque()).append(job.job_id)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = _DilationBucket()
+        self._enqueued += 1
+        bucket.push(_dilation(job), self._enqueued, job.job_id)
         self._depth += 1
 
     def _on_transition(self, job: Job, old: JobState, new: JobState) -> None:
@@ -204,7 +273,7 @@ class JobQueue:
             self._parked[job.job_id] = job
 
     def add(self, job: Job) -> None:
-        """Register a job; queued jobs also enter the pending FIFO."""
+        """Register a job; queued jobs are also enqueued for batching."""
         previous = self.jobs.get(job.job_id)
         if previous is not None:
             self._counts[previous.state] -= 1
@@ -218,7 +287,7 @@ class JobQueue:
             self._parked[job.job_id] = job
 
     def requeue(self, job: Job) -> None:
-        """Put a parked job back into the pending FIFO."""
+        """Put a parked job back into the queue (as its youngest job)."""
         job.transition(JobState.QUEUED)
         self._enqueue(job)
 
@@ -239,13 +308,19 @@ class JobQueue:
     def next_batch(self, batch_size: int) -> List[Job]:
         """Pop up to ``batch_size`` mutually compatible queued jobs.
 
-        The oldest queued job anchors the batch; later queued jobs join
-        in FIFO order iff :meth:`~repro.service.jobs.Job.compatible_with`
-        the anchor (same network / master seed / message budget).
-        Incompatible jobs keep their queue position for a later batch.
-        The anchor's compatibility bucket *is* the pending FIFO filtered
-        to jobs compatible with it, so popping the bucket selects the
-        identical batch the old full rescan did, in O(batch).
+        The oldest queued job anchors the batch. The rest are the jobs
+        :meth:`~repro.service.jobs.Job.compatible_with` the anchor (same
+        network / master seed / message budget) whose admission-measured
+        dilation (``job.params.dilation``; 0 without params) is closest
+        to the anchor's, the older job first on a tie. The batch lists
+        its jobs oldest first (the anchor leads). A batch runs for about
+        ``phase_size × max_i D_i`` rounds, so keeping similar dilations
+        together keeps one long job from stretching many short ones.
+        With equal dilations this is FIFO within the bucket.
+
+        Nothing starves: every batch of a bucket holds that bucket's
+        oldest queued job, so a job is passed over by at most as many
+        of its bucket's batches as there are older jobs in it.
         """
         if batch_size < 1:
             return []
@@ -253,13 +328,15 @@ class JobQueue:
             self._popped.discard(self._pending.popleft())
         if not self._pending:
             return []
-        bucket = self._buckets[self._key_of[self._pending[0]]]
+        anchor = self.jobs[self._pending[0]]
+        bucket = self._buckets[self._key_of[anchor.job_id]]
         batch: List[Job] = []
-        while bucket and len(batch) < batch_size:
-            job_id = bucket.popleft()
+        for _seq, job_id in sorted(
+            bucket.pop_nearest(_dilation(anchor), batch_size)
+        ):
             self._popped.add(job_id)
-            self._depth -= 1
             batch.append(self.jobs[job_id])
+        self._depth -= len(batch)
         return batch
 
     def by_state(self) -> Dict[str, int]:
@@ -427,6 +504,9 @@ class SchedulerService:
         #: retries), in execution order — the raw material for
         #: :meth:`stats`' engine-counter aggregation.
         self.reports: List[ScheduleReport] = []
+        #: Σ ``length_rounds`` over :attr:`reports`: the rounds this
+        #: service's executions have taken, one after another.
+        self.rounds = 0
         self._batch_counter = 0
         self._closed = False
         if journal is not None:
@@ -803,6 +883,14 @@ class SchedulerService:
                     processed.extend(batch)
         return processed
 
+    def _record(self, report: ScheduleReport) -> int:
+        """Log one execution's report; returns the round of this
+        service's running total at which the execution started."""
+        start = self.rounds
+        self.reports.append(report)
+        self.rounds += report.length_rounds
+        return start
+
     def _settle(
         self,
         batch_id: str,
@@ -811,7 +899,7 @@ class SchedulerService:
         elapsed: Optional[float] = None,
     ) -> None:
         """Assign a batch execution's outcome to its jobs (with retries)."""
-        self.reports.append(result.report)
+        start = self._record(result.report)
         stuck = (
             self.stuck_batch_timeout is not None
             and elapsed is not None
@@ -830,32 +918,30 @@ class SchedulerService:
             if result.failure is None and not stuck
             else set()
         )
+        retry_ids = count(1)
         for aid, job in enumerate(batch):
             job.transition(JobState.RUNNING)
             job.attempts += 1
             if aid in served:
-                self._complete(
-                    job,
-                    outputs={
-                        node: value
-                        for (a, node), value in result.outputs.items()
-                        if a == aid
-                    },
-                    scheduler=result.report.scheduler,
-                    batch_size=len(batch),
-                    batch_id=batch_id,
-                    length_rounds=result.report.length_rounds,
-                    version=result.report.version,
-                )
+                self._complete(job, result, aid, batch_id, batch_id, start)
             else:
                 self._retry_solo(
                     job,
                     batch_id,
+                    retry_ids,
                     failure=stuck_reason if stuck else result.failure,
                 )
 
-    def _retry_solo(self, job: Job, batch_id: str, failure=None) -> None:
-        """Re-execute a job alone until it verifies or retries run out."""
+    def _retry_solo(
+        self, job: Job, batch_id: str, retry_ids: Iterator[int], failure=None
+    ) -> None:
+        """Re-execute a job alone until it verifies or retries run out.
+
+        Each attempt is an execution of its own, ``<batch>.r<n>`` with
+        ``n`` counting the retries of that batch, so its rounds are
+        recorded under its own id; journal records and events stay
+        keyed by the batch.
+        """
         last_reason = str(failure) if failure is not None else "outputs diverged"
         for attempt in range(self.max_retries):
             if self.retry_backoff > 0:
@@ -864,6 +950,7 @@ class SchedulerService:
                 )
                 if delay > 0:
                     self._sleep(delay)
+            execution_id = f"{batch_id}.r{next(retry_ids)}"
             if self.recorder.enabled:
                 self.recorder.counter("service.retries")
             if self.events is not None:
@@ -874,6 +961,7 @@ class SchedulerService:
                     batch=batch_id,
                     queue_depth=self.queue.depth,
                     attempt=job.attempts + 1,
+                    execution=execution_id,
                     reason=last_reason,
                     **_provenance(job),
                 )
@@ -890,20 +978,9 @@ class SchedulerService:
             result = self._batch_scheduler().run_resilient(
                 workload, seed=self.schedule_seed
             )
-            self.reports.append(result.report)
+            start = self._record(result.report)
             if result.correct:
-                self._complete(
-                    job,
-                    outputs={
-                        node: value
-                        for (_aid, node), value in result.outputs.items()
-                    },
-                    scheduler=result.report.scheduler,
-                    batch_size=1,
-                    batch_id=batch_id,
-                    length_rounds=result.report.length_rounds,
-                    version=result.report.version,
-                )
+                self._complete(job, result, 0, batch_id, execution_id, start)
                 return
             last_reason = (
                 str(result.failure)
@@ -933,13 +1010,27 @@ class SchedulerService:
     def _complete(
         self,
         job: Job,
-        outputs: Dict[int, Any],
-        scheduler: str,
-        batch_size: int,
+        result: ScheduleResult,
+        aid: int,
         batch_id: str,
-        length_rounds: int,
-        version: str,
+        execution_id: str,
+        start: int,
     ) -> None:
+        """Settle ``job`` as algorithm ``aid`` of the verified execution
+        ``execution_id`` (the batch itself, or one of its solo retries),
+        which began at round ``start`` of this service's running total."""
+        report = result.report
+        outputs = {
+            node: value for (a, node), value in result.outputs.items() if a == aid
+        }
+        batch_size = report.params.num_algorithms
+        # Jobs of a scheduler without per-algorithm completion rounds
+        # finish when their execution does.
+        completion_round = start + (
+            report.completion_rounds[aid]
+            if report.completion_rounds is not None
+            else report.length_rounds
+        )
         solo_rounds = job.params.dilation if job.params is not None else 0
         # Completion order is the exactly-once contract: the artifact
         # lands in the registry FIRST, the journal acknowledges SECOND,
@@ -955,13 +1046,14 @@ class SchedulerService:
                     fingerprint=job.fingerprint,
                     outputs=dict(outputs),
                     solo_rounds=solo_rounds,
-                    scheduler=scheduler,
+                    scheduler=report.scheduler,
                     batch_size=batch_size,
-                    version=version,
+                    version=report.version,
                     meta={
-                        "batch": batch_id,
+                        "batch": execution_id,
                         "schedule_seed": self.schedule_seed,
-                        "length_rounds": length_rounds,
+                        "length_rounds": report.length_rounds,
+                        "completion_round": completion_round,
                     },
                 )
             )
@@ -974,9 +1066,10 @@ class SchedulerService:
         job.result = JobResult(
             outputs=outputs,
             solo_rounds=solo_rounds,
-            scheduler=scheduler,
+            scheduler=report.scheduler,
             batch_size=batch_size,
-            version=version,
+            version=report.version,
+            completion_round=completion_round,
         )
         job.transition(JobState.DONE)
         if self.recorder.enabled:
@@ -989,6 +1082,7 @@ class SchedulerService:
                 batch=batch_id,
                 queue_depth=self.queue.depth,
                 batch_size=batch_size,
+                completion_round=completion_round,
             )
 
     # ------------------------------------------------------------------
@@ -1246,14 +1340,17 @@ class SchedulerService:
         The ``engine_counters`` block is :meth:`engine_totals`. The
         ``latency`` block is derived by replaying the job-lifecycle
         event log (:func:`repro.service.events.latency_stats`):
-        p50/p90/p99 queue and end-to-end latency plus jobs/sec; it is
-        ``None`` when the service was built with ``events=None``.
+        p50/p90/p99 queue and end-to-end latency plus jobs/sec. The
+        ``completion_rounds`` block (mean/p50/p90) comes from the same
+        replay: the round of :attr:`rounds` by which each executed job
+        finished. Both are ``None`` when the service was built with
+        ``events=None``.
         """
-        latency = (
-            latency_stats(self.events.events)
-            if self.events is not None
-            else None
-        )
+        latency = completion = None
+        if self.events is not None:
+            replay = LatencyAccumulator.from_events(self.events.events)
+            latency = replay.stats()
+            completion = replay.completion_stats()
         journal = None
         if self.journal is not None:
             journal = {
@@ -1270,6 +1367,7 @@ class SchedulerService:
             "registry": self.registry.stats(),
             "engine_counters": self.engine_totals(),
             "latency": latency,
+            "completion_rounds": completion,
             "journal": journal,
             "events": len(self.events) if self.events is not None else 0,
             "closed": self._closed,

@@ -12,7 +12,7 @@ owning its own :class:`~repro.service.service.JobQueue`, write-ahead
 journal segment, and event log, and :meth:`ShardedSchedulerService.drain`
 stages batches from *every* shard into one
 :class:`~repro.parallel.runner.ParallelRunner` wave — batches of
-independent networks in flight simultaneously, FIFO batching semantics
+independent networks in flight simultaneously, batching semantics
 within a shard unchanged.
 
 What stays shared is exactly what is safe to share: the
@@ -300,8 +300,8 @@ class ShardedSchedulerService:
         Each iteration stages one *wave*: every batch every shard can
         currently form, fanned out over the shared runner pool in one
         ordered map (so a wave settles exactly like the serial loop
-        would). Within a shard, batches keep their FIFO order — they are
-        staged in queue order and settled in submission order.
+        would). Within a shard, batches are staged in the order the
+        shard's queue forms them and settled in that order.
 
         ``stop`` is polled between waves; when it turns true the drain
         returns after the in-flight wave settles, leaving the remaining
@@ -478,9 +478,10 @@ class ShardedSchedulerService:
         when each shard records separately; latency merges per-shard
         :class:`~repro.service.events.LatencyAccumulator` sketches
         (histogram buckets add, window = min first-submit .. max
-        last-terminal); the registry block is the shared registry's own
-        stats. A ``shards`` block adds per-shard depth/backlog for
-        hot-shard visibility.
+        last-terminal), and so do the per-shard completion-round counts
+        behind ``completion_rounds``; the registry block is the shared
+        registry's own stats. A ``shards`` block adds per-shard
+        depth/backlog/rounds for hot-shard visibility.
         """
         jobs: Dict[str, int] = {state.value: 0 for state in JobState}
         batches = 0
@@ -511,6 +512,7 @@ class ShardedSchedulerService:
                 "queue_depth": shard.queue.depth,
                 "backlog": shard.queue.backlog,
                 "batches": shard._batch_counter,
+                "rounds": shard.rounds,
                 "jobs": shard.queue.by_state(),
             }
         # Shards with their own recorders accumulate separately; shards
@@ -529,9 +531,10 @@ class ShardedSchedulerService:
                 "pending": journal_pending,
                 "problems": journal_problems,
             }
-        latency = None
+        latency = completion = None
         if have_events or self.events_mode is not None:
             latency = latency_acc.stats()
+            completion = latency_acc.completion_stats()
         return {
             "jobs": jobs,
             "queue_depth": self.queue_depth(),
@@ -540,6 +543,7 @@ class ShardedSchedulerService:
             "registry": self.registry.stats(),
             "engine_counters": engines,
             "latency": latency,
+            "completion_rounds": completion,
             "journal": journal,
             "events": events,
             "shards": per_shard,

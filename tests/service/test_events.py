@@ -11,6 +11,7 @@ from repro.parallel import SoloRunCache
 from repro.service import (
     EventLog,
     JobEvent,
+    LatencyAccumulator,
     SchedulerService,
     latency_stats,
     read_events,
@@ -222,6 +223,24 @@ class TestLatencyStats:
         # ... and the window runs to the final terminal event
         assert stats["window_s"] == pytest.approx(20.0)
         assert stats["jobs_per_sec"] == pytest.approx(1 / 20.0)
+
+    def test_completion_rounds_exact_and_mergeable(self):
+        rounds = [40, 10, 30, 10, 20, 50, 10, 60, 30, 90]
+        events = [
+            self._event("done", f"j{i:04d}", 1.0, attrs={"completion_round": r})
+            for i, r in enumerate(rounds)
+        ]
+        # registry hits and failures carry no completion round
+        events.append(self._event("done", "j0100", 1.0, attrs={"from_registry": True}))
+        events.append(self._event("failed", "j0101", 1.0))
+        whole = LatencyAccumulator.from_events(events).completion_stats()
+        assert whole == {"count": 10, "mean": 35.0, "p50": 30, "p90": 60}
+        merged = LatencyAccumulator.from_events(events[:4])
+        merged.merge(LatencyAccumulator.from_events(events[4:]))
+        assert merged.completion_stats() == whole
+        assert LatencyAccumulator().completion_stats() == {
+            "count": 0, "mean": 0.0, "p50": 0, "p90": 0
+        }
 
 
 class TestServiceIntegration:

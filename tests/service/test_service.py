@@ -18,10 +18,12 @@ from repro.metrics.schedule import ENGINE_COUNTERS
 from repro.parallel import ParallelRunner, SoloRunCache
 from repro.service import (
     AdmissionPolicy,
+    JobJournal,
     JobState,
     RunRegistry,
     SchedulerService,
     ServiceClosed,
+    read_journal,
 )
 from repro.telemetry import InMemoryRecorder
 
@@ -187,6 +189,23 @@ class _Flaky(Scheduler):
         return self.inner.run(workload, seed=seed)
 
 
+class _DivergeOnce(RandomDelayScheduler):
+    """Random-delay, except that the first batch it verifies reports a
+    wrong output for one node of its first algorithm."""
+
+    def __init__(self):
+        super().__init__()
+        self.fired = []  # list: shared across the service's copies
+
+    def _finish(self, workload, outputs, report):
+        if not self.fired and workload.num_algorithms > 1:
+            self.fired.append(True)
+            outputs = dict(outputs)
+            key = min(outputs)
+            outputs[key] = ("diverged", outputs[key])
+        return super()._finish(workload, outputs, report)
+
+
 class TestRetries:
     def test_batch_failure_retried_solo_and_recovers(self, grid):
         service = SchedulerService(
@@ -215,6 +234,49 @@ class TestRetries:
         assert all("injected batch failure" in j.reason for j in jobs)
         assert all(j.attempts == 3 for j in jobs)  # batch + 2 retries
         assert all(j.result is None for j in jobs)
+
+    def test_retry_is_recorded_as_its_own_execution(self, grid, tmp_path):
+        service = SchedulerService(
+            scheduler=_DivergeOnce(),
+            batch_size=4,
+            max_retries=1,
+            solo_cache=SoloRunCache(),
+            journal=JobJournal(tmp_path / "journal.jsonl"),
+        )
+        jobs = service.submit_many(grid, _job_stream(grid, 8))
+        service.drain()
+        assert all(j.state is JobState.DONE for j in jobs)
+        retried = [j for j in jobs if j.attempts == 2]
+        assert len(retried) == 1
+        (job,) = retried
+        # Executions: b0001, its retry b0001.r1, then b0002.
+        assert len(service.reports) == 3
+        first, retry, _second = service.reports
+        meta = service.registry.get(job.fingerprint).meta
+        assert meta["batch"] == "b0001.r1"
+        assert meta["length_rounds"] == retry.length_rounds
+        assert meta["completion_round"] == (
+            first.length_rounds + retry.completion_rounds[0]
+        )
+        # The ledger's cross-check: one length per (shard, execution id)
+        # from the registry sums to the reports' lengths.
+        lengths = {}
+        for other in jobs:
+            other_meta = service.registry.get(other.fingerprint).meta
+            lengths[other_meta["batch"]] = other_meta["length_rounds"]
+        assert sorted(lengths) == ["b0001", "b0001.r1", "b0002"]
+        assert sum(lengths.values()) == service.rounds == sum(
+            report.length_rounds for report in service.reports
+        )
+        # Journal records and events stay keyed by the original batch.
+        assert job.meta["batch"] == "b0001"
+        done, _ = read_journal(tmp_path / "journal.jsonl")
+        done = [r for r in done if r["kind"] == "done" and r["job"] == job.job_id]
+        assert [r["batch"] for r in done] == ["b0001"]
+        events = [e for e in service.events.events if e.job_id == job.job_id]
+        (retried,) = [e for e in events if e.kind == "retried"]
+        assert retried.attrs["execution"] == "b0001.r1"
+        assert all(e.batch == "b0001" for e in events if e.batch is not None)
 
     def test_fault_induced_divergence_marks_failed(self, grid):
         scheduler = RandomDelayScheduler().with_faults(
