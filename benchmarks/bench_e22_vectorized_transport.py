@@ -1,4 +1,4 @@
-"""E22 — vectorized transport: >=5x end-to-end on large grids, bit-identical.
+"""E22 — vectorized transport: >=2.5x end-to-end on large grids, bit-identical.
 
 The transport split (PR 8) moved message buffering, trace recording and
 load accounting out of the engines and behind the
@@ -14,15 +14,38 @@ gates the two claims that motivated it:
 * **end-to-end speedup on large grids** — the full solo pipeline
   (execute + cache serialization round-trip + scheduling-parameter
   measurement, i.e. exactly what the service's solo-cache path does per
-  workload) runs **>=5x faster** under the numpy backend on a large
+  workload) runs **>=2.5x faster** under the numpy backend on a large
   torus grid (asserted). The reference backend's per-message dict and
   Counter updates thrash ever-larger hash tables as the grid grows,
   while the columnar backend appends sequentially and defers index
-  construction to vectorized kernels — so the ratio *widens* with the
-  grid: ~3x at 64x64, >=5x by 128x128 and beyond. If a beefy cache
-  keeps the first large size under the gate, the bench escalates to a
-  larger grid where the asymptotic behaviour must show (the claim is
+  construction to vectorized kernels. If the first large size measures
+  under the gate, the bench escalates to a larger grid (the claim is
   about large grids, not one magic size).
+
+The gate was set at 5x when the reference transport still sized every
+payload once per message, and the lead measured 7.2x at 128x128. Since
+payload sizing moved into the sending ``NodeContext`` (one size per
+``send`` / ``send_all`` call, whatever the backend), the reference
+backend no longer pays that per message, and the lead left is what the
+columnar layout alone buys.
+Six runs of this bench on one 2-core Intel Xeon box (Python 3.11,
+numpy 2.4), before the gate was re-derived:
+
+==========  =====================================
+grid        numpy speedup per run
+==========  =====================================
+64x64       2.98 2.67 2.58 2.67 3.41 3.22
+96x96       3.03 3.28 2.98 3.54 3.12 2.63
+128x128     3.24 3.09 2.08 3.26 3.41 2.98
+160x160     3.31 3.63 3.99 3.56 3.63 3.57
+==========  =====================================
+
+A run passes when ``max(ratio at 128x128, ratio at 160x160)`` reaches
+``GATE`` (the larger grid is measured only when the first falls short).
+The worst such maximum over the six runs is 3.31 (run one, 3.24 and
+3.31); ``GATE`` = 2.5 sits about 25 % below it. The one 128x128 ratio
+under ``GATE`` (2.08) escalated to 3.99. The margin comes from that one
+box; no CI runner was measured.
 
 A phase-engine leg (RandomDelayScheduler on a mid-size torus) is also
 compared across backends — outputs asserted identical, speedup reported
@@ -48,16 +71,16 @@ from repro.metrics.congestion import measure_params
 
 from conftest import emit
 
-#: End-to-end speedup the large-grid pipeline must reach (issue gate).
-GATE = 5.0
+#: End-to-end speedup the large-grid pipeline must reach (derivation in
+#: the module docstring).
+GATE = 2.5
 
 #: Grid sizes for the scaling table; the gate applies from GATE_SIZE up.
 SIZES = (64, 96, 128)
 GATE_SIZE = 128
 
 #: Escalation size when the gate size measures below GATE (see module
-#: docstring): the ratio widens with the grid, so the claim is retried
-#: once at a size where the hash-table thrashing must dominate.
+#: docstring): the claim is retried once on a larger grid.
 ESCALATION_SIZE = 160
 
 #: Algorithm rounds per solo run (messages = 4 * rows^2 * ROUNDS).
@@ -248,7 +271,7 @@ def test_e22_vectorized_transport(benchmark, results_dir):
             "measure_params) per transport backend on torus grids, "
             f"{ROUNDS} rounds of a full simultaneous multicast. Outputs "
             "and every trace index are asserted bit-identical per size; "
-            f"the {gate_size}x{gate_size} pipeline must be >={GATE:.0f}x "
+            f"the {gate_size}x{gate_size} pipeline must be >={GATE:g}x "
             "faster under the numpy backend. The phase-engine leg is "
             "asserted no slower (program stepping dominates there)."
         ),
@@ -263,7 +286,7 @@ def test_e22_vectorized_transport(benchmark, results_dir):
 
     assert gate_ratio >= GATE, (
         f"numpy transport end-to-end speedup {gate_ratio:.2f}x < "
-        f"{GATE:.0f}x on the {gate_size}x{gate_size} torus"
+        f"{GATE:g}x on the {gate_size}x{gate_size} torus"
     )
     assert phase_speedup >= 0.9, (
         f"numpy transport slowed the phase engine down: "

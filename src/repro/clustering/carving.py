@@ -32,7 +32,13 @@ from .._util import derive_seed
 from ..congest.network import Network
 from ..randomness.distributions import TruncatedExponential
 
-__all__ = ["ClusterLayer", "carve_layer", "draw_radii_and_labels", "INFINITE_RADIUS"]
+__all__ = [
+    "ClusterLayer",
+    "carve_layer",
+    "draw_radii_and_labels",
+    "draw_radii_and_labels_from",
+    "INFINITE_RADIUS",
+]
 
 #: Sentinel contained-radius for nodes of a boundary-less (whole-graph)
 #: cluster: every ball, of any radius, stays inside the cluster. The
@@ -113,14 +119,27 @@ def draw_radii_and_labels(
     Labels get the node id appended as a tie-breaker, so they are distinct
     with certainty (the paper gets distinctness w.h.p. from 4·log n bits).
     """
-    dist = TruncatedExponential.for_ball_carving(
+    distribution = TruncatedExponential.for_ball_carving(
         radius_scale, network.num_nodes, horizon_constant
     )
+    return draw_radii_and_labels_from(network, distribution, seed, layer, label_bits)
+
+
+def draw_radii_and_labels_from(
+    network: Network,
+    distribution: TruncatedExponential,
+    seed: int,
+    layer: int,
+    label_bits: int = 64,
+) -> Tuple[List[int], List[int]]:
+    """:func:`draw_radii_and_labels` from a radius distribution the
+    caller built once (``TruncatedExponential.for_ball_carving``) for
+    every layer it carves."""
     radii: List[int] = []
     labels: List[int] = []
     for u in network.nodes:
         rng = random.Random(derive_seed(seed, "carve", layer, u))
-        radii.append(dist.sample(rng))
+        radii.append(distribution.sample(rng))
         labels.append((rng.getrandbits(label_bits) << 32) | u)
     return radii, labels
 

@@ -17,8 +17,9 @@ from typing import List, Optional, Tuple
 from .._util import derive_seed
 from ..congest.network import Network
 from ..errors import CoverageError
+from ..randomness.distributions import TruncatedExponential
 from ..telemetry import NULL_RECORDER, Recorder
-from .carving import ClusterLayer, carve_layer, draw_radii_and_labels
+from .carving import ClusterLayer, carve_layer, draw_radii_and_labels_from
 
 __all__ = [
     "Clustering",
@@ -185,13 +186,16 @@ def build_clustering(
     else:
         chunk_bits = 32
 
+    radius_distribution = TruncatedExponential.for_ball_carving(
+        radius_scale, network.num_nodes, horizon_constant
+    )
     layers = []
     for layer_index in range(num_layers):
         with recorder.span(
             "carve-layer", category="clustering", layer=layer_index
         ):
-            radii, labels = draw_radii_and_labels(
-                network, radius_scale, seed, layer_index, horizon_constant
+            radii, labels = draw_radii_and_labels_from(
+                network, radius_distribution, seed, layer_index
             )
             layers.append(carve_layer(network, radii, labels))
     if recorder.enabled:
@@ -223,13 +227,12 @@ def extend_clustering(clustering: Clustering, extra_layers: int) -> Clustering:
     network = clustering.network
     start = clustering.num_layers
     new_layers = list(clustering.layers)
+    radius_distribution = TruncatedExponential.for_ball_carving(
+        clustering.radius_scale, network.num_nodes, clustering.horizon_constant
+    )
     for layer_index in range(start, start + extra_layers):
-        radii, labels = draw_radii_and_labels(
-            network,
-            clustering.radius_scale,
-            clustering.seed,
-            layer_index,
-            clustering.horizon_constant,
+        radii, labels = draw_radii_and_labels_from(
+            network, radius_distribution, clustering.seed, layer_index
         )
         new_layers.append(carve_layer(network, radii, labels))
     per_layer = (

@@ -20,13 +20,19 @@ payload: the sending ``NodeContext`` does, once per ``send`` /
   channel at delivery time (a full flood round is three flat lists of
   ints, not ``2·|E|`` event tuples — nothing in it for the cycle
   collector to walk). Load/congestion indices (``directed_loads``,
-  ``edge_round_counts``, ``max_edge_rounds``, …) are built lazily with
-  vectorised ``numpy`` kernels (``np.repeat`` expansion, packed
-  ``sender << 32 | receiver`` int64 keys, ``np.unique`` folds) on the
-  first query instead of per-message dict updates;
-* per-phase / per-big-round edge loads are packed int64 key columns,
-  folded with one ``np.unique`` per phase instead of one Counter
-  update per message.
+  ``edge_round_counts``, ``max_edge_rounds``, …) are built lazily on
+  the first query instead of per-message dict updates, with vectorised
+  ``numpy`` kernels (``np.repeat`` expansion, packed
+  ``sender << 32 | receiver`` int64 keys, ``np.unique`` folds). The
+  per-edge round counts every scheduler's parameters read are the one
+  exception: a trace of fewer than :data:`NUMPY_MIN_MESSAGES` messages
+  counts them by a Python walk of its columns, where numpy's fixed cost
+  per call outweighs the walk;
+* per-phase edge loads are packed ``sender << 32 | receiver`` int keys,
+  one flat list per phase, folded with one ``Counter`` per phase
+  instead of one Counter update per message. The cluster engine's
+  per-big-round load accounting is the reference channel's: it is
+  called once per message either way, and its folds hold a few keys.
 
 Bit-identity
 ------------
@@ -66,6 +72,7 @@ from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
 from .transport import (
     Inboxes,
+    ReferenceClusterLoadChannel,
     ReferenceEagerChannel,
     ReferencePhaseChannel,
     ReferenceSoloChannel,
@@ -76,6 +83,15 @@ __all__ = ["ArrayTrace", "NumpyTransport"]
 
 _KEY_BITS = 32
 _KEY_MASK = (1 << _KEY_BITS) - 1
+
+#: An :class:`ArrayTrace` with at least this many messages builds its
+#: per-edge round counts (``edge_round_counts`` / ``max_edge_rounds``)
+#: with numpy kernels; a smaller one walks its columns in Python. The
+#: two tie between 512 and 600 messages on the box measured in
+#: ``docs/PERFORMANCE.md`` ("Fixed per-run costs"): the walk is ~4×
+#: faster at 18 messages, where numpy's fixed cost per call dominates,
+#: and ~2× slower at 5 000.
+NUMPY_MIN_MESSAGES = 512
 
 
 def _pack_counter(keys: np.ndarray, counts: np.ndarray) -> Counter:
@@ -95,9 +111,10 @@ class ArrayTrace(ExecutionTrace):
     Python ints: pickle-safe, and adopted zero-copy from the numpy solo
     channel's delivery buffers. The derived indices — directed loads,
     per-edge round sets/counts — are built lazily on first query with
-    vectorised numpy kernels and invalidated by further recording; every
-    query returns exactly what the incremental reference implementation
-    returns.
+    vectorised numpy kernels (per-edge round counts by a walk of the
+    columns below :data:`NUMPY_MIN_MESSAGES` messages) and invalidated
+    by further recording; every query returns exactly what the
+    incremental reference implementation returns.
     """
 
     def __init__(self) -> None:
@@ -274,12 +291,22 @@ class ArrayTrace(ExecutionTrace):
     def edge_round_counts(self) -> Counter:
         """``c_i(e)`` for each undirected edge, as a Counter."""
         if self._edge_round_counts_cache is None:
-            keys, _ = self._edge_pairs()
-            unique, counts = np.unique(keys, return_counts=True)
-            self._edge_round_counts_cache = _pack_counter(unique, counts)
-            self._max_edge_rounds_cache = (
-                int(counts.max()) if len(counts) else 0
-            )
+            if self._num_messages < NUMPY_MIN_MESSAGES:
+                # One count per round in which an undirected edge is used.
+                counts: Counter = Counter()
+                for slot, receivers in enumerate(self._round_receivers):
+                    counts.update({
+                        (s, r) if s <= r else (r, s)
+                        for s, r in zip(self._expand(slot), receivers)
+                    })
+                top = max(counts.values(), default=0)
+            else:
+                keys, _ = self._edge_pairs()
+                unique, runs = np.unique(keys, return_counts=True)
+                counts = _pack_counter(unique, runs)
+                top = int(runs.max()) if len(runs) else 0
+            self._edge_round_counts_cache = counts
+            self._max_edge_rounds_cache = top
         return Counter(self._edge_round_counts_cache)
 
     def max_edge_rounds(self) -> int:
@@ -422,21 +449,25 @@ class NumpySoloChannel:
 class NumpyPhaseChannel:
     """Columnar phase-engine channel (fault-free runs only).
 
-    Pending inboxes are per-algorithm columns; per-phase directed-edge
-    loads are packed int64 key columns folded with one ``np.unique`` at
-    :meth:`end_phase` instead of a Counter update per message.
+    Pending sends are per-algorithm columns, as in
+    :class:`NumpySoloChannel`; per-phase directed-edge loads are packed
+    int key lists folded with one ``Counter`` at :meth:`end_phase`
+    instead of a Counter update per message.
     """
 
     __slots__ = ("messages", "max_load", "_collect_histogram", "_histogram",
-                 "_pending", "_current_keys", "_next_keys", "_key_cache")
+                 "_senders", "_outboxes", "_current_keys", "_next_keys",
+                 "_key_cache")
 
     def __init__(self, k: int, collect_histogram: bool) -> None:
         self.messages = 0
         self.max_load = 0
         self._collect_histogram = collect_histogram
         self._histogram: Counter = Counter()
-        # _pending[aid] = list of (sender, outbox) runs, push order.
-        self._pending: List[List[Tuple[int, Any]]] = [[] for _ in range(k)]
+        # Per algorithm, the senders and their drained outboxes awaiting
+        # delivery: two parallel lists, push order.
+        self._senders: List[List[int]] = [[] for _ in range(k)]
+        self._outboxes: List[List[Outbox]] = [[] for _ in range(k)]
         # Packed (sender << 32 | receiver) keys, one entry per message
         # traversing during the current / next phase.
         self._current_keys: List[int] = []
@@ -453,14 +484,18 @@ class NumpyPhaseChannel:
         self,
         aid: int,
         sender: int,
-        sends: Any,
+        sends: Outbox,
         traverse: int,
         into_current: bool,
     ) -> None:
-        """Buffer ``sends`` of algorithm ``aid`` traversing ``traverse``."""
-        if not sends:
-            return
-        self._pending[aid].append((sender, sends))
+        """Buffer ``sends`` of algorithm ``aid`` traversing ``traverse``.
+
+        ``sends`` is non-empty: the engine pushes what
+        :meth:`~repro.congest.program.HostGroup.start` / ``step`` yield,
+        and they yield only outboxes that hold a message.
+        """
+        self._senders[aid].append(sender)
+        self._outboxes[aid].append(sends)
         keys = self._current_keys if into_current else self._next_keys
         if type(sends) is Broadcast:
             cached = self._key_cache.get(sender)
@@ -478,13 +513,15 @@ class NumpyPhaseChannel:
 
     def deliver(self, aid: int, phase: int) -> Inboxes:
         """Pop algorithm ``aid``'s inboxes delivered during ``phase``."""
-        pending = self._pending[aid]
+        senders = self._senders[aid]
         deliveries: Inboxes = {}
-        if not pending:
+        if not senders:
             return deliveries
-        self._pending[aid] = []
+        outboxes = self._outboxes[aid]
+        self._senders[aid] = []
+        self._outboxes[aid] = []
         get = deliveries.get
-        for sender, sends in pending:
+        for sender, sends in zip(senders, outboxes):
             if type(sends) is Broadcast:
                 payload = sends.payload
                 for receiver in sends.neighbors:
@@ -504,7 +541,7 @@ class NumpyPhaseChannel:
 
     def idle(self, aid: int) -> bool:
         """True when algorithm ``aid`` has nothing buffered or in flight."""
-        return not self._pending[aid]
+        return not self._senders[aid]
 
     def next_phase_empty(self) -> bool:
         """True when nothing traverses during the next phase."""
@@ -515,17 +552,12 @@ class NumpyPhaseChannel:
         keys = self._current_keys
         if not keys:
             return 0, 0
-        _, counts = np.unique(
-            np.asarray(keys, dtype=np.int64), return_counts=True
-        )
-        top = int(counts.max())
+        loads = Counter(keys).values()
+        top = max(loads)
         if top > self.max_load:
             self.max_load = top
         if self._collect_histogram:
-            values, multiplicity = np.unique(counts, return_counts=True)
-            histogram = self._histogram
-            for value, count in zip(values.tolist(), multiplicity.tolist()):
-                histogram[value] += count
+            self._histogram.update(loads)
         return len(keys), top
 
     def histogram(self) -> Counter:
@@ -533,67 +565,12 @@ class NumpyPhaseChannel:
         return self._histogram
 
 
-class NumpyClusterLoadChannel:
-    """Columnar big-round load accounting for the cluster-copies engine."""
-
-    __slots__ = ("max_load", "_histogram", "_current", "_next")
-
-    def __init__(self) -> None:
-        self.max_load = 0
-        self._histogram: Counter = Counter()
-        # Packed (sender << 32 | receiver) keys, one per message.
-        self._current: List[int] = []
-        self._next: List[int] = []
-
-    def begin_round(self) -> None:
-        """Roll the load window: next big-round's traffic becomes current."""
-        self._current, self._next = self._next, []
-
-    def count(self, sender: int, receiver: int, into_current: bool) -> None:
-        """Account one transmitted message on ``sender -> receiver``."""
-        key = (sender << _KEY_BITS) | receiver
-        if into_current:
-            self._current.append(key)
-        else:
-            self._next.append(key)
-
-    def next_round_empty(self) -> bool:
-        """True when nothing traverses the next big-round."""
-        return not self._next
-
-    def _fold(self, keys: List[int]) -> Tuple[int, int]:
-        if not keys:
-            return 0, 0
-        _, counts = np.unique(
-            np.asarray(keys, dtype=np.int64), return_counts=True
-        )
-        top = int(counts.max())
-        if top > self.max_load:
-            self.max_load = top
-        values, multiplicity = np.unique(counts, return_counts=True)
-        histogram = self._histogram
-        for value, count in zip(values.tolist(), multiplicity.tolist()):
-            histogram[value] += count
-        return len(keys), top
-
-    def end_round(self) -> Tuple[int, int]:
-        """Close the current big-round; returns ``(messages, top load)``."""
-        return self._fold(self._current)
-
-    def drain_next(self) -> Tuple[int, int]:
-        """Account final emissions that never traversed; ``(messages, top)``."""
-        return self._fold(self._next)
-
-    def histogram(self) -> Counter:
-        """Load value -> number of (directed edge, big-round) pairs."""
-        return self._histogram
-
-
 class NumpyTransport(Transport):
     """Struct-of-arrays transport; bit-identical to the reference.
 
-    Fault-injected channels and the eager channel delegate to the
-    reference implementations (see the module docstring for why).
+    Fault-injected channels, the cluster engine's load accounting and
+    the eager channel delegate to the reference implementations (see the
+    module docstring for why).
     """
 
     name = "numpy"
@@ -610,8 +587,8 @@ class NumpyTransport(Transport):
             return ReferencePhaseChannel(k, injector, collect_histogram)
         return NumpyPhaseChannel(k, collect_histogram)
 
-    def cluster_load_channel(self) -> NumpyClusterLoadChannel:
-        return NumpyClusterLoadChannel()
+    def cluster_load_channel(self) -> ReferenceClusterLoadChannel:
+        return ReferenceClusterLoadChannel()
 
     def eager_channel(self) -> ReferenceEagerChannel:
         return ReferenceEagerChannel()

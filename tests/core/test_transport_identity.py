@@ -11,11 +11,13 @@ cover backend resolution, including the no-numpy degradation path.
 """
 
 import pickle
+import random
 
 import pytest
 
 from repro.algorithms import BFS, Flooding, HopBroadcast, LubyMIS, PushGossip
 from repro.congest import topology
+from repro.congest.program import Broadcast
 from repro.congest.simulator import Simulator
 from repro.core import (
     EagerScheduler,
@@ -27,13 +29,20 @@ from repro.core import (
 from repro.core import transport as transport_module
 from repro.core.transport import (
     REFERENCE_TRANSPORT,
+    ReferenceSoloChannel,
     Transport,
     available_transports,
     resolve_transport,
 )
-from repro.faults import FaultPlan
+from repro.faults import NULL_INJECTOR, FaultPlan
 
 numpy = pytest.importorskip("numpy")
+
+from repro.core.transport_numpy import (  # noqa: E402 - needs numpy
+    NUMPY_MIN_MESSAGES,
+    ArrayTrace,
+    NumpySoloChannel,
+)
 
 BACKENDS = ("reference", "numpy")
 
@@ -68,7 +77,10 @@ def _assert_runs_identical(ref, vec):
     assert vec.completion_round == ref.completion_round
     assert vec.max_message_bits == ref.max_message_bits
     assert vec.truncated == ref.truncated
-    ref_trace, vec_trace = ref.trace, vec.trace
+    _assert_traces_identical(ref.trace, vec.trace)
+
+
+def _assert_traces_identical(ref_trace, vec_trace):
     assert vec_trace.num_messages == ref_trace.num_messages
     assert vec_trace.last_round == ref_trace.last_round
     assert list(vec_trace.events()) == list(ref_trace.events())
@@ -122,6 +134,111 @@ class TestSoloIdentity:
                 PushGossip(0, rounds=8), seed=3, on_limit="truncate"
             )
         _assert_runs_identical(runs["reference"], runs["numpy"])
+
+
+def _mixed_traces(count):
+    """``(reference, numpy)`` solo-channel traces of exactly ``count``
+    messages: rounds of six senders on a 6x6 torus, each pushing a
+    broadcast or individual sends to some of its neighbours."""
+    network = topology.torus_graph(6, 6)
+    rng = random.Random(count)
+    ref = ReferenceSoloChannel(NULL_INJECTOR, "a0")
+    vec = NumpySoloChannel()
+    left, round_index = count, 1
+    while left:
+        for sender in rng.sample(list(network.nodes), 6):
+            neighbors = network.neighbors(sender)
+            if rng.random() < 0.5 and len(neighbors) <= left:
+                outbox = Broadcast(("b", round_index), neighbors)
+            else:
+                picked = rng.sample(neighbors, rng.randint(1, min(left, len(neighbors))))
+                outbox = [(receiver, ("s", sender)) for receiver in picked]
+            ref.push(sender, list(outbox), round_index)
+            vec.push(sender, outbox, round_index)
+            left -= len(outbox)
+            if not left:
+                break
+        ref.deliver(round_index)
+        vec.deliver(round_index)
+        round_index += 1
+    return ref.finalize(), vec.finalize()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("numpy called on a run below NUMPY_MIN_MESSAGES")
+
+
+class TestTraceIndexBySize:
+    """``ArrayTrace`` counts per-edge rounds by a walk of its columns
+    below ``NUMPY_MIN_MESSAGES`` messages and with numpy kernels from
+    there up; every index query answers exactly as the reference trace
+    does on both sides."""
+
+    N = NUMPY_MIN_MESSAGES
+
+    @pytest.mark.parametrize("count", [0, 1, N - 1, N, N + 1, 3 * N])
+    def test_every_query_on_both_sides(self, count, monkeypatch):
+        ref, vec = _mixed_traces(count)
+        assert type(vec) is ArrayTrace and vec.num_messages == count
+        with monkeypatch.context() as patch:
+            if count < NUMPY_MIN_MESSAGES:
+                patch.setattr(numpy, "unique", _refuse)
+                patch.setattr(numpy, "fromiter", _refuse)
+            assert vec.edge_round_counts() == ref.edge_round_counts()
+            assert vec.max_edge_rounds() == ref.max_edge_rounds()
+        _assert_traces_identical(ref, vec)
+        # A second query answers from the cached index, as a fresh copy.
+        vec.edge_round_counts().clear()
+        assert vec.edge_round_counts() == ref.edge_round_counts()
+
+
+class TestSmallRunsSkipNumpy:
+    """A run of ``scenario_mix``'s size (n <= 60) needs no numpy call:
+    every phase fold, big-round fold and trace index it makes is below
+    the size where numpy's fixed cost pays off."""
+
+    SCHEDULERS = (
+        "sequential",
+        "round-robin",
+        "random-delay",
+        "sparse-phase",
+        "doubling",
+        "private",
+    )
+
+    def test_all_six_schedulers_complete_without_numpy(self, monkeypatch):
+        from repro.fuzz.scenario import ScenarioGenerator
+        from repro.service.specs import parse_scheduler
+
+        generator = ScenarioGenerator(0)
+        scenario = next(
+            s for s in map(generator.generate, range(50))
+            if s.faults is None and len(s.algorithms) > 2
+        )
+        built = scenario.build()
+        assert built.network.num_nodes <= 60
+        expected = {}
+        for name in self.SCHEDULERS:
+            workload = Workload(
+                built.network, list(built.algorithms),
+                master_seed=scenario.master_seed, transport="reference",
+            )
+            scheduler = parse_scheduler(name).with_transport("reference")
+            expected[name] = scheduler.run(workload, seed=scenario.schedule_seed)
+
+        monkeypatch.setattr(numpy, "unique", _refuse)
+        monkeypatch.setattr(numpy, "fromiter", _refuse)
+        for name in self.SCHEDULERS:
+            workload = Workload(
+                built.network, list(built.algorithms),
+                master_seed=scenario.master_seed, transport="numpy",
+            )
+            scheduler = parse_scheduler(name).with_transport("numpy")
+            result = scheduler.run(workload, seed=scenario.schedule_seed)
+            assert not result.mismatches, name
+            assert result.outputs == expected[name].outputs, name
+            assert result.report.length_rounds == expected[name].report.length_rounds
+            assert result.report.load_histogram == expected[name].report.load_histogram
 
 
 class TestSchedulerIdentity:
