@@ -525,7 +525,10 @@ def _serve_cli(args) -> int:
 
     # Pre-flight without opening (and thus repairing) any journal:
     # unfinished jobs from a crashed serve belong to --resume.
-    pending = ShardedSchedulerService.pending_jobs(base)
+    try:
+        pending = ShardedSchedulerService.pending_jobs(base)
+    except ValueError as exc:
+        raise SystemExit(f"serve: {exc}")
     if pending and not getattr(args, "resume", False):
         flat = [jid for ids in pending.values() for jid in ids]
         preview = ", ".join(flat[:5]) + ("..." if len(flat) > 5 else "")
@@ -1111,6 +1114,8 @@ def main(argv=None) -> int:
         return 0
 
     if argv and argv[0] == "serve":
+        from repro.service.events import FSYNC_POLICIES
+
         parser = argparse.ArgumentParser(
             prog="python -m repro serve",
             description="Drain the spooled jobs: batch, schedule, persist.",
@@ -1157,7 +1162,7 @@ def main(argv=None) -> int:
             "completions are never re-executed)",
         )
         parser.add_argument(
-            "--fsync", default="batch", choices=("always", "batch", "never"),
+            "--fsync", default="batch", choices=FSYNC_POLICIES,
             help="journal durability: 'always' fsyncs every record "
             "(power-loss safe), 'batch' flushes to the OS (kill -9 "
             "safe, default), 'never' is buffered",

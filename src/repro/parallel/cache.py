@@ -11,15 +11,18 @@ configuration. Those runs are pure functions of
 — the node random tapes are derived from exactly that tuple — so they can
 be cached content-addressed with no effect on results.
 
-:class:`SoloRunCache` implements a two-tier cache:
+:class:`ContentStore` is the two-tier store, shared with the service's
+:class:`~repro.service.registry.RunRegistry`:
 
-* an **in-memory tier** (bounded FIFO dict) shared by every workload in
+* an **in-memory tier** (bounded FIFO dict) shared by every user in
   the process, and
-* an optional **on-disk tier** (one pickle per key under a cache
-  directory, ``.repro_cache/`` by convention) that persists across
+* an optional **on-disk tier** (one pickle per key under a directory,
+  ``.repro_cache/`` by convention for solo runs) that persists across
   processes — warm-starting repeated benchmark invocations and letting
   the worker processes of :class:`~repro.parallel.runner.ParallelRunner`
   share solo runs.
+
+:class:`SoloRunCache` is that store holding solo runs.
 
 Keys are hex digests of :func:`network_fingerprint` and
 :func:`algorithm_fingerprint` plus the scalar parameters. Fingerprints
@@ -49,7 +52,7 @@ import os
 import pickle
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .._util import stable_digest
 from ..congest.network import Network
@@ -60,6 +63,7 @@ from ..telemetry import NULL_RECORDER, Recorder
 __all__ = [
     "CACHE_DIR_ENV",
     "CACHE_ENV",
+    "ContentStore",
     "DEFAULT_CACHE_DIR",
     "SoloRunCache",
     "algorithm_fingerprint",
@@ -159,23 +163,34 @@ def algorithm_fingerprint(algorithm: Algorithm) -> Optional[str]:
     return stable_digest("algorithm", rendered).hex()
 
 
-class SoloRunCache:
-    """Two-tier (memory + optional disk) cache of solo reference runs.
+class ContentStore:
+    """Two-tier (memory + optional disk) content-addressed store.
+
+    Subclasses set :attr:`value_type` and keep only what differs: how a
+    key is derived, and what each lookup or store counts.
 
     Parameters
     ----------
     directory:
         Optional on-disk tier location. Entries are single pickle files
-        named by their key; writes are atomic (tempfile + rename) so
-        concurrent worker processes may share one directory. Unreadable
-        or corrupt entries count as misses and are rewritten.
+        named ``<key>.pkl``; writes go to a temp file and are
+        ``os.replace``-d into place (no fsync), so concurrent processes
+        may share one directory. On load, any failure to open or
+        unpickle an entry — and an entry that is not a
+        :attr:`value_type` — counts as a miss, so a bit-rotted or
+        truncated file is rewritten by the next store.
     recorder:
-        Telemetry sink for ``cache.hit`` / ``cache.miss`` /
-        ``cache.disk_hit`` counters (defaults to the zero-overhead
-        :data:`~repro.telemetry.NULL_RECORDER`).
+        Telemetry sink for the subclass's counters (defaults to the
+        zero-overhead :data:`~repro.telemetry.NULL_RECORDER`).
     max_memory_entries:
         Bound on the in-memory tier; the oldest entry is evicted first.
     """
+
+    #: What an entry must be to count as a hit.
+    value_type: type = object
+    #: Integer counter attributes: zeroed on construction and
+    #: :meth:`clear`, reported (in this order) by :meth:`stats`.
+    counters: Tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -186,10 +201,99 @@ class SoloRunCache:
         self.directory = Path(directory) if directory is not None else None
         self.recorder = recorder
         self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[str, SoloRun]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.disk_hits = 0
+        self._memory: "OrderedDict[str, Any]" = OrderedDict()
+        for name in self.counters:
+            setattr(self, name, 0)
+
+    def get(self, key: str) -> Any:
+        """Look a key up in the memory tier, then the disk tier."""
+        value = self._memory.get(key)
+        if value is None and self.directory is not None:
+            value = self._load(key)
+        return value
+
+    def _load(self, key: str) -> Any:
+        """Read one disk entry into the memory tier (``None``: a miss)."""
+        try:
+            with (self.directory / f"{key}.pkl").open("rb") as fh:
+                value = pickle.load(fh)
+        except Exception:
+            # Flipped or truncated bytes surface as almost any exception
+            # (decode errors, a bogus length's MemoryError, a class
+            # that does not exist); so does an entry pickled with an
+            # optional dependency this process lacks.
+            return None
+        if not isinstance(value, self.value_type):
+            return None
+        self._remember(key, value)
+        return value
+
+    def put(self, key: str, value: Any) -> None:
+        """Store a value in the memory tier (and the disk tier when set)."""
+        self._remember(key, value)
+        if self.directory is None:
+            return
+        self.directory.mkdir(parents=True, exist_ok=True)
+        path = self.directory / f"{key}.pkl"
+        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        try:
+            with tmp.open("wb") as fh:
+                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except (OSError, pickle.PickleError):
+            tmp.unlink(missing_ok=True)
+
+    def _remember(self, key: str, value: Any) -> None:
+        memory = self._memory
+        memory[key] = value
+        memory.move_to_end(key)
+        while len(memory) > self.max_memory_entries:
+            memory.popitem(last=False)
+
+    def keys(self) -> List[str]:
+        """Every key either tier can currently serve, sorted."""
+        known = set(self._memory)
+        if self.directory is not None and self.directory.exists():
+            known.update(p.stem for p in self.directory.glob("*.pkl"))
+        return sorted(known)
+
+    def stats(self) -> Dict[str, int]:
+        """The subclass's counters plus the current memory-tier size."""
+        stats = {name: getattr(self, name) for name in self.counters}
+        stats["memory_entries"] = len(self._memory)
+        return stats
+
+    def clear(self, disk: bool = False) -> None:
+        """Drop the memory tier (and the disk tier when ``disk=True``)."""
+        self._memory.clear()
+        for name in self.counters:
+            setattr(self, name, 0)
+        if disk and self.directory is not None and self.directory.exists():
+            for path in self.directory.glob("*.pkl"):
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+
+    def __len__(self) -> int:
+        return len(self._memory)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        counts = "".join(f", {n}={getattr(self, n)}" for n in self.counters)
+        tier = f", dir={self.directory}" if self.directory else ""
+        return f"{type(self).__name__}(entries={len(self)}{counts}{tier})"
+
+
+class SoloRunCache(ContentStore):
+    """A :class:`ContentStore` of solo reference runs.
+
+    Takes the store's parameters. Lookups through :meth:`get_or_run`
+    emit ``cache.hit`` / ``cache.miss`` counters on the recorder, and
+    disk-tier loads ``cache.disk_hit``.
+    """
+
+    value_type = SoloRun
+    counters = ("hits", "misses", "disk_hits")
 
     # ------------------------------------------------------------------
     # keys
@@ -226,58 +330,13 @@ class SoloRunCache:
             message_bits,
         ).hex()
 
-    # ------------------------------------------------------------------
-    # tiers
-    # ------------------------------------------------------------------
-
-    def _disk_path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.pkl"
-
-    def get(self, key: str) -> Optional[SoloRun]:
-        """Look a key up in the memory tier, then the disk tier."""
-        run = self._memory.get(key)
+    def _load(self, key: str) -> Optional[SoloRun]:
+        run = super()._load(key)
         if run is not None:
-            return run
-        if self.directory is None:
-            return None
-        path = self._disk_path(key)
-        try:
-            with path.open("rb") as fh:
-                run = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
-            # ImportError: an entry pickled with an optional dependency
-            # (e.g. numpy array traces) read by a process without it.
-            return None
-        if not isinstance(run, SoloRun):
-            return None
-        self.disk_hits += 1
-        if self.recorder.enabled:
-            self.recorder.counter("cache.disk_hit")
-        self._remember(key, run)
+            self.disk_hits += 1
+            if self.recorder.enabled:
+                self.recorder.counter("cache.disk_hit")
         return run
-
-    def put(self, key: str, run: SoloRun) -> None:
-        """Store a run in the memory tier (and the disk tier when set)."""
-        self._remember(key, run)
-        if self.directory is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._disk_path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as fh:
-                pickle.dump(run, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PickleError):
-            tmp.unlink(missing_ok=True)
-
-    def _remember(self, key: str, run: SoloRun) -> None:
-        memory = self._memory
-        memory[key] = run
-        memory.move_to_end(key)
-        while len(memory) > self.max_memory_entries:
-            memory.popitem(last=False)
 
     # ------------------------------------------------------------------
     # the main entry point
@@ -326,40 +385,6 @@ class SoloRunCache:
         if key is not None:
             self.put(key, run)
         return run
-
-    # ------------------------------------------------------------------
-    # bookkeeping
-    # ------------------------------------------------------------------
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss counters plus the current memory-tier size."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "memory_entries": len(self._memory),
-        }
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory tier (and the disk tier when ``disk=True``)."""
-        self._memory.clear()
-        self.hits = self.misses = self.disk_hits = 0
-        if disk and self.directory is not None and self.directory.exists():
-            for path in self.directory.glob("*.pkl"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tier = f", dir={self.directory}" if self.directory else ""
-        return (
-            f"SoloRunCache(entries={len(self._memory)}, hits={self.hits}, "
-            f"misses={self.misses}{tier})"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from .jobs import Job, JobResult, JobState, job_fingerprint
 from .journal import JobJournal, JournalState, read_journal
 from .registry import RunArtifact, RunRegistry
 from .service import CRASH_POINTS, JobQueue, SchedulerService, ServiceClosed
-from .sharding import LEGACY_SHARD, ShardedSchedulerService, shard_key
+from .sharding import ShardedSchedulerService, shard_key
 from .specs import (
     format_fault_plan,
     parse_algorithm,
@@ -74,7 +74,6 @@ __all__ = [
     "JobResult",
     "JobState",
     "JournalState",
-    "LEGACY_SHARD",
     "LatencyAccumulator",
     "RunArtifact",
     "RunRegistry",

@@ -21,7 +21,9 @@ carries (:meth:`LatencyAccumulator.completion_stats`).
 :class:`EventLog` keeps events in memory and, given a path, appends each
 one as a JSON line to a spool file (``events.jsonl``); :func:`read_events`
 parses such a file back, so ``stats`` can be recomputed offline from the
-spool directory alone.
+spool directory alone. The file mechanics — lazy open, flush cadence
+under the :data:`FSYNC_POLICIES`, the ``atexit`` close hook, the line
+reader — live in :class:`AppendLog`, which the job journal shares.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Optional, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..telemetry.metrics import HistogramStats
 
 __all__ = [
+    "AppendLog",
     "EVENT_KINDS",
     "EventLog",
     "FSYNC_POLICIES",
@@ -68,8 +71,8 @@ EVENT_KINDS = (
 #: Kinds that end a job's lifecycle (close its end-to-end latency).
 TERMINAL_KINDS = frozenset({"done", "failed", "rejected", "quarantined"})
 
-#: Durability policies shared by :class:`EventLog` and
-#: :class:`~repro.service.journal.JobJournal`: ``"always"`` flushes and
+#: Durability policies of every :class:`AppendLog` (the event log and
+#: :class:`~repro.service.journal.JobJournal`): ``"always"`` flushes and
 #: ``os.fsync``-s every write (survives power loss), ``"batch"`` flushes
 #: to the OS without fsync (survives ``kill -9``), ``"never"`` leaves
 #: buffering to the interpreter (fastest; loses the buffered tail on a
@@ -84,6 +87,113 @@ def check_fsync(policy: str) -> str:
             f"fsync must be one of {FSYNC_POLICIES}, got {policy!r}"
         )
     return policy
+
+
+class AppendLog:
+    """An append-only JSONL file, one record per line.
+
+    The file mechanics :class:`EventLog` and
+    :class:`~repro.service.journal.JobJournal` share; subclasses decide
+    what a line holds and call :meth:`_append` with it.
+
+    Parameters
+    ----------
+    path:
+        The file, created with its parent directories on the first
+        append. ``None`` makes a log that never writes.
+    flush_every:
+        Under ``"batch"``, flush the handle every this-many lines (and
+        on :meth:`close`).
+    fsync:
+        Durability policy (see :data:`FSYNC_POLICIES`): ``"always"``
+        flushes **and** ``os.fsync``-s every line, ``"batch"`` flushes
+        every ``flush_every`` lines, ``"never"`` flushes only on
+        :meth:`flush` / :meth:`close`.
+
+    Opening the handle registers an ``atexit`` hook (removed again on
+    :meth:`close`), so lines buffered between flushes are not silently
+    dropped when the interpreter exits without an explicit shutdown —
+    an abrupt ``kill -9`` is what the fsync policies are for.
+    """
+
+    #: What :meth:`read` yields for a line that is not JSON (a torn tail).
+    UNPARSABLE = object()
+
+    def __init__(
+        self,
+        path: Union[str, Path, None],
+        flush_every: int = 1,
+        fsync: str = "batch",
+    ):
+        if flush_every < 1:
+            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+        self.path = Path(path) if path is not None else None
+        self.flush_every = flush_every
+        self.fsync = check_fsync(fsync)
+        self._handle: Optional[IO[str]] = None
+        self._unflushed = 0
+
+    def _append(self, line: str) -> None:
+        """Write one line, flushing per the policy."""
+        handle = self._handle
+        if handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            handle = self._handle = self.path.open("a")
+            atexit.register(self.close)
+        handle.write(line)
+        handle.write("\n")
+        self._unflushed += 1
+        if self.fsync == "always":
+            handle.flush()
+            os.fsync(handle.fileno())
+            self._unflushed = 0
+        elif self.fsync == "batch" and self._unflushed >= self.flush_every:
+            handle.flush()
+            self._unflushed = 0
+
+    def flush(self) -> None:
+        """Push buffered lines to the OS."""
+        if self._handle is not None:
+            self._handle.flush()
+            self._unflushed = 0
+
+    def close(self) -> None:
+        """Flush and close the handle; closing a closed log is a no-op."""
+        if self._handle is not None:
+            atexit.unregister(self.close)
+            self._handle.close()
+            self._handle = None
+            self._unflushed = 0
+
+    def __enter__(self) -> "AppendLog":
+        return self
+
+    def __exit__(self, *exc: Any) -> bool:
+        self.close()
+        return False
+
+    @classmethod
+    def read(cls, path: Union[str, Path]) -> List[Tuple[int, Any]]:
+        """Every non-blank line of a JSONL file as ``(lineno, record)``.
+
+        The file is decoded with ``errors="replace"``, so bit-rot reads
+        as a parse failure rather than an exception; a line that does
+        not parse is returned as :attr:`UNPARSABLE`, and each caller
+        decides whether that ends the file or is skipped. A missing
+        file raises ``FileNotFoundError``.
+        """
+        lines: List[Tuple[int, Any]] = []
+        text = Path(path).read_text(errors="replace")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = cls.UNPARSABLE
+            lines.append((lineno, record))
+        return lines
 
 
 @dataclass(frozen=True)
@@ -134,7 +244,7 @@ class JobEvent:
         )
 
 
-class EventLog:
+class EventLog(AppendLog):
     """In-memory event list with an optional JSONL spool file.
 
     Parameters
@@ -159,11 +269,8 @@ class EventLog:
         behaviour; ``"always"`` flushes **and** ``os.fsync``-s every
         event; ``"never"`` skips periodic flushes entirely.
 
-    A path-backed log registers an ``atexit`` hook when it first opens
-    its spool handle (removed again on :meth:`close`), so events
-    buffered between flushes are not silently dropped when the
-    interpreter exits without an explicit shutdown — an abrupt
-    ``kill -9`` is what the fsync policies are for.
+    The spool file, its flushing and its ``atexit`` hook are
+    :class:`AppendLog`'s.
     """
 
     def __init__(
@@ -173,17 +280,9 @@ class EventLog:
         flush_every: int = 32,
         fsync: str = "batch",
     ):
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        check_fsync(fsync)
-        self.path = Path(path) if path is not None else None
+        super().__init__(path, flush_every=flush_every, fsync=fsync)
         self.clock = clock
-        self.flush_every = flush_every
-        self.fsync = fsync
         self.events: List[JobEvent] = []
-        self._handle: Optional[IO[str]] = None
-        self._unflushed = 0
-        self._atexit_registered = False
 
     def emit(
         self,
@@ -210,53 +309,11 @@ class EventLog:
         )
         self.events.append(event)
         if self.path is not None:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = self.path.open("a")
-                if not self._atexit_registered:
-                    atexit.register(self.close)
-                    self._atexit_registered = True
-            self._handle.write(
-                json.dumps(event.as_dict(), separators=(",", ":"))
-            )
-            self._handle.write("\n")
-            self._unflushed += 1
-            if self.fsync == "always":
-                self._handle.flush()
-                os.fsync(self._handle.fileno())
-                self._unflushed = 0
-            elif (
-                self.fsync == "batch" and self._unflushed >= self.flush_every
-            ):
-                self._handle.flush()
-                self._unflushed = 0
+            self._append(json.dumps(event.as_dict(), separators=(",", ":")))
         return event
-
-    def flush(self) -> None:
-        """Force buffered spool lines to disk."""
-        if self._handle is not None:
-            self._handle.flush()
-            self._unflushed = 0
-
-    def close(self) -> None:
-        """Flush and close the spool handle (events stay in memory)."""
-        if self._atexit_registered:
-            atexit.unregister(self.close)
-            self._atexit_registered = False
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self._unflushed = 0
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self.close()
-        return False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f", path={self.path}" if self.path else ""
@@ -266,22 +323,14 @@ class EventLog:
 def read_events(path: Union[str, Path]) -> List[JobEvent]:
     """Parse an ``events.jsonl`` spool file back into events.
 
-    Blank lines are skipped; a torn final line (killed process) is
-    tolerated and dropped rather than raising.
+    Blank lines are skipped; a torn or otherwise unparsable line
+    (killed process) is dropped rather than raising.
     """
-    events: List[JobEvent] = []
-    text = Path(path).read_text(errors="replace")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(record, dict) and "kind" in record:
-            events.append(JobEvent.from_dict(record))
-    return events
+    return [
+        JobEvent.from_dict(record)
+        for _, record in AppendLog.read(path)
+        if isinstance(record, dict) and "kind" in record
+    ]
 
 
 @dataclass

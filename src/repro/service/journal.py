@@ -11,8 +11,9 @@ consistent queue — acknowledged jobs are never lost, and jobs whose
 
 Format
 ------
-One JSON object per line (the :mod:`repro.service.events` spool
-pattern), three framing fields added::
+One JSON object per line, written through the same
+:class:`~repro.service.events.AppendLog` as the event log, with three
+framing fields added::
 
     {"seq": 7, "kind": "done", "job": "j0003", ..., "crc": "7d1aa0f3"}
 
@@ -68,15 +69,15 @@ from __future__ import annotations
 
 import base64
 import json
-import os
 import pickle
 import re
 import time
 import zlib
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
-from .events import FSYNC_POLICIES, check_fsync
+from .._util import atomic_write_text
+from .events import FSYNC_POLICIES, AppendLog
 
 __all__ = [
     "JobJournal",
@@ -117,6 +118,11 @@ def _encode(record: Dict[str, Any]) -> str:
 
 def _crc(payload: str) -> str:
     return format(zlib.crc32(payload.encode("utf8")) & 0xFFFFFFFF, "08x")
+
+
+def _frame(record: Dict[str, Any]) -> str:
+    """One journal line: the record plus the CRC of its encoding."""
+    return _encode({**record, "crc": _crc(_encode(record))})
 
 
 def encode_job_payload(
@@ -305,23 +311,15 @@ def read_journal(
     every dropped line is described in ``problems`` (empty for a clean
     file). A missing file reads as empty.
     """
-    path = Path(path)
     records: List[Dict[str, Any]] = []
     problems: List[str] = []
     try:
-        # errors="replace": bit-rot can produce invalid UTF-8, which
-        # must read as a CRC/parse failure, not an exception.
-        text = path.read_text(errors="replace")
+        lines = AppendLog.read(path)
     except FileNotFoundError:
         return records, problems
     expected_seq: Optional[int] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+    for lineno, record in lines:
+        if record is AppendLog.UNPARSABLE:
             problems.append(f"line {lineno}: unparsable (torn tail)")
             break
         if not isinstance(record, dict) or "crc" not in record or "seq" not in record:
@@ -339,15 +337,17 @@ def read_journal(
             break
         expected_seq = int(seq) + 1
         records.append(record)
-    if problems:
-        dropped = len(text.splitlines()) - len(records)
-        if dropped > 1:
-            problems.append(f"{dropped - 1} further line(s) after the break ignored")
+    further = len(lines) - len(records) - 1
+    if problems and further > 0:
+        problems.append(f"{further} further line(s) after the break ignored")
     return records, problems
 
 
-class JobJournal:
+class JobJournal(AppendLog):
     """Append-only, CRC-framed, checkpointable job journal.
+
+    An :class:`~repro.service.events.AppendLog` with a flush cadence of
+    one record, so ``"batch"`` flushes every append.
 
     Parameters
     ----------
@@ -379,18 +379,14 @@ class JobJournal:
         compact_every: Optional[int] = None,
         clock=time.time,
     ):
-        check_fsync(fsync)
+        super().__init__(path, flush_every=1, fsync=fsync)
         if compact_every is not None and compact_every < 1:
             raise ValueError(
                 f"compact_every must be >= 1 or None, got {compact_every}"
             )
-        self.path = Path(path)
-        self.fsync = fsync
         self.compact_every = compact_every
         self.clock = clock
         self.state = JournalState()
-        self.problems: List[str] = []
-        self._handle: Optional[IO[str]] = None
         self._seq = 0
         self._since_checkpoint = 0
         records, self.problems = read_journal(self.path)
@@ -436,18 +432,7 @@ class JobJournal:
             "ts": self.clock(),
         }
         record.update(fields)
-        payload = _encode(record)
-        line = _encode({**record, "crc": _crc(payload)})
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-        self._handle.write(line)
-        self._handle.write("\n")
-        if self.fsync == "always":
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        elif self.fsync == "batch":
-            self._handle.flush()
+        self._append(_frame(record))
         self._seq += 1
         self.state.apply(record)
         self._since_checkpoint += 1
@@ -466,22 +451,14 @@ class JobJournal:
 
         Each record is re-framed with its CRC (:func:`_encode` is
         deterministic, so an unmodified record reproduces its original
-        bytes), the replacement is fully written and fsynced before the
-        ``os.replace``, and a crash at any point leaves either the old
-        file or the complete new one — never a torn mix.
+        bytes), and :func:`~repro._util.atomic_write_text` fsyncs the
+        replacement before the ``os.replace``, so a crash at any point
+        leaves either the old file or the complete new one — never a
+        torn mix.
         """
+        self.close()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
-        with tmp.open("w") as fh:
-            for record in records:
-                fh.write(_encode({**record, "crc": _crc(_encode(record))}))
-                fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        os.replace(tmp, self.path)
+        atomic_write_text(self.path, "".join(_frame(r) + "\n" for r in records))
 
     def checkpoint(self) -> None:
         """Compact the journal to one ``checkpoint`` record, atomically."""
@@ -494,24 +471,6 @@ class JobJournal:
         self._rewrite([record])
         self._seq += 1
         self._since_checkpoint = 0
-
-    def flush(self) -> None:
-        """Push buffered lines to the OS (a no-op for batch/always)."""
-        if self._handle is not None:
-            self._handle.flush()
-
-    def close(self) -> None:
-        """Flush and close the file handle (state stays in memory)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JobJournal":
-        return self
-
-    def __exit__(self, *exc: Any) -> bool:
-        self.close()
-        return False
 
     def __len__(self) -> int:
         return self.state.applied

@@ -1,10 +1,11 @@
 """The run registry: persistent, content-addressed results of past jobs.
 
-Mirrors the two-tier layout of
-:class:`~repro.parallel.cache.SoloRunCache` — a bounded in-memory dict in
-front of an optional on-disk tier of one pickle per artifact, written
-atomically so concurrent services may share a directory — but stores
-*job results* rather than solo runs: the per-node outputs the service
+The same two-tier :class:`~repro.parallel.cache.ContentStore` as the
+:class:`~repro.parallel.cache.SoloRunCache` — a bounded in-memory dict
+in front of an optional on-disk tier of one pickle per artifact,
+replaced atomically so concurrent services may share a directory, with
+corrupt entries counting as misses — but holding *job results* rather
+than solo runs: the per-node outputs the service
 guarantees (bit-identical to the job's standalone run), plus provenance
 (scheduler, batch size, schedule rounds, package version, submission
 metadata).
@@ -20,15 +21,11 @@ plain-integer :meth:`RunRegistry.stats` are always maintained.
 
 from __future__ import annotations
 
-import os
-import pickle
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from .._version import __version__
-from ..telemetry import NULL_RECORDER, Recorder
+from ..parallel.cache import ContentStore
 
 __all__ = ["RunArtifact", "RunRegistry"]
 
@@ -53,49 +50,25 @@ class RunArtifact:
     meta: Dict[str, Any] = field(default_factory=dict)
 
 
-class RunRegistry:
-    """Two-tier (memory + optional disk) registry of job artifacts.
+class RunRegistry(ContentStore):
+    """A :class:`~repro.parallel.cache.ContentStore` of job artifacts.
 
-    Parameters
-    ----------
-    directory:
-        Optional persistence root. Artifacts are single pickle files
-        named ``<fingerprint>.pkl``; writes are atomic (tempfile +
-        rename). Unreadable or corrupt entries count as misses and are
-        rewritten on the next store.
-    recorder:
-        Telemetry sink for registry counters (defaults to the
-        zero-overhead :data:`~repro.telemetry.NULL_RECORDER`).
-    max_memory_entries:
-        Bound on the in-memory tier; oldest entries evict first.
+    Takes the store's parameters; artifacts are filed under
+    ``<fingerprint>.pkl``, and corrupt entries count as misses and are
+    rewritten on the next store. Lookups and stores emit
+    ``service.registry_hit`` / ``service.registry_miss`` /
+    ``service.registry_store`` counters on the recorder.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path, None] = None,
-        recorder: Recorder = NULL_RECORDER,
-        max_memory_entries: int = 1024,
-    ):
-        self.directory = Path(directory) if directory is not None else None
-        self.recorder = recorder
-        self.max_memory_entries = max_memory_entries
-        self._memory: "OrderedDict[str, RunArtifact]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    # ------------------------------------------------------------------
-
-    def _disk_path(self, fingerprint: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{fingerprint}.pkl"
+    value_type = RunArtifact
+    counters = ("hits", "misses", "stores")
 
     def get(self, fingerprint: Optional[str]) -> Optional[RunArtifact]:
         """Look an artifact up (memory tier, then disk tier).
 
         ``None`` fingerprints (unaddressable jobs) always miss.
         """
-        artifact = self._lookup(fingerprint)
+        artifact = super().get(fingerprint) if fingerprint is not None else None
         if artifact is not None:
             self.hits += 1
             if self.recorder.enabled:
@@ -106,84 +79,13 @@ class RunRegistry:
                 self.recorder.counter("service.registry_miss")
         return artifact
 
-    def _lookup(self, fingerprint: Optional[str]) -> Optional[RunArtifact]:
-        if fingerprint is None:
-            return None
-        artifact = self._memory.get(fingerprint)
-        if artifact is not None:
-            return artifact
-        if self.directory is None:
-            return None
-        try:
-            with self._disk_path(fingerprint).open("rb") as fh:
-                artifact = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
-            return None
-        if not isinstance(artifact, RunArtifact):
-            return None
-        self._remember(artifact)
-        return artifact
-
-    def put(self, artifact: RunArtifact) -> None:
-        """Store an artifact in both tiers."""
+    def put(self, artifact: RunArtifact) -> None:  # type: ignore[override]
+        """Store an artifact in both tiers, under its fingerprint."""
         self.stores += 1
         if self.recorder.enabled:
             self.recorder.counter("service.registry_store")
-        self._remember(artifact)
-        if self.directory is None:
-            return
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._disk_path(artifact.fingerprint)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            with tmp.open("wb") as fh:
-                pickle.dump(artifact, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except (OSError, pickle.PickleError):
-            tmp.unlink(missing_ok=True)
-
-    def _remember(self, artifact: RunArtifact) -> None:
-        memory = self._memory
-        memory[artifact.fingerprint] = artifact
-        memory.move_to_end(artifact.fingerprint)
-        while len(memory) > self.max_memory_entries:
-            memory.popitem(last=False)
-
-    # ------------------------------------------------------------------
+        super().put(artifact.fingerprint, artifact)
 
     def fingerprints(self) -> List[str]:
         """Every fingerprint the registry can currently serve."""
-        known = set(self._memory)
-        if self.directory is not None and self.directory.exists():
-            known.update(p.stem for p in self.directory.glob("*.pkl"))
-        return sorted(known)
-
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/store counters plus the memory-tier size."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "memory_entries": len(self._memory),
-        }
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory tier (and the disk tier when ``disk=True``)."""
-        self._memory.clear()
-        self.hits = self.misses = self.stores = 0
-        if disk and self.directory is not None and self.directory.exists():
-            for path in self.directory.glob("*.pkl"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tier = f", dir={self.directory}" if self.directory else ""
-        return (
-            f"RunRegistry(entries={len(self._memory)}, hits={self.hits}, "
-            f"misses={self.misses}{tier})"
-        )
+        return self.keys()

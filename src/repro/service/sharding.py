@@ -34,9 +34,9 @@ backlog via the ``_total_backlog`` hook each shard is wired with.
 Recovery is per shard too: every shard journal under
 ``<dir>/shards/<key>/journal.jsonl`` is replayed idempotently by
 :meth:`ShardedSchedulerService.recover` (exactly-once against the
-shared registry, same contract as a standalone service), and a legacy
-single-queue ``<dir>/journal.jsonl`` left by an older serve is adopted
-as a read-only ``legacy`` shard so its pending jobs still drain.
+shared registry, same contract as a standalone service). A top-level
+``<dir>/journal.jsonl`` is not a shard journal: recovery refuses the
+directory rather than leave that journal's jobs unserved.
 """
 
 from __future__ import annotations
@@ -64,10 +64,7 @@ from .service import (
     _execute_payload,
 )
 
-__all__ = ["LEGACY_SHARD", "ShardedSchedulerService", "shard_key"]
-
-#: Shard adopted for a pre-sharding ``<dir>/journal.jsonl`` on recovery.
-LEGACY_SHARD = "legacy"
+__all__ = ["ShardedSchedulerService", "shard_key"]
 
 #: Hex digits of the network fingerprint used as the shard directory
 #: name — short enough to read in a path, long enough that collisions
@@ -183,12 +180,7 @@ class ShardedSchedulerService:
         self._shard_recorders[key] = recorder
         return recorder
 
-    def _make_shard(
-        self,
-        key: str,
-        journal: Optional[JobJournal] = None,
-        recover: bool = False,
-    ) -> SchedulerService:
+    def _make_shard(self, key: str, recover: bool = False) -> SchedulerService:
         shard_dir = self._shard_dir(key)
         if self.events_mode is None:
             events: Any = None
@@ -196,7 +188,8 @@ class ShardedSchedulerService:
             events = EventLog(shard_dir / "events.jsonl", fsync=self.fsync)
         else:
             events = EventLog()
-        if journal is None and shard_dir is not None:
+        journal = None
+        if shard_dir is not None:
             journal = JobJournal(shard_dir / "journal.jsonl", fsync=self.fsync)
         kwargs = dict(
             scheduler=self.scheduler,
@@ -368,25 +361,26 @@ class ShardedSchedulerService:
         independently through :meth:`SchedulerService.recover` — the
         same idempotent, exactly-once replay against the shared
         registry a standalone service performs — so one shard's damage
-        never blocks another shard's recovery. A pre-sharding
-        ``<directory>/journal.jsonl`` is adopted as the ``legacy``
-        shard: its jobs drain normally, while new submissions keep
-        routing to fingerprint shards.
+        never blocks another shard's recovery. Raises ``ValueError``
+        if ``<directory>/journal.jsonl`` exists (see
+        :meth:`pending_jobs`).
         """
+        journal_paths = cls._shard_journals(directory)
         service = cls(directory=directory, **kwargs)
-        base = Path(directory)
-        shards_root = base / "shards"
-        if shards_root.exists():
-            for journal_path in sorted(shards_root.glob("*/journal.jsonl")):
-                service._make_shard(journal_path.parent.name, recover=True)
-        legacy = base / "journal.jsonl"
-        if legacy.exists() and legacy.stat().st_size > 0:
-            service._make_shard(
-                LEGACY_SHARD,
-                journal=JobJournal(legacy, fsync=service.fsync),
-                recover=True,
-            )
+        for journal_path in journal_paths:
+            service._make_shard(journal_path.parent.name, recover=True)
         return service
+
+    @staticmethod
+    def _shard_journals(directory: Union[str, Path]) -> List[Path]:
+        base = Path(directory)
+        if (base / "journal.jsonl").exists():
+            raise ValueError(
+                f"{base / 'journal.jsonl'} is a single-queue journal, which "
+                "sharded serving does not replay; resubmit its jobs and "
+                "remove it"
+            )
+        return sorted((base / "shards").glob("*/journal.jsonl"))
 
     @staticmethod
     def pending_jobs(
@@ -396,29 +390,19 @@ class ShardedSchedulerService:
 
         Reads journal segments without opening (and thus repairing)
         them — the cheap pre-flight the CLI uses to refuse a plain
-        ``serve`` over unfinished work.
+        ``serve`` over unfinished work. Raises ``ValueError`` if
+        ``<directory>/journal.jsonl`` exists: that single-queue journal
+        is no shard's, and sharded serving would strand its jobs.
         """
-        base = Path(directory)
-        paths: List[Path] = []
-        shards_root = base / "shards"
-        if shards_root.exists():
-            paths.extend(sorted(shards_root.glob("*/journal.jsonl")))
-        if (base / "journal.jsonl").exists():
-            paths.append(base / "journal.jsonl")
         pending: Dict[str, List[str]] = {}
-        for path in paths:
+        for path in ShardedSchedulerService._shard_journals(directory):
             records, _problems = read_journal(path)
             state = JournalState()
             for record in records:
                 state.apply(record)
             unfinished = state.pending()
             if unfinished:
-                key = (
-                    LEGACY_SHARD
-                    if path.parent == base
-                    else path.parent.name
-                )
-                pending[key] = unfinished
+                pending[path.parent.name] = unfinished
         return pending
 
     def journaled_spools(self) -> set:

@@ -11,10 +11,12 @@ from repro.parallel import SoloRunCache
 from repro.service import (
     EventLog,
     JobEvent,
+    JobJournal,
     LatencyAccumulator,
     SchedulerService,
     latency_stats,
     read_events,
+    read_journal,
 )
 
 
@@ -90,40 +92,78 @@ class TestEventLog:
         assert record == {"kind": "submitted", "job_id": "j0001", "ts": 1.0}
 
 
-class TestDurability:
-    def test_fsync_always_lands_every_event(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(path, clock=_Clock(), flush_every=100, fsync="always")
+class _Events:
+    """The event log under the shared append-log contract."""
+
+    @staticmethod
+    def open(path, fsync="batch", flush_every=32):
+        return EventLog(path, clock=_Clock(), flush_every=flush_every, fsync=fsync)
+
+    @staticmethod
+    def write(log):
         log.emit("submitted", "j0001")
+
+    @staticmethod
+    def count(path):
+        return len(read_events(path))
+
+
+class _Journal:
+    """The job journal under the same contract."""
+
+    @staticmethod
+    def open(path, fsync="batch", flush_every=1):
+        # The journal's flush cadence is fixed at one record.
+        return JobJournal(path, fsync=fsync, clock=_Clock())
+
+    @staticmethod
+    def write(log):
+        log.append("submit", job=f"j{log.seq + 1:04d}")
+
+    @staticmethod
+    def count(path):
+        return len(read_journal(path)[0])
+
+
+class TestDurability:
+    """The append-log contract; :class:`TestJournalDurability` reruns
+    every check with the journal as the log."""
+
+    log = _Events
+
+    def test_fsync_always_lands_every_event(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        log = self.log.open(path, flush_every=100, fsync="always")
+        self.log.write(log)
         # No close, no flush: the line must already be on disk.
-        assert len(read_events(path)) == 1
-        log.emit("admitted", "j0001")
-        assert len(read_events(path)) == 2
+        assert self.log.count(path) == 1
+        self.log.write(log)
+        assert self.log.count(path) == 2
         log.close()
 
     def test_fsync_never_skips_periodic_flushes(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        log = EventLog(path, clock=_Clock(), flush_every=1, fsync="never")
+        path = tmp_path / "log.jsonl"
+        log = self.log.open(path, flush_every=1, fsync="never")
         for _ in range(8):
-            log.emit("submitted", "j0001")
+            self.log.write(log)
         # flush_every is ignored under "never"; only close flushes.
-        assert len(read_events(path)) < 8 or path.stat().st_size == 0
+        assert self.log.count(path) < 8 or path.stat().st_size == 0
         log.close()
-        assert len(read_events(path)) == 8
+        assert self.log.count(path) == 8
 
-    def test_fsync_validates(self):
+    def test_fsync_validates(self, tmp_path):
         with pytest.raises(ValueError):
-            EventLog(fsync="sometimes")
+            self.log.open(tmp_path / "log.jsonl", fsync="sometimes")
 
     def test_atexit_hook_registered_and_removed(self, tmp_path):
         registered = []
-        log = EventLog(tmp_path / "events.jsonl", clock=_Clock())
+        log = self.log.open(tmp_path / "log.jsonl")
         real_register = atexit.register
         real_unregister = atexit.unregister
         atexit.register = lambda fn: registered.append(fn) or fn
         atexit.unregister = lambda fn: registered.remove(fn)
         try:
-            log.emit("submitted", "j0001")
+            self.log.write(log)
             assert registered == [log.close]
             log.close()
             assert registered == []
@@ -132,10 +172,48 @@ class TestDurability:
             atexit.unregister = real_unregister
 
     def test_close_is_idempotent(self, tmp_path):
-        log = EventLog(tmp_path / "events.jsonl", clock=_Clock())
-        log.emit("submitted", "j0001")
+        log = self.log.open(tmp_path / "log.jsonl")
+        self.log.write(log)
         log.close()
         log.close()  # second close (e.g. atexit after shutdown) is a no-op
+
+
+class TestJournalDurability(TestDurability):
+    log = _Journal
+
+
+def test_line_bytes_are_pinned(tmp_path):
+    """Both logs' on-disk lines, byte for byte, under a fixed clock."""
+    with EventLog(tmp_path / "events.jsonl", clock=lambda: 1.5) as log:
+        log.emit("submitted", "j0001", fingerprint="ab12", queue_depth=0)
+        log.emit("batched", "j0001", batch="b0001", queue_depth=0, batch_jobs=2)
+        log.emit("done", "j0001", batch="b0001", completion_round=7)
+    with JobJournal(tmp_path / "journal.jsonl", clock=lambda: 1.5) as journal:
+        journal.append(
+            "submit",
+            job="j0001",
+            fingerprint="ab12",
+            payload={"net": "ring:6", "algo": "bfs:source=0,hops=2"},
+        )
+        journal.append("batch", batch="b0001", jobs=["j0001"])
+        journal.append("done", job="j0001", from_registry=False)
+    assert (tmp_path / "events.jsonl").read_text().splitlines() == [
+        '{"kind":"submitted","job_id":"j0001","ts":1.5,"fingerprint":"ab12",'
+        '"queue_depth":0}',
+        '{"kind":"batched","job_id":"j0001","ts":1.5,"batch":"b0001",'
+        '"queue_depth":0,"attrs":{"batch_jobs":2}}',
+        '{"kind":"done","job_id":"j0001","ts":1.5,"batch":"b0001",'
+        '"attrs":{"completion_round":7}}',
+    ]
+    assert (tmp_path / "journal.jsonl").read_text().splitlines() == [
+        '{"crc":"3051c6d3","fingerprint":"ab12","job":"j0001","kind":"submit",'
+        '"payload":{"algo":"bfs:source=0,hops=2","net":"ring:6"},"seq":1,'
+        '"ts":1.5}',
+        '{"batch":"b0001","crc":"2eedb73a","jobs":["j0001"],"kind":"batch",'
+        '"seq":2,"ts":1.5}',
+        '{"crc":"f88ff136","from_registry":false,"job":"j0001","kind":"done",'
+        '"seq":3,"ts":1.5}',
+    ]
 
 
 class TestLatencyStats:

@@ -20,6 +20,8 @@ and registry contents out. These tests pin that contract:
   sharded service recovers byte-identically per shard.
 """
 
+import re
+
 import pytest
 
 from repro.algorithms import BFS, HopBroadcast
@@ -450,29 +452,24 @@ class TestShardedRecovery:
         )
         second.shutdown(drain=False)
 
-    def test_legacy_single_journal_adopted(self, tmp_path):
+    def test_single_queue_journal_is_refused(self, tmp_path):
         net = _networks(1)[0]
         from repro.service import JobJournal, RunRegistry
 
-        legacy = SchedulerService(
+        single = SchedulerService(
             journal=JobJournal(tmp_path / "journal.jsonl"),
             registry=RunRegistry(tmp_path / "registry"),
             batch_size=2,
             solo_cache=SoloRunCache(),
         )
-        legacy.submit(net, BFS(0, hops=2))
-        # Leave it pending (no drain): a crashed pre-sharding serve.
-        legacy.journal.flush()
+        single.submit(net, BFS(0, hops=2))
+        # Left pending: sharded serving must not strand this job silently.
+        single.journal.close()
 
-        assert "legacy" in ShardedSchedulerService.pending_jobs(tmp_path)
-        recovered = ShardedSchedulerService.recover(
-            tmp_path, batch_size=2, solo_cache=SoloRunCache()
-        )
-        assert "legacy" in recovered.shards
-        recovered.drain()
-        assert all(j.state is JobState.DONE for j in recovered.jobs())
-        # New submissions keep routing to fingerprint shards.
-        job = recovered.submit(net, BFS(1, hops=2))
-        assert job.meta["shard"] == shard_key(net)
-        recovered.drain()
-        recovered.shutdown(drain=False)
+        named = re.escape(str(tmp_path / "journal.jsonl"))
+        with pytest.raises(ValueError, match=named):
+            ShardedSchedulerService.pending_jobs(tmp_path)
+        with pytest.raises(ValueError, match=named):
+            ShardedSchedulerService.recover(
+                tmp_path, batch_size=2, solo_cache=SoloRunCache()
+            )
