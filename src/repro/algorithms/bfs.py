@@ -16,11 +16,13 @@ from typing import Any, Mapping, Optional, Tuple
 
 from ..congest.network import Network
 from ..congest.program import Algorithm, NodeContext, NodeProgram
+from ..congest.wave import Wave
 
 __all__ = ["BFS"]
 
 
 class _BFSProgram(NodeProgram):
+    # Mirrored by _BFSWave: change both, then run tests/core/test_hint_erasure.py.
     def __init__(self, source: int, hops: int):
         super().__init__()
         self._source = source
@@ -61,6 +63,20 @@ class _BFSProgram(NodeProgram):
         return (self._distance, self._parent)
 
 
+class _BFSWave(Wave):
+    """:class:`_BFSProgram` as a wave (``hops`` is its deadline)."""
+
+    __slots__ = ()
+
+    def start(self) -> Tuple[Any, Any]:
+        return (0, self.source), (0 if self.hops >= 1 else None)
+
+    def adopt(self, inbox: Mapping[int, Any]) -> Tuple[Any, Any]:
+        parent = min(inbox)
+        distance = inbox[parent] + 1
+        return (distance, parent), (distance if distance < self.hops else None)
+
+
 class BFS(Algorithm):
     """h-hop BFS from ``source``; each reached node outputs
     ``(distance, parent)``, unreached nodes output ``None``.
@@ -79,6 +95,12 @@ class BFS(Algorithm):
 
     def make_program(self, node: int, ctx: NodeContext) -> NodeProgram:
         return _BFSProgram(self.source, self.hops)
+
+    def wave(self) -> Optional[Wave]:
+        """A wave, unless a subclass builds its own programs."""
+        if type(self).make_program is not BFS.make_program:
+            return None
+        return _BFSWave(self.source, self.hops)
 
     def max_rounds(self, network: Network) -> int:
         return min(self.hops, network.num_nodes) + 2

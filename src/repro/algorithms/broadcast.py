@@ -13,15 +13,18 @@ rounds (once per direction), so a single broadcast has congestion ≤ 2.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Tuple
 
 from ..congest.network import Network
 from ..congest.program import Algorithm, NodeContext, NodeProgram
+from ..congest.wave import Wave
 
 __all__ = ["HopBroadcast", "Flooding"]
 
 
 class _BroadcastProgram(NodeProgram):
+    # Mirrored by _BroadcastWave: change both, then run
+    # tests/core/test_hint_erasure.py.
     def __init__(self, source: int, token: Any, hops: int, deadline: int):
         super().__init__()
         self._source = source
@@ -56,6 +59,24 @@ class _BroadcastProgram(NodeProgram):
         return self._received
 
 
+class _BroadcastWave(Wave):
+    """:class:`_BroadcastProgram` as a wave (``hops`` is its deadline)."""
+
+    __slots__ = ("token",)
+
+    def __init__(self, source: int, token: Any, hops: int):
+        super().__init__(source, hops)
+        self.token = token
+
+    def start(self) -> Tuple[Any, Any]:
+        token = self.token
+        return token, ((token, self.hops - 1) if self.hops >= 1 else None)
+
+    def adopt(self, inbox: Mapping[int, Any]) -> Tuple[Any, Any]:
+        token, remaining = next(iter(inbox.values()))
+        return token, ((token, remaining - 1) if remaining >= 1 else None)
+
+
 class HopBroadcast(Algorithm):
     """Broadcast ``token`` from ``source`` to its ``hops``-neighbourhood.
 
@@ -78,6 +99,12 @@ class HopBroadcast(Algorithm):
         return _BroadcastProgram(
             self.source, self.token, self.hops, deadline=self.hops
         )
+
+    def wave(self) -> Optional[Wave]:
+        """A wave, unless a subclass builds its own programs."""
+        if type(self).make_program is not HopBroadcast.make_program:
+            return None
+        return _BroadcastWave(self.source, self.token, self.hops)
 
     def max_rounds(self, network: Network) -> int:
         return self.hops + 2

@@ -29,10 +29,19 @@ behaves identically given identical inbox histories. The tape is
 materialised on first access only, so a program that never reads
 ``ctx.rng`` never pays for the seed derivation or the generator state.
 
-Stepping. Every engine drives its programs through one :class:`HostGroup`
-(the hosts of one algorithm copy), whose :meth:`HostGroup.step` makes one
-in-order pass over the hosts that have not halted and runs ``on_round``
-only for those that *act*. A program opts out of being stepped with
+Stepping. Every engine gets the stepper of one algorithm copy from
+:func:`make_group` and drives it as ``start()`` then ``step(algo_round,
+inboxes, crashed)`` with the round's ``node -> inbox`` mapping. For a
+*wave* — :meth:`Algorithm.wave` returns one for ``BFS`` and
+``HopBroadcast``/``Flooding``, unless a subclass builds its own programs
+— that is a :class:`~repro.congest.wave.WaveGroup`, which runs the copy
+from flat per-copy state with no per-node objects and must step exactly
+as the object programs do (``tests/core/test_hint_erasure.py`` compares
+the two). Every other family, every group with ``on_error`` (the eager
+baseline) and every user algorithm gets a :class:`HostGroup` (the hosts
+of one algorithm copy), whose :meth:`HostGroup.step` makes one in-order
+pass over the hosts that have not halted and runs ``on_round`` only for
+those that *act*. A program opts out of being stepped with
 :meth:`NodeProgram.idle_until`: until algorithm-round ``r``, an
 ``on_round`` with an **empty inbox** would be a no-op — no send, no halt,
 no state or output change, no draw from ``ctx.rng``. The promise may be
@@ -51,13 +60,16 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
-from typing import Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping
+from typing import Optional, Sequence, Tuple, Union
 
 from ..errors import BandwidthViolation, ReproError
 from .._util import derive_seed
 from .message import check_payload
 from .network import Network
+
+if TYPE_CHECKING:
+    from .wave import StepGroup, Wave
 
 __all__ = [
     "Broadcast",
@@ -67,6 +79,7 @@ __all__ = [
     "HostGroup",
     "ProgramHost",
     "Send",
+    "make_group",
 ]
 
 #: A buffered outgoing message: ``(destination node, payload)``.
@@ -186,12 +199,7 @@ class NodeContext:
         """
         outbox = self._outbox
         if self._sent_all or (outbox is not None and neighbor in self._sent_to):
-            raise BandwidthViolation(
-                f"node {self.node} sent twice to {neighbor} in round {self.round}",
-                node=self.node,
-                round=self.round,
-                edge=(self.node, neighbor),
-            )
+            raise self._twice(neighbor)
         if neighbor not in self.neighbors:
             raise BandwidthViolation(
                 f"node {self.node} tried to send to non-neighbour {neighbor}",
@@ -217,18 +225,35 @@ class NodeContext:
         copies (the ``_sent_all`` flag stands in for the per-neighbour
         duplicate set). The round then drains as a single
         :class:`Broadcast` object instead of per-neighbour tuples.
-        Mixed with prior individual sends, the checked per-neighbour
-        path runs instead (duplicate detection).
+        Mixed with prior sends, each neighbour still gets :meth:`send`'s
+        duplicate check, and the payload is sized once, before the first
+        copy is buffered.
         """
         if self._outbox is not None or self._sent_all:
+            bits = -1
             for neighbor in self.neighbors:
-                self.send(neighbor, payload)
+                if self._sent_all or neighbor in self._sent_to:
+                    raise self._twice(neighbor)
+                if bits < 0:
+                    bits = check_payload(payload, self._message_bits)
+                    if bits > self.max_bits:
+                        self.max_bits = bits
+                self._outbox.append((neighbor, payload))
+                self._sent_to.add(neighbor)
             return
         bits = check_payload(payload, self._message_bits)
         if bits > self.max_bits:
             self.max_bits = bits
         self._sent_all = True
         self._broadcast = payload
+
+    def _twice(self, neighbor: int) -> BandwidthViolation:
+        return BandwidthViolation(
+            f"node {self.node} sent twice to {neighbor} in round {self.round}",
+            node=self.node,
+            round=self.round,
+            edge=(self.node, neighbor),
+        )
 
     def _drain(self) -> Outbox:
         if self._sent_all:
@@ -331,6 +356,40 @@ class Algorithm(ABC):
         """Safety cap on solo running time (engine raises past this)."""
         return 4 * network.num_nodes + 16
 
+    def wave(self) -> Optional["Wave"]:
+        """This algorithm as a :class:`~repro.congest.wave.Wave`, or
+        ``None`` (the default) to step it through its programs.
+
+        A wave's copies run on a :class:`~repro.congest.wave.WaveGroup`,
+        which must step exactly as :meth:`make_program`'s programs do.
+        Override it only together with a differential against them.
+        """
+        return None
+
+
+def make_group(
+    algorithm: Algorithm,
+    nodes: Sequence[int],
+    network: Network,
+    master_seed: int,
+    tape_id: Any,
+    message_bits: Optional[int] = None,
+    limits: Optional[Mapping[int, int]] = None,
+    on_error: Optional[Callable[[int, Exception], None]] = None,
+    start_memo: Optional[Dict[int, int]] = None,
+) -> "StepGroup":
+    """The stepper of one copy of ``algorithm`` on ``nodes`` (arguments
+    as in :class:`HostGroup`): a wave group when the algorithm is a
+    :meth:`~Algorithm.wave` and no ``on_error`` asks for the confused
+    programs of the eager baseline, else a :class:`HostGroup`."""
+    wave = None if on_error is not None else algorithm.wave()
+    if wave is not None:
+        return wave.group(nodes, network, message_bits, limits)
+    return HostGroup(
+        algorithm, nodes, network, master_seed, tape_id, message_bits,
+        limits, on_error, start_memo,
+    )
+
 
 class _Promised:
     """What a dormant host knows of its program: it has not halted and
@@ -430,8 +489,9 @@ class ProgramHost:
 class HostGroup:
     """The hosts of one algorithm copy, stepped together.
 
-    The one stepper behind the solo simulator and every scheduler engine:
-    it owns host construction (tapes are ``ProgramHost.seed_for(
+    The object-path stepper behind the solo simulator and every scheduler
+    engine (:func:`make_group` picks it for every algorithm that is not a
+    wave): it owns host construction (tapes are ``ProgramHost.seed_for(
     master_seed, tape_id, node)``, materialised lazily), the set of hosts
     that may still act, and the :meth:`NodeProgram.idle_until` skipping;
     engines keep the scheduling decisions and the message transport.
@@ -481,6 +541,7 @@ class HostGroup:
         self._on_error = on_error
         self._start_memo = start_memo
         self._hosts: Optional[List[ProgramHost]] = None
+        self._position: Dict[int, int] = {}
 
     def start(self) -> Iterator[Tuple[int, Outbox]]:
         """Build the hosts and run every ``on_start``, yielding ``(node,
@@ -488,6 +549,7 @@ class HostGroup:
         :attr:`live` is valid once the iterator is exhausted."""
         if self._hosts is not None:
             raise RuntimeError("HostGroup.start called twice")
+        self._position = dict(zip(self.nodes, range(len(self.nodes))))
         memo = self._start_memo
         if memo is None:
             hosts = self._hosts = [
@@ -546,13 +608,13 @@ class HostGroup:
     def step(
         self,
         algo_round: int,
-        inbox_of: Callable[[int], Optional[Mapping[int, Any]]],
+        inboxes: Mapping[int, Mapping[int, Any]],
         crashed: Optional[Callable[[int], bool]] = None,
     ) -> Iterator[Tuple[int, Outbox]]:
         """Run algorithm-round ``algo_round``: one in-order pass over
         :attr:`live`, yielding ``(node, outbox)`` for each host that sent.
 
-        ``inbox_of(node)`` is the node's inbox (falsy when nothing
+        ``inboxes`` maps a node to its inbox (absent or falsy when nothing
         arrived). A host with an empty inbox whose program promised
         :meth:`~NodeProgram.idle_until` a later round is skipped outright;
         so is one for which ``crashed(node)`` holds (it stays live but
@@ -561,6 +623,7 @@ class HostGroup:
         """
         limits = self._limits
         on_error = self._on_error
+        inbox_of = inboxes.get
         kept: List[ProgramHost] = []
         keep = kept.append
         steps = 0
@@ -619,7 +682,7 @@ class HostGroup:
         a dormant slot is built first, the others stay as they are."""
         if self._hosts is None:
             return None
-        host = self._hosts[self.nodes.index(node)]
+        host = self._hosts[self._position[node]]
         if host.ctx is None:
             self._wake(host)
         return host.program.output()

@@ -40,8 +40,9 @@ from ..telemetry import NULL_RECORDER, Recorder
 from .message import default_message_bits
 from .network import Network
 from .pattern import CommunicationPattern
-from .program import Algorithm, HostGroup
+from .program import Algorithm, make_group
 from .trace import ExecutionTrace
+from .wave import WaveGroup
 
 __all__ = ["SoloRun", "Simulator", "solo_run"]
 
@@ -187,7 +188,7 @@ class Simulator:
     ) -> SoloRun:
         recorder = self.recorder
         network = self.network
-        group = HostGroup(
+        group = make_group(
             algorithm, network.nodes, network, seed, algorithm_id, self.message_bits
         )
 
@@ -254,7 +255,7 @@ class Simulator:
                     algorithm=algorithm.name,
                 )
             deliveries = channel.deliver(next_round)
-            for node, outbox in group.step(next_round, deliveries.get, crashed):
+            for node, outbox in group.step(next_round, deliveries, crashed):
                 push(node, outbox, next_round + 1)
             round_index = next_round
             if recorder.enabled:
@@ -271,6 +272,7 @@ class Simulator:
             recorder.counter("sim.messages", trace.num_messages)
             recorder.counter("sim.host_steps", group.host_steps)
             recorder.counter("sim.idle_skips", group.idle_skips)
+            recorder.counter("sim.wave_groups", isinstance(group, WaveGroup))
         return SoloRun(
             algorithm=algorithm,
             outputs=group.outputs(),

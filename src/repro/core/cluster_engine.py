@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..clustering.layers import Clustering
-from ..congest.program import HostGroup
+from ..congest.wave import StepGroup, WaveGroup
 from ..errors import CoverageError, ReproError, SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
@@ -125,8 +125,8 @@ class _Copy(NamedTuple):
     layer: int
     aid: int
     delay: int
-    #: The cluster members' hosts (enforces their truncation limits).
-    group: HostGroup
+    #: The cluster members' stepper (enforces their truncation limits).
+    group: StepGroup
     max_limit: int
 
 
@@ -359,8 +359,8 @@ def run_cluster_copies(
                 remaining -= 1
                 continue
             group = copy.group
-            inbox_of = pool.get((copy.aid, algo_round), _NO_INBOXES).get
-            for node, sends in group.step(algo_round, inbox_of, crashed):
+            inboxes = pool.get((copy.aid, algo_round), _NO_INBOXES)
+            for node, sends in group.step(algo_round, inboxes, crashed):
                 transmit(copy, node, sends, algo_round + 1, False)
             # Crash-stop is in logical time, so every copy agrees on it.
             if not group.finished(crashed):
@@ -409,6 +409,9 @@ def run_cluster_copies(
         recorder.counter("cluster.hosts_built", sum(g.hosts_built for g in groups))
         recorder.counter(
             "cluster.hosts_dormant", sum(g.hosts_dormant for g in groups)
+        )
+        recorder.counter(
+            "cluster.wave_groups", sum(isinstance(g, WaveGroup) for g in groups)
         )
 
     return ClusterExecution(

@@ -20,7 +20,7 @@ concurrency corrupts outputs, motivating the delay/cluster machinery.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Any, Dict, List
 
 from ..metrics.schedule import ScheduleReport
 from .base import ScheduleResult, Scheduler
@@ -85,15 +85,17 @@ class EagerScheduler(Scheduler):
             if delivered:
                 last_message_round = physical_round
 
-            # Every algorithm advances one round, ready or not.
+            mail: List[Dict[int, Dict[int, Any]]] = [{} for _ in groups]
+            for (aid, node), box in inboxes.items():
+                mail[aid][node] = box
+            # Every algorithm advances one round, ready or not; messages
+            # addressed to already-halted programs vanish.
             for aid, group in enumerate(groups):
-                for node, outbox in group.step(
-                    physical_round,
-                    lambda node: inboxes.pop((aid, node), None),
-                ):
+                delivered_late += len(mail[aid]) - sum(
+                    host.node in mail[aid] for host in group.live
+                )
+                for node, outbox in group.step(physical_round, mail[aid]):
                     channel.push(aid, node, outbox)
-            # Messages addressed to already-halted programs vanish.
-            delivered_late += len(inboxes)
 
         report = ScheduleReport(
             scheduler=self.name,

@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..congest.wave import WaveGroup
 from ..errors import SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
@@ -208,7 +209,7 @@ def run_delayed_phases(
             group = groups[aid]
             deliveries = channel.deliver(aid, phase)
             for node, outbox in group.step(
-                phase - delays[aid] + 1, deliveries.get, crashed
+                phase - delays[aid] + 1, deliveries, crashed
             ):
                 push(aid, node, outbox, next_phase, False)
             # (crash-stop counts as terminated for scheduling)
@@ -234,6 +235,9 @@ def run_delayed_phases(
         recorder.observe("phase.max_load", channel.max_load)
         recorder.counter("phase.host_steps", sum(g.host_steps for g in groups))
         recorder.counter("phase.idle_skips", sum(g.idle_skips for g in groups))
+        recorder.counter(
+            "phase.wave_groups", sum(isinstance(g, WaveGroup) for g in groups)
+        )
 
     return PhaseExecution(
         # (an algorithm truncated before its start phase reports None)

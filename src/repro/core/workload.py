@@ -26,8 +26,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..congest.message import default_message_bits
 from ..congest.network import Network
 from ..congest.pattern import CommunicationPattern
-from ..congest.program import Algorithm, HostGroup
+from ..congest.program import Algorithm, make_group
 from ..congest.simulator import Simulator, SoloRun
+from ..congest.wave import StepGroup
 from ..metrics.congestion import WorkloadParams, measure_params
 from ..parallel.cache import SoloRunCache, default_cache
 
@@ -37,7 +38,7 @@ __all__ = ["Workload", "OutputMap", "group_outputs"]
 OutputMap = Dict[Tuple[int, int], Any]
 
 
-def group_outputs(groups: Sequence[HostGroup]) -> OutputMap:
+def group_outputs(groups: Sequence[StepGroup]) -> OutputMap:
     """The outputs of ``groups[aid]`` for every aid (``None`` for every
     node of a group that never started)."""
     return {
@@ -143,17 +144,22 @@ class Workload:
         nodes: Optional[Sequence[int]] = None,
         limits: Optional[Dict[int, int]] = None,
         on_error: Optional[Callable[[int, Exception], None]] = None,
-    ) -> HostGroup:
-        """The hosts of one copy of algorithm ``aid`` on ``nodes`` (default:
-        all), drawing the tapes :meth:`tape_id` names; ``limits`` and
-        ``on_error`` as in :class:`~repro.congest.program.HostGroup`.
+    ) -> StepGroup:
+        """The stepper of one copy of algorithm ``aid`` on ``nodes``
+        (default: all), drawing the tapes :meth:`tape_id` names; ``limits``
+        and ``on_error`` as in :class:`~repro.congest.program.HostGroup`.
+
+        :func:`~repro.congest.program.make_group` picks it: a
+        :class:`~repro.congest.wave.WaveGroup` for a BFS or broadcast
+        (no per-node objects, no tapes, ``hosts_built`` 0) unless
+        ``on_error`` is given, a ``HostGroup`` otherwise.
 
         ``limits`` marks the group as one of the many truncated cluster
         copies of ``aid`` (Lemma 4.4), and only those share
         :meth:`start_memo`: an engine that starts each ``(aid, node)``
         once would fill a memo nobody reads.
         """
-        return HostGroup(
+        return make_group(
             self.algorithms[aid],
             self.network.nodes if nodes is None else nodes,
             self.network,

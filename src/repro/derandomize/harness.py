@@ -41,7 +41,8 @@ from ..clustering.layers import (
     extend_clustering,
 )
 from ..congest.network import Network
-from ..congest.program import Algorithm, HostGroup
+from ..congest.program import Algorithm, make_group
+from ..congest.wave import StepGroup
 from ..errors import CoverageError
 
 __all__ = ["BellagioResult", "run_with_private_randomness"]
@@ -152,7 +153,7 @@ def _run_layer(
     run_to_halt = set(needed)
     # One host group per cluster: its own algorithm instance (built from
     # the cluster's shared seed) and its own tape id.
-    groups: List[HostGroup] = []
+    groups: List[StepGroup] = []
     cap = 0
     for center, members in layer.clusters().items():
         shared_seed = cluster_seed_bits(seed, layer_index, center, seed_bits)
@@ -163,7 +164,7 @@ def _run_layer(
             v: hard_cap if v in run_to_halt else h_prime[v] for v in members
         }
         groups.append(
-            HostGroup(
+            make_group(
                 algorithm, members, network, seed,
                 ("bellagio", layer_index, center), limits=limits,
             )
@@ -192,9 +193,9 @@ def _run_layer(
         rounds_used += 1
         deliveries, pending = pending, {}
         for group in groups:
-            for v, sends in group.step(rounds_used, deliveries.get):
+            for v, sends in group.step(rounds_used, deliveries):
                 ship(v, sends, rounds_used + 1)
-        if not pending and not any(group.live for group in groups):
+        if not pending and all(group.finished() for group in groups):
             break
 
     layer_outputs: Dict[int, Any] = {}

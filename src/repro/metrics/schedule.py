@@ -57,6 +57,11 @@ ENGINE_COUNTERS = (
     # how many slots started as dormant placeholders.
     "cluster.hosts_built",
     "cluster.hosts_dormant",
+    # Stepper (see repro.congest.wave): how many algorithm copies each
+    # engine ran on a WaveGroup rather than on ProgramHosts.
+    "sim.wave_groups",
+    "phase.wave_groups",
+    "cluster.wave_groups",
 )
 
 

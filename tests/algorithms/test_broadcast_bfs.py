@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.algorithms import BFS, Flooding, HopBroadcast
 from repro.congest import solo_run, topology
+from repro.core import PrivateScheduler, RandomDelayScheduler, Workload
+from repro.telemetry import InMemoryRecorder
 
 
 class TestHopBroadcast:
@@ -97,3 +99,36 @@ def test_bfs_distance_property(source, seed):
     run = solo_run(net, BFS(source))
     truth = net.bfs_distances(source)
     assert {v: out[0] for v, out in run.outputs.items()} == truth
+
+
+@pytest.mark.parametrize(
+    "network",
+    [
+        topology.torus_graph(6, 7),
+        topology.grid_graph(5, 6),
+        topology.path_graph(11),
+        topology.binary_tree(4),
+    ],
+    ids=("torus", "grid", "path", "tree"),
+)
+@pytest.mark.parametrize("hops", [0, 1, 3, 64])
+def test_waves_meet_the_ground_truth(network, hops):
+    # As shipped, these run on wave groups (sim.wave_groups); solo and
+    # scheduled, every output is the graph's own answer.
+    source = network.num_nodes // 3
+    algorithms = [BFS(source, hops), HopBroadcast(source, "t", hops), Flooding(source, "f")]
+    for algorithm in algorithms:
+        recorder = InMemoryRecorder()
+        run = solo_run(network, algorithm, recorder=recorder)
+        assert recorder.snapshot()["counters"]["sim.wave_groups"] == 1
+        expected = algorithm.expected_outputs(network)
+        if isinstance(algorithm, BFS):
+            assert {v: out and out[0] for v, out in run.outputs.items()} == expected
+            for v, out in run.outputs.items():
+                if out is not None and v != source:
+                    assert network.has_edge(v, out[1]) and expected[out[1]] == out[0] - 1
+        else:
+            assert run.outputs == expected
+    workload = Workload(network, algorithms, solo_cache=None)
+    for scheduler in (RandomDelayScheduler(), PrivateScheduler()):
+        assert scheduler.run(workload, seed=5).correct

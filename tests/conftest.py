@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.algorithms import BFS, HopBroadcast
 from repro.congest import topology
+
+
+@pytest.fixture()
+def object_path(monkeypatch):
+    """Step BFS and HopBroadcast (hence Flooding) through their
+    ``NodeProgram`` objects instead of wave groups, for tests that check
+    what the programs and their hosts do."""
+    for family in (BFS, HopBroadcast):
+        monkeypatch.setattr(family, "wave", lambda self: None)
 
 
 @pytest.fixture(scope="session")

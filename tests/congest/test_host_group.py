@@ -88,12 +88,12 @@ class TestLifecycle:
         algorithm = _Waiters(deadline=2)
         group = _group(path4, algorithm)
         list(group.start())
-        list(group.step(1, {1: {0: "ping"}}.get))
+        list(group.step(1, {1: {0: "ping"}}))
         assert [host.node for host in group.live] == [1, 2, 3]
-        list(group.step(2, {}.get))
+        list(group.step(2, {}))
         assert group.live == []
         # a halted program is never called again
-        assert list(group.step(3, {1: {0: "late"}}.get)) == []
+        assert list(group.step(3, {1: {0: "late"}})) == []
         assert len(algorithm.programs[1].calls) == 2
 
 
@@ -102,17 +102,17 @@ class TestIdleSkipping:
         algorithm = _Waiters(deadline=4)
         group = _group(path4, algorithm)
         list(group.start())
-        sent = list(group.step(1, {1: {0: "ping"}}.get))
+        sent = list(group.step(1, {1: {0: "ping"}}))
         # only node 1 had mail: it alone ran, and it alone sent
         assert [node for node, _ in sent] == [1]
         assert algorithm.programs[1].calls == [(1, {0: "ping"})]
         assert algorithm.programs[2].calls == []
         assert (group.host_steps, group.idle_skips) == (1, 2)
-        list(group.step(2, {}.get))
-        list(group.step(3, {}.get))
+        list(group.step(2, {}))
+        list(group.step(3, {}))
         assert algorithm.programs[2].calls == []
         # the declared round itself is stepped, inbox or not
-        list(group.step(4, {}.get))
+        list(group.step(4, {}))
         assert algorithm.programs[2].calls == [(4, {})]
         assert group.live == []
         assert (group.host_steps, group.idle_skips) == (4, 8)
@@ -122,7 +122,7 @@ class TestIdleSkipping:
         group = _group(path4, algorithm)
         list(group.start())
         for algo_round in (1, 2, 3):
-            list(group.step(algo_round, {}.get))
+            list(group.step(algo_round, {}))
         assert [r for r, _ in algorithm.programs[3].calls] == [1, 2, 3]
         assert (group.host_steps, group.idle_skips) == (9, 0)
 
@@ -143,10 +143,10 @@ class TestIdleSkipping:
 
         group = HostGroup(Factory(), [1], path4, 0, 0)
         list(group.start())
-        list(group.step(1, {}.get))  # skipped
-        list(group.step(2, {1: {0: "wake"}}.get))  # woken, now eager
-        list(group.step(3, {}.get))  # stepped, idle again
-        list(group.step(4, {}.get))  # skipped
+        list(group.step(1, {}))  # skipped
+        list(group.step(2, {1: {0: "wake"}}))  # woken, now eager
+        list(group.step(3, {}))  # stepped, idle again
+        list(group.step(4, {}))  # skipped
         assert Redeclaring.calls == [2, 3]
 
 
@@ -157,9 +157,9 @@ class TestLimitsCrashesErrors:
         list(group.start())
         # limit 0 starts (its round-1 sends count) but never steps
         assert [host.node for host in group.live] == [2, 3]
-        list(group.step(1, {}.get))
+        list(group.step(1, {}))
         assert [host.node for host in group.live] == [3]
-        list(group.step(2, {}.get))
+        list(group.step(2, {}))
         assert group.live == []
         assert algorithm.programs[1].calls == []
         assert [r for r, _ in algorithm.programs[3].calls] == [1, 2]
@@ -167,9 +167,9 @@ class TestLimitsCrashesErrors:
     def test_idle_hosts_still_leave_at_their_limit(self, path4):
         group = _group(path4, _Waiters(deadline=9), limits=dict.fromkeys(range(4), 2))
         list(group.start())
-        list(group.step(1, {}.get))
+        list(group.step(1, {}))
         assert len(group.live) == 3
-        list(group.step(2, {}.get))
+        list(group.step(2, {}))
         assert group.live == []
         assert group.host_steps == 0
 
@@ -178,7 +178,7 @@ class TestLimitsCrashesErrors:
         group = _group(path4, algorithm)
         list(group.start())
         for algo_round in (1, 2, 3):
-            list(group.step(algo_round, {2: {1: "x"}}.get, crashed=lambda node: node == 2))
+            list(group.step(algo_round, {2: {1: "x"}}, crashed=lambda node: node == 2))
         assert [host.node for host in group.live] == [2]
         assert algorithm.programs[2].calls == []
 
@@ -195,12 +195,12 @@ class TestLimitsCrashesErrors:
         group = _group(path4, Factory())
         list(group.start())
         with pytest.raises(BandwidthViolation):
-            list(group.step(1, {}.get))
+            list(group.step(1, {}))
 
         errors = []
         group = _group(path4, Factory(), on_error=lambda node, exc: errors.append(node))
         list(group.start())
-        assert list(group.step(1, {}.get)) == []
+        assert list(group.step(1, {})) == []
         assert errors == [0, 1, 2, 3]
         assert len(group.live) == 4
 
@@ -242,7 +242,7 @@ class TestStartMemo:
         algorithm = _Waiters()
         group, _ = _second_copy(path4, algorithm)
         list(group.start())
-        sent = list(group.step(1, {1: {0: "ping"}}.get))
+        sent = list(group.step(1, {1: {0: "ping"}}))
         assert [(node, list(outbox)) for node, outbox in sent] == [
             (1, [(0, "pong"), (2, "pong")])
         ]
@@ -255,10 +255,10 @@ class TestStartMemo:
         algorithm = _Waiters(deadline=3)
         group, _ = _second_copy(path4, algorithm)
         list(group.start())
-        list(group.step(1, {}.get))
-        list(group.step(2, {}.get))
+        list(group.step(1, {}))
+        list(group.step(2, {}))
         assert group.hosts_built == 1
-        list(group.step(3, {}.get))
+        list(group.step(3, {}))
         assert [algorithm.programs[node].calls for node in (1, 2, 3)] == [[(3, {})]] * 3
         assert group.live == []
         assert (group.host_steps, group.idle_skips) == (3, 6)
@@ -270,9 +270,9 @@ class TestStartMemo:
         group, _ = _second_copy(path4, algorithm, limits=limits)
         list(group.start())
         assert [host.node for host in group.live] == [2, 3]
-        list(group.step(1, {}.get))
+        list(group.step(1, {}))
         assert [host.node for host in group.live] == [3]
-        list(group.step(2, {}.get))
+        list(group.step(2, {}))
         assert group.live == []
         assert list(algorithm.programs) == [0]
 
@@ -281,7 +281,7 @@ class TestStartMemo:
         group, _ = _second_copy(path4, algorithm)
         list(group.start())
         for algo_round in (1, 2, 3):
-            list(group.step(algo_round, {2: {1: "x"}}.get, crashed=lambda node: node == 2))
+            list(group.step(algo_round, {2: {1: "x"}}, crashed=lambda node: node == 2))
         assert [host.node for host in group.live] == [2]
         assert group.live[0].ctx is None
         assert 2 not in algorithm.programs
@@ -304,7 +304,7 @@ class TestStartMemo:
         for group in (plain, second):
             seen = [[(node, list(outbox)) for node, outbox in group.start()]]
             for algo_round, inboxes in enumerate(script, start=1):
-                sent = group.step(algo_round, inboxes.get)
+                sent = group.step(algo_round, inboxes)
                 seen.append([(node, list(outbox)) for node, outbox in sent])
                 seen.append([host.node for host in group.live])
             seen.append((group.host_steps, group.idle_skips, group.outputs()))
@@ -318,7 +318,7 @@ class TestStartMemo:
         group, _ = _second_copy(path4, algorithm)
         assert group.output(2) is None  # not started
         list(group.start())
-        list(group.step(1, {1: {0: "ping"}}.get))
+        list(group.step(1, {1: {0: "ping"}}))
         assert group.output(1) == 1  # built when it was stepped
         assert group.hosts_built == 2
         assert group.output(2) == 0
@@ -358,7 +358,7 @@ class TestStartMemo:
         group = HostGroup(Factory(), path4.nodes, path4, 0, "job-7", start_memo=memo)
         list(group.start())
         with pytest.raises(ReproError, match="on_start of algorithm 'job-7' at node 2") as info:
-            list(group.step(1, {2: {1: "x"}}.get))
+            list(group.step(1, {2: {1: "x"}}))
         assert info.value.context == {"algorithm": "job-7", "node": 2}
 
 

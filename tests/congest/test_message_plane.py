@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 
 from repro.algorithms import Flooding
 from repro.congest import message as message_module
+from repro.congest import program as program_module
 from repro.congest import topology
 from repro.congest.message import payload_bits
-from repro.congest.program import Algorithm, HostGroup, NodeProgram
+from repro.congest.program import Algorithm, HostGroup, NodeContext, NodeProgram
 from repro.congest.simulator import Simulator
 from repro.congest.trace import ExecutionTrace
 from repro.core import transport as transport_module
@@ -179,6 +180,23 @@ class TestOneSizePerMessage:
         )
         assert algorithm.sent
         assert counter.top_level == len(algorithm.sent)
+
+    def test_a_mixed_round_sizes_once_per_call(self, monkeypatch):
+        # send_all after a send checks every neighbour for a duplicate but
+        # sizes its payload once, not once per neighbour.
+        calls = []
+
+        def counting(payload, budget=None):
+            calls.append(payload)
+            return message_module.check_payload(payload, budget)
+
+        monkeypatch.setattr(program_module, "check_payload", counting)
+        ctx = NodeContext(0, topology.star_graph(5), 0, message_bits=64)
+        ctx.send(4, "one")
+        with pytest.raises(BandwidthViolation, match="node 0 sent twice to 4"):
+            ctx.send_all("all")
+        assert calls == ["one", "all"]
+        assert ctx._drain() == [(4, "one"), (1, "all"), (2, "all"), (3, "all")]
 
     def test_max_message_bits_is_the_senders_own_maximum(self):
         network = topology.torus_graph(4, 4)
@@ -395,7 +413,7 @@ class TestNothingLeftBehindAPush:
 
         def one_round(round_index):
             deliveries = channel.deliver(round_index)
-            for node, outbox in group.step(round_index, deliveries.get):
+            for node, outbox in group.step(round_index, deliveries):
                 channel.push(node, outbox, round_index + 1)
 
         for node, outbox in group.start():

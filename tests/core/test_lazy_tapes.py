@@ -22,8 +22,9 @@ from repro.derandomize import run_with_private_randomness
 
 
 @pytest.fixture()
-def groups(monkeypatch):
-    """Every :class:`HostGroup` the code under test builds."""
+def groups(monkeypatch, object_path):
+    """Every :class:`HostGroup` the code under test builds (BFS and
+    broadcast included: a wave group has no tapes to check)."""
     built = []
     init = HostGroup.__init__
 

@@ -4,10 +4,11 @@ Every recorded :class:`~repro.metrics.schedule.ScheduleReport` surfaces
 the well-known engine counters — ``sim.late_deliveries``,
 ``sim.skipped_rounds``, ``phase.skipped_phases``,
 ``cluster.skipped_rounds``, the stepping pair
-``<engine>.host_steps`` / ``<engine>.idle_skips`` and the cluster copies'
+``<engine>.host_steps`` / ``<engine>.idle_skips``, the cluster copies'
 materialisation pair ``cluster.hosts_built`` / ``cluster.hosts_dormant``
-— zero-filled when the engine didn't emit them, so downstream
-aggregation never special-cases which engine ran.
+and the stepper count ``<engine>.wave_groups`` — zero-filled when the
+engine didn't emit them, so downstream aggregation never special-cases
+which engine ran.
 """
 
 from unittest import mock
@@ -101,7 +102,7 @@ class TestSteppingCounters:
         [(RandomDelayScheduler, "phase"), (PrivateScheduler, "cluster")],
     )
     def test_only_the_engine_that_ran_reports(
-        self, workload, scheduler_factory, engine
+        self, workload, scheduler_factory, engine, object_path
     ):
         scheduler = scheduler_factory().with_recorder(InMemoryRecorder())
         engines = scheduler.run(workload, seed=1).report.engine_counters()
@@ -114,7 +115,7 @@ class TestSteppingCounters:
         assert (engines["cluster.hosts_built"] > 0) == (engine == "cluster")
         assert (engines["cluster.hosts_dormant"] > 0) == (engine == "cluster")
 
-    def test_a_dormant_slot_is_a_live_slot(self, workload):
+    def test_a_dormant_slot_is_a_live_slot(self, workload, object_path):
         # the start memo changes how many hosts are built, never how the
         # slots are counted: host_steps and idle_skips keep their values
         def engines():
@@ -143,3 +144,21 @@ class TestSteppingCounters:
         # node v halts in round v: 5 steps, and 4+3+2+1 idle waits
         assert counters["sim.host_steps"] == 5
         assert counters["sim.idle_skips"] == 10
+
+
+class TestWaveGroupCounters:
+    """``<engine>.wave_groups`` says which stepper ran each copy."""
+
+    @pytest.mark.parametrize(
+        "scheduler_factory, engine",
+        [(RandomDelayScheduler, "phase"), (PrivateScheduler, "cluster")],
+    )
+    def test_every_bfs_and_broadcast_copy_is_a_wave(
+        self, workload, scheduler_factory, engine
+    ):
+        scheduler = scheduler_factory().with_recorder(InMemoryRecorder())
+        report = scheduler.run(workload, seed=1).report
+        engines = report.engine_counters()
+        copies = report.notes.get("num_copies", workload.num_algorithms)
+        assert engines[f"{engine}.wave_groups"] == copies
+        assert engines["cluster.hosts_built"] == 0
