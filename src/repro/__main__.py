@@ -43,8 +43,9 @@ And the batch scheduling service (see ``docs/SERVICE.md``)::
     python -m repro serve  --dir DIR [--batch-size 8] [--budget R]
     python -m repro status --dir DIR [--job ID]
 
-``submit`` spools job specs into a service directory, ``serve`` drains
-the spool — batching compatible jobs into single scheduled executions
+``submit`` appends job specs to a service directory's spool log
+(``spool.jsonl``), ``serve`` drains the jobs it has not settled yet —
+batching compatible jobs into single scheduled executions
 and persisting results into the directory's content-addressed run
 registry (resubmitted specs are served from it without re-execution) —
 and ``status`` reports every job's lifecycle state at any time.
@@ -394,28 +395,6 @@ SERVICE_DIR = ".repro_service"
 SERVICE_SCHEDULERS = ("random-delay", "round-robin", "sequential", "private")
 
 
-def _service_scheduler(name: str):
-    from repro.core import (
-        PrivateScheduler,
-        RandomDelayScheduler,
-        RoundRobinScheduler,
-        SequentialScheduler,
-    )
-
-    return {
-        "random-delay": RandomDelayScheduler,
-        "round-robin": RoundRobinScheduler,
-        "sequential": SequentialScheduler,
-        "private": PrivateScheduler,
-    }[name]()
-
-
-def _spool_dir(base) -> "object":
-    from pathlib import Path
-
-    return Path(base) / "spool"
-
-
 def _read_state(base) -> dict:
     import json
     from pathlib import Path
@@ -426,79 +405,41 @@ def _read_state(base) -> dict:
     return json.loads(path.read_text())
 
 
-#: ``spool.seq`` is one fixed-width decimal line, so reserving ids is a
-#: single in-place write that never changes the file's length.
-_SEQ_WIDTH = 20
+def _last_state_id(base) -> int:
+    """The highest ``s<digits>`` id ``state.json`` records: 0 when none.
 
-
-def _last_spool_id(base) -> int:
-    """The highest id in use under ``base``, by scanning: 0 when none.
-
-    Ids continue across serve runs, so both the waiting spool files and
-    the already-served jobs recorded in ``state.json`` count.
+    Where ids start when the spool log holds none, so they keep
+    counting across serves even after the log is deleted.
     """
-    existing = {p.stem for p in _spool_dir(base).glob("s*.json")}
-    existing.update(_read_state(base).get("jobs", {}))
-    numbers = [int(sid[1:]) for sid in existing if sid[1:].isdigit()]
-    return max(numbers) if numbers else 0
-
-
-def _reserve_spool_ids(base, count: int) -> int:
-    """Reserve ``count`` spool ids; return the last id taken before them.
-
-    ``<base>/spool.seq`` holds the last id handed out. It is read and
-    advanced under an exclusive ``flock``, and fsynced before the lock
-    is released, so concurrent submits never share an id and a crash
-    can skip ids but not repeat one. A missing, empty or unreadable
-    counter (fresh directory, or one written by an older version) is
-    re-derived from the directory scan.
-    """
-    import fcntl
-
-    fd = os.open(os.path.join(base, "spool.seq"), os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        text = os.pread(fd, _SEQ_WIDTH, 0).strip()
-        last = int(text) if text.isdigit() else _last_spool_id(base)
-        os.pwrite(fd, b"%0*d\n" % (_SEQ_WIDTH, last + count), 0)
-        os.fsync(fd)
-    finally:
-        os.close(fd)  # also drops the lock
-    return last
+    numbers = [
+        int(key[1:])
+        for key in _read_state(base).get("jobs", {})
+        if key[:1] == "s" and key[1:].isdigit()
+    ]
+    return max(numbers, default=0)
 
 
 def _submit_cli(args) -> None:
-    import json
-
-    from repro._util import atomic_write_text
-    from repro.service import parse_algorithm, parse_network
+    from repro.service import parse_algorithm, parse_network, spool
 
     # Validate the specs before spooling anything.
     parse_algorithm(args.algo, network=parse_network(args.net))
-    spool = _spool_dir(args.dir)
-    spool.mkdir(parents=True, exist_ok=True)
-    last = _reserve_spool_ids(args.dir, args.count)
-    submitted = []
-    for offset in range(args.count):
-        spool_id = f"s{last + 1 + offset:04d}"
-        record = {
-            "id": spool_id,
-            "net": args.net,
-            "algo": args.algo,
-            "seed": args.seed,
-        }
-        # Atomic: a submit killed mid-write must not leave a torn spool
-        # file for the next serve to choke on.
-        atomic_write_text(
-            spool / f"{spool_id}.json", json.dumps(record, indent=2)
-        )
-        submitted.append(spool_id)
-    noun = "job" if len(submitted) == 1 else "jobs"
+    try:
+        spool.check_layout(args.dir)
+    except ValueError as exc:
+        raise SystemExit(f"submit: {exc}")
+    submitted = spool.append(
+        args.dir,
+        {"net": args.net, "algo": args.algo, "seed": args.seed},
+        args.count,
+        last_id=lambda: _last_state_id(args.dir),
+    )
+    log = os.path.join(args.dir, spool.SPOOL_LOG)
     print(
-        f"spooled {len(submitted)} {noun} "
-        f"[{submitted[0]}..{submitted[-1]}] into {spool}"
+        f"spooled {len(submitted)} jobs "
+        f"[{submitted[0]}..{submitted[-1]}] into {log}"
         if len(submitted) > 1
-        else f"spooled {submitted[0]} into {spool}"
+        else f"spooled {submitted[0]} into {log}"
     )
 
 
@@ -517,15 +458,18 @@ def _serve_cli(args) -> int:
         ShardedSchedulerService,
         parse_algorithm,
         parse_network,
+        parse_scheduler,
     )
+    from repro.service.journal import TERMINAL_RECORD_STATES
+    from repro.service.spool import SpoolReader, check_layout
 
     base = Path(args.dir)
-    spool = _spool_dir(base)
     follow = getattr(args, "follow", False)
 
     # Pre-flight without opening (and thus repairing) any journal:
     # unfinished jobs from a crashed serve belong to --resume.
     try:
+        check_layout(base)
         pending = ShardedSchedulerService.pending_jobs(base)
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}")
@@ -539,9 +483,17 @@ def _serve_cli(args) -> int:
         )
         return 1
     resuming = bool(pending) and getattr(args, "resume", False)
-    specs = sorted(spool.glob("s*.json")) if spool.exists() else []
-    if not specs and not resuming and not follow:
-        print(f"nothing to serve: no spooled jobs under {spool}")
+    state = _read_state(base)
+    # Lines whose key state.json holds a verdict for are settled.
+    settled = {
+        key
+        for key, entry in state["jobs"].items()
+        if entry.get("state") in TERMINAL_RECORD_STATES
+    }
+    reader = SpoolReader(base)
+    backlog = reader.read_new(settled=settled)
+    if not backlog and not resuming and not follow:
+        print(f"nothing to serve: no new jobs in {reader.path}")
         return 0
 
     policy = AdmissionPolicy(
@@ -551,7 +503,7 @@ def _serve_cli(args) -> int:
         park_over_depth=args.park,
     )
     kwargs = dict(
-        scheduler=_service_scheduler(args.scheduler),
+        scheduler=parse_scheduler(args.scheduler),
         batch_size=args.batch_size,
         policy=policy,
         # One pool for the whole serve: each drain wave maps batches
@@ -572,51 +524,40 @@ def _serve_cli(args) -> int:
         )
     else:
         service = ShardedSchedulerService(directory=base, **kwargs)
-    state = _read_state(base)
-    # Spool files already journaled by a crashed serve belong to
-    # recovery, not resubmission; everything else is submitted fresh.
-    seen_spools = set(service.journaled_spools())
+    # Records already journaled by a crashed serve belong to recovery,
+    # not resubmission; everything else unsettled is submitted fresh.
+    settled.update(service.journaled_spools())
     spool_of = {}
     # One Network per spec string for the life of the serve: the
     # topology is immutable, so every job naming it can share it.
     networks = {}
-    # Spool files this serve refused, stem -> reason. sync_state records
-    # them and, once state.json holds the verdict, removes the files.
+    # Spool lines this serve refused, key -> reason; sync_state records
+    # them in state.json.
     rejections = {}
 
-    def parse_record(text: str, stem: str):
-        record = json.loads(text)
-        if not isinstance(record, dict):
-            raise ValueError("spool record is not a JSON object")
-        missing = [key for key in ("id", "net", "algo") if key not in record]
-        if missing:
-            raise ValueError(f"spool record lacks {'/'.join(missing)}")
-        if record["id"] != stem:
-            raise ValueError(
-                f"spool record id {record['id']!r} does not match its file name"
-            )
+    def parse_record(record: dict):
         network = networks.get(record["net"])
         if network is None:
             network = networks[record["net"]] = parse_network(record["net"])
-        return record, network, parse_algorithm(record["algo"], network=network)
+        return network, parse_algorithm(record["algo"], network=network)
 
     def poll() -> int:
-        if not spool.exists():
-            return 0
+        # The reader hands out each line once, so queued, parked and
+        # refused records are never parsed again.
+        lines = backlog + reader.read_new(settled=settled)
+        backlog.clear()
         submitted = 0
-        # A file is read once: queued, parked and refused records are
-        # all known by their stem on every later poll.
-        new = (p for p in spool.glob("s*.json") if p.stem not in seen_spools)
-        for path in sorted(new):
+        for line in lines:
+            if line.key in settled:
+                continue  # journaled; the first read could not know
+            if line.error is not None:
+                rejections[line.key] = line.error
+                continue
+            record = line.record
             try:
-                text = path.read_text()
-            except FileNotFoundError:
-                continue  # gone since the glob
-            seen_spools.add(path.stem)
-            try:
-                record, network, algorithm = parse_record(text, path.stem)
+                network, algorithm = parse_record(record)
             except Exception as exc:  # one bad record must not end the serve
-                rejections[path.stem] = str(exc) or type(exc).__name__
+                rejections[line.key] = str(exc) or type(exc).__name__
                 continue
             job = service.submit(
                 network,
@@ -652,15 +593,11 @@ def _serve_cli(args) -> int:
             entry["seed"] = record.get("seed", 0)
             entry["repro_version"] = __version__
             state["jobs"][record["id"]] = entry
-            if job.terminal:
-                (spool / f"{record['id']}.json").unlink(missing_ok=True)
-        for stem, reason in rejections.items():
-            state["jobs"][stem] = {"state": "rejected", "reason": reason}
+        for key, reason in rejections.items():
+            state["jobs"][key] = {"state": "rejected", "reason": reason}
         state["version"] = __version__
         state["stats"] = service.stats()
         atomic_write_text(base / "state.json", json.dumps(state, indent=2))
-        for stem in rejections:
-            (spool / f"{stem}.json").unlink(missing_ok=True)
 
     def checkpoint() -> None:
         sync_state()
@@ -698,19 +635,26 @@ def _serve_cli(args) -> int:
             ]
         )
     rows.extend(
-        [stem, "?", "rejected", "-", reason] for stem, reason in rejections.items()
+        [key, "?", "rejected", "-", reason] for key, reason in rejections.items()
     )
     stats = service.stats()
 
     print(format_table(["job", "algorithm", "state", "served by", "note"], rows))
     quarantined = stats["jobs"].get("quarantined", 0)
     extra = f" / {quarantined} quarantined" if quarantined else ""
+    completion = stats.get("completion_rounds") or {}
+    rounds = (
+        f"; completion rounds mean {completion['mean']:.1f} / "
+        f"p90 {completion['p90']}"
+        if completion.get("count")
+        else ""
+    )
     print(
         f"\n{stats['jobs']['done']} done / {stats['jobs']['failed']} failed / "
         f"{stats['jobs']['rejected'] + len(rejections)} rejected / "
         f"{stats['jobs']['parked']} parked"
         f"{extra} in {stats['batches']} batches across "
-        f"{len(service.shards)} shard(s); registry {stats['registry']}"
+        f"{len(service.shards)} shard(s){rounds}; registry {stats['registry']}"
     )
     latency = stats.get("latency")
     if latency and latency["e2e_latency_s"]["count"]:
@@ -766,27 +710,31 @@ def _stats_snapshot(stats: dict) -> dict:
             histograms[f"service.{key}"] = latency[key]
     if latency:
         gauges["service.jobs_per_sec"] = latency.get("jobs_per_sec", 0.0)
+    completion = stats.get("completion_rounds")
+    if isinstance(completion, dict):
+        # Completion rounds are whole rounds, so mean × count is their sum.
+        histograms["service.completion_rounds"] = {
+            **completion,
+            "total": round(completion["mean"] * completion["count"]),
+        }
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
 def _status_cli(args) -> int:
     from repro.experiments import format_table
+    from repro.service.spool import SpoolReader
 
     state = _read_state(args.dir)
-    spool = _spool_dir(args.dir)
     jobs = dict(state.get("jobs", {}))
-    if spool.exists():
-        import json
-
-        for path in sorted(spool.glob("s*.json")):
-            try:
-                record = json.loads(path.read_text())
-            except FileNotFoundError:
-                continue  # served and unlinked since the glob
-            jobs.setdefault(
-                record["id"],
-                {"state": "spooled", "algo": record["algo"], "net": record["net"]},
-            )
+    # Lines serve has not recorded yet, under the key and reason it would.
+    for line in SpoolReader(args.dir).read_new(settled=set(jobs)):
+        if line.error is not None:
+            jobs[line.key] = {"state": "rejected", "reason": line.error}
+        else:
+            record = line.record
+            jobs[line.key] = {
+                "state": "spooled", "algo": record["algo"], "net": record["net"]
+            }
     if getattr(args, "json", False):
         import json
 

@@ -20,8 +20,8 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
 
     The replacement is fully written and fsynced before the rename, so
     a crash at any instruction leaves either the old file or the
-    complete new one — never a torn half-write. Used for every spool
-    metadata file the service CLI persists (``state.json``, ``s*.json``).
+    complete new one — never a torn half-write. Used for the service
+    CLI's ``state.json``, journal compaction and fuzz corpus entries.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import SERVICE_SCHEDULERS, main
+from repro.service import parse_scheduler
+from repro.service.journal import _frame
+from repro.service.spool import SPOOL_LOG, SpoolReader
+
+
+def _spooled(base):
+    return [line.key for line in SpoolReader(base).read_new()]
 
 
 def _run(capsys, *argv):
@@ -36,13 +43,17 @@ class TestSubmit:
             "--algo", "bfs:source=0,hops=3",
         )
         assert code == 0 and "spooled s0001" in out
-        record = json.loads((tmp_path / "spool" / "s0001.json").read_text())
-        assert record == {
+        record = {
             "id": "s0001",
             "net": "grid:4x4",
             "algo": "bfs:source=0,hops=3",
             "seed": 0,
         }
+        log = (tmp_path / SPOOL_LOG).read_text()
+        assert log == _frame(record) + "\n"
+        assert [line.record for line in SpoolReader(tmp_path).read_new()] == [
+            record
+        ]
 
     def test_submit_count_allocates_sequential_ids(self, tmp_path, capsys):
         _run(
@@ -51,8 +62,7 @@ class TestSubmit:
             "--net", "path:6", "--algo", "bfs:source=0,hops=2",
             "--count", "3",
         )
-        stems = sorted(p.stem for p in (tmp_path / "spool").glob("*.json"))
-        assert stems == ["s0001", "s0002", "s0003"]
+        assert _spooled(tmp_path) == ["s0001", "s0002", "s0003"]
 
     def test_bad_spec_rejected_before_spooling(self, tmp_path, capsys):
         with pytest.raises(ValueError):
@@ -60,7 +70,7 @@ class TestSubmit:
                 "submit", "--dir", str(tmp_path),
                 "--net", "blob:9", "--algo", "bfs:source=0,hops=2",
             ])
-        assert not (tmp_path / "spool").exists()
+        assert not (tmp_path / SPOOL_LOG).exists()
 
 
 class TestServeAndStatus:
@@ -80,8 +90,8 @@ class TestServeAndStatus:
         assert code == 0
         assert "4 done / 0 failed" in out
         assert "in 1 batches" in out  # all four jobs share one network
-        # terminal jobs leave the spool; results persist in state.json
-        assert list((tmp_path / "spool").glob("*.json")) == []
+        # the log is left as written; results persist in state.json
+        assert _spooled(tmp_path) == ["s0001", "s0002", "s0003", "s0004"]
         state = json.loads((tmp_path / "state.json").read_text())
         assert set(state["jobs"]) == {"s0001", "s0002", "s0003", "s0004"}
         assert all(e["state"] == "done" for e in state["jobs"].values())
@@ -129,14 +139,28 @@ class TestServeAndStatus:
         code, out = _run(capsys, "serve", "--dir", str(tmp_path))
         assert code == 1 and "--resume" in out
         # Resuming without the tight budget re-runs admission: the job
-        # is admitted, drained, and leaves the spool like any other.
+        # is admitted, drained, and settled like any other.
         code, out = _run(capsys, "serve", "--dir", str(tmp_path), "--resume")
         assert code == 0 and "1 done" in out
         code, out = _run(
             capsys, "status", "--dir", str(tmp_path), "--job", "s0001"
         )
         assert code == 0 and "state: done" in out
-        assert list((tmp_path / "spool").glob("*.json")) == []
+        code, out = _run(capsys, "serve", "--dir", str(tmp_path))
+        assert code == 0 and "nothing to serve" in out
+
+    @pytest.mark.parametrize("name", SERVICE_SCHEDULERS)
+    def test_every_scheduler_choice_runs_its_scheduler(
+        self, tmp_path, capsys, name
+    ):
+        self._spool(capsys, tmp_path, "bfs:source=0,hops=2", count=2)
+        code, out = _run(
+            capsys, "serve", "--dir", str(tmp_path), "--scheduler", name
+        )
+        assert code == 0 and "2 done" in out
+        state = json.loads((tmp_path / "state.json").read_text())
+        ran = {entry["scheduler"] for entry in state["jobs"].values()}
+        assert ran == {parse_scheduler(name).name}
 
     def test_serve_empty_spool_is_a_noop(self, tmp_path, capsys):
         code, out = _run(capsys, "serve", "--dir", str(tmp_path))
@@ -204,6 +228,43 @@ class TestObservabilityCli:
         assert "# TYPE repro_service_e2e_latency_s summary" in out
         assert 'repro_service_e2e_latency_s{quantile="0.99"}' in out
         assert "repro_service_jobs_per_sec" in out
+
+    def test_serve_summary_prints_completion_rounds(self, tmp_path, capsys):
+        code, out = self._serve(capsys, tmp_path)
+        assert code == 0
+        state = json.loads((tmp_path / "state.json").read_text())
+        completion = state["stats"]["completion_rounds"]
+        assert completion["count"] == 3
+        summary = next(line for line in out.splitlines() if " done / " in line)
+        assert (
+            f"completion rounds mean {completion['mean']:.1f} / "
+            f"p90 {completion['p90']};" in summary
+        )
+        # All from the registry: nothing executed, nothing to report.
+        _run(
+            capsys,
+            "submit", "--dir", str(tmp_path),
+            "--net", "grid:4x4", "--algo", "bfs:source=0,hops=3",
+        )
+        code, out = _run(capsys, "serve", "--dir", str(tmp_path))
+        assert code == 0 and "registry" in out
+        assert "completion rounds" not in out
+
+    def test_status_metrics_completion_rounds_summary(self, tmp_path, capsys):
+        self._serve(capsys, tmp_path)
+        completion = json.loads((tmp_path / "state.json").read_text())["stats"][
+            "completion_rounds"
+        ]
+        code, out = _run(capsys, "status", "--dir", str(tmp_path), "--metrics")
+        assert code == 0
+        assert "# TYPE repro_service_completion_rounds summary" in out
+        assert (
+            f'repro_service_completion_rounds{{quantile="0.9"}} '
+            f"{completion['p90']}\n" in out
+        )
+        assert "repro_service_completion_rounds_count 3\n" in out
+        total = round(completion["mean"] * 3)
+        assert f"repro_service_completion_rounds_sum {total}\n" in out
 
     def test_status_metrics_without_stats(self, tmp_path, capsys):
         code, out = _run(capsys, "status", "--dir", str(tmp_path), "--metrics")
@@ -282,8 +343,9 @@ class TestCrashRecoveryCli:
         assert all(
             entry["state"] == "done" for entry in payload["jobs"].values()
         )
-        # terminal jobs left the spool on resume, same as a clean serve
-        assert list((tmp_path / "spool").glob("*.json")) == []
+        # terminal jobs are settled on resume, same as a clean serve
+        code, out = _run(capsys, "serve", "--dir", str(tmp_path))
+        assert code == 0 and "nothing to serve" in out
 
     def test_resume_after_acknowledged_completion_hits_registry(
         self, tmp_path, capsys
@@ -313,10 +375,10 @@ class TestCrashRecoveryCli:
         assert out.split() == list(CRASH_POINTS)
 
     def test_submit_spool_files_written_atomically(self, tmp_path, capsys):
-        # No temp debris next to the spool records.
+        # One log, every line whole and framed, no temp debris beside it.
         self._spool(capsys, tmp_path, 3)
-        leftovers = [
-            p for p in (tmp_path / "spool").iterdir()
-            if not p.name.endswith(".json")
-        ]
-        assert leftovers == []
+        self._spool(capsys, tmp_path, 2)
+        assert [p.name for p in tmp_path.iterdir()] == [SPOOL_LOG]
+        assert (tmp_path / SPOOL_LOG).read_bytes().endswith(b"\n")
+        lines = SpoolReader(tmp_path).read_new()
+        assert [line.error for line in lines] == [None] * 5
