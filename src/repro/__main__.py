@@ -720,6 +720,10 @@ def _stats_snapshot(stats: dict) -> dict:
     return {"counters": counters, "gauges": gauges, "histograms": histograms}
 
 
+#: Job states that make ``status`` exit 1, as they make ``serve`` do.
+_FAILED = ("failed", "quarantined")
+
+
 def _status_cli(args) -> int:
     from repro.experiments import format_table
     from repro.service.spool import SpoolReader
@@ -745,8 +749,7 @@ def _status_cli(args) -> int:
             "stats": state.get("stats"),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        failed = sum(1 for e in jobs.values() if e.get("state") == "failed")
-        return 1 if failed else 0
+        return 1 if any(e.get("state") in _FAILED for e in jobs.values()) else 0
     if getattr(args, "metrics", False):
         from repro.telemetry import prometheus_text
 
@@ -763,7 +766,7 @@ def _status_cli(args) -> int:
             return 1
         for key, value in sorted(entry.items()):
             print(f"{key}: {value}")
-        return 1 if entry.get("state") == "failed" else 0
+        return 1 if entry.get("state") in _FAILED else 0
     if not jobs:
         print(f"no jobs known under {args.dir}")
         return 0
@@ -778,9 +781,13 @@ def _status_cli(args) -> int:
         for spool_id, entry in sorted(jobs.items())
     ]
     print(format_table(["job", "algorithm", "state", "registry", "note"], rows))
-    failed = sum(1 for e in jobs.values() if e.get("state") == "failed")
-    if failed:
-        print(f"\n{failed} job(s) failed")
+    failures = [
+        f"{count} job(s) {name}"
+        for name in _FAILED
+        if (count := sum(e.get("state") == name for e in jobs.values()))
+    ]
+    if failures:
+        print("\n" + " / ".join(failures))
         return 1
     return 0
 

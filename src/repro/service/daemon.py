@@ -52,7 +52,8 @@ class ServeLoop:
         in production, a stub in tests.
     poll:
         Called once per iteration to ingest new work (the CLI submits
-        new spool files here); returns how many jobs it submitted.
+        the spool log's new lines here); returns how many jobs it
+        submitted.
         ``None`` polls nothing.
     checkpoint:
         Called on the ``checkpoint_every`` cadence and once after the

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..telemetry.metrics import HistogramStats
+from .jobs import TERMINAL_STATES, TRANSITIONS
 
 __all__ = [
     "AppendLog",
@@ -53,23 +54,13 @@ __all__ = [
     "TERMINAL_KINDS",
 ]
 
-#: Every event kind the service emits, in rough lifecycle order.
-EVENT_KINDS = (
-    "submitted",
-    "admitted",
-    "parked",
-    "released",
-    "rejected",
-    "batched",
-    "retried",
-    "recovered",
-    "done",
-    "failed",
-    "quarantined",
-)
+#: Every event kind the service emits: one per lifecycle transition,
+#: plus the steps no journal transition record covers.
+EVENT_KINDS = ("submitted", "batched", "retried", "recovered", *TRANSITIONS)
 
-#: Kinds that end a job's lifecycle (close its end-to-end latency).
-TERMINAL_KINDS = frozenset({"done", "failed", "rejected", "quarantined"})
+#: Kinds that end a job's lifecycle (close its end-to-end latency): the
+#: values of :data:`repro.service.jobs.TERMINAL_STATES`.
+TERMINAL_KINDS = frozenset(state.value for state in TERMINAL_STATES)
 
 #: Durability policies of every :class:`AppendLog` (the event log and
 #: :class:`~repro.service.journal.JobJournal`): ``"always"`` flushes and
@@ -352,9 +343,7 @@ class LatencyAccumulator:
     queue_hist: HistogramStats = field(default_factory=HistogramStats)
     e2e_hist: HistogramStats = field(default_factory=HistogramStats)
     terminals: Dict[str, int] = field(
-        default_factory=lambda: {
-            kind: 0 for kind in ("done", "failed", "quarantined", "rejected")
-        }
+        default_factory=lambda: dict.fromkeys(sorted(TERMINAL_KINDS), 0)
     )
     #: ``completion round -> done jobs`` (the ``completion_round`` a
     #: ``done`` event of an executed job carries); exact, and merged by

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .._util import stable_digest
 from ..congest.network import Network
@@ -89,6 +89,23 @@ class JobState(str, Enum):
 TERMINAL_STATES = frozenset(
     {JobState.REJECTED, JobState.DONE, JobState.FAILED, JobState.QUARANTINED}
 )
+
+#: The job lifecycle: every journal record kind that moves a job, the
+#: state it moves the job to, and the ``service.*`` recorder counter the
+#: move bumps (``None``: uncounted). The live service applies it in
+#: :meth:`~repro.service.service.SchedulerService._transition`, journal
+#: replay in :meth:`~repro.service.journal.JournalState.apply`. The
+#: ``submit`` and ``batch`` records are not here: they create a job and
+#: a batch rather than move one.
+TRANSITIONS: Dict[str, Tuple[JobState, Optional[str]]] = {
+    "admitted": (JobState.QUEUED, "service.admitted"),
+    "parked": (JobState.PARKED, "service.parked"),
+    "released": (JobState.QUEUED, None),
+    "rejected": (JobState.REJECTED, "service.rejected"),
+    "done": (JobState.DONE, "service.jobs_done"),
+    "failed": (JobState.FAILED, "service.jobs_failed"),
+    "quarantined": (JobState.QUARANTINED, "service.quarantined"),
+}
 
 
 @dataclass

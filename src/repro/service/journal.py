@@ -37,7 +37,7 @@ loss bound holds per crash, not per journal lifetime).
 
 Trust model
 -----------
-The journal lives beside the spool directory and registry and shares
+The journal lives beside the spool log and registry and shares
 their trust boundary: recovery unpickles ``submit`` payloads
 (:func:`decode_job_payload`), so a journal must only ever be replayed
 if it was written by the local service. The CRC framing defends
@@ -78,6 +78,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .._util import atomic_write_text
 from .events import FSYNC_POLICIES, AppendLog
+from .jobs import TERMINAL_STATES, TRANSITIONS
 
 __all__ = [
     "JobJournal",
@@ -89,23 +90,13 @@ __all__ = [
     "read_journal",
 ]
 
-#: Every record kind the journal accepts, in rough lifecycle order.
-RECORD_KINDS = (
-    "submit",
-    "admitted",
-    "parked",
-    "released",
-    "rejected",
-    "batch",
-    "done",
-    "failed",
-    "quarantined",
-    "checkpoint",
-)
+#: Every record kind the journal accepts: the two that create a job and
+#: a batch, the lifecycle transitions, and compaction.
+RECORD_KINDS = ("submit", "batch", *TRANSITIONS, "checkpoint")
 
-#: Replayed job states no later record may change (mirrors
-#: :data:`repro.service.jobs.TERMINAL_STATES` plus the dead-letter).
-TERMINAL_RECORD_STATES = frozenset({"done", "failed", "rejected", "quarantined"})
+#: Replayed job states no later record may change: the values of
+#: :data:`repro.service.jobs.TERMINAL_STATES`.
+TERMINAL_RECORD_STATES = frozenset(state.value for state in TERMINAL_STATES)
 
 _JOB_NUMBER = re.compile(r"^j(\d+)$")
 _BATCH_NUMBER = re.compile(r"^b(\d+)$")
@@ -257,20 +248,14 @@ class JournalState:
                     entry["state"] = "batched"
                     entry["batch"] = record.get("batch")
                     entry["batch_attempts"] += 1
-        elif kind in ("admitted", "parked", "released", "rejected",
-                      "done", "failed", "quarantined"):
+        elif kind in TRANSITIONS:
             entry = self.jobs.get(record.get("job"))
-            if entry is None or entry["state"] in TERMINAL_RECORD_STATES:
-                self.applied += 1
-                return
-            entry["state"] = {
-                "admitted": "queued",
-                "released": "queued",
-            }.get(kind, kind)
-            if record.get("reason"):
-                entry["reason"] = record["reason"]
-            if kind == "done":
-                entry["from_registry"] = bool(record.get("from_registry"))
+            if entry is not None and entry["state"] not in TERMINAL_RECORD_STATES:
+                entry["state"] = TRANSITIONS[kind][0].value
+                if record.get("reason"):
+                    entry["reason"] = record["reason"]
+                if kind == "done":
+                    entry["from_registry"] = bool(record.get("from_registry"))
         self.applied += 1
 
     # ------------------------------------------------------------------

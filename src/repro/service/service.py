@@ -88,7 +88,7 @@ from ..parallel.runner import ParallelRunner
 from ..telemetry import NULL_RECORDER, Recorder
 from .admission import AdmissionPolicy
 from .events import EventLog, LatencyAccumulator
-from .jobs import Job, JobResult, JobState, job_fingerprint
+from .jobs import TRANSITIONS, Job, JobResult, JobState, job_fingerprint
 from .journal import (
     TERMINAL_RECORD_STATES,
     JobJournal,
@@ -373,6 +373,28 @@ def _provenance(job: Job) -> Dict[str, Any]:
     }
 
 
+def _tape_id(fingerprint: Optional[str], job_id: str) -> str:
+    """The tape identity salted into a job's random tapes: stable across
+    resubmissions, or per job id when the job is unaddressable."""
+    return f"job:{fingerprint[:24]}" if fingerprint else f"job-anon:{job_id}"
+
+
+def _artifact_result(
+    artifact: RunArtifact, completion_round: Optional[int] = None
+) -> JobResult:
+    """A job's result as its artifact holds it: served from the registry,
+    or fresh from the execution that finished by ``completion_round``."""
+    return JobResult(
+        outputs=dict(artifact.outputs),
+        solo_rounds=artifact.solo_rounds,
+        scheduler=artifact.scheduler,
+        batch_size=artifact.batch_size,
+        from_registry=completion_round is None,
+        version=artifact.version,
+        completion_round=completion_round,
+    )
+
+
 class SchedulerService:
     """Accepts jobs, batches them, executes, and persists results.
 
@@ -516,10 +538,70 @@ class SchedulerService:
             self.queue._counter = journal.state.last_job
             self._batch_counter = journal.state.last_batch
 
-    def _journal(self, kind: str, **fields: Any) -> None:
-        """Append one WAL record; no-op for journal-less services."""
-        if self.journal is not None:
-            self.journal.append(kind, **fields)
+    def _transition(
+        self,
+        job: Job,
+        kind: str,
+        reason: Optional[str] = None,
+        record: Optional[Dict[str, Any]] = None,
+        pre: Optional[str] = None,
+        post: Optional[str] = None,
+        batch: Optional[str] = None,
+        counted: bool = True,
+        replayed: bool = False,
+        **attrs: Any,
+    ) -> None:
+        """Move ``job`` by the lifecycle record ``kind`` (a key of
+        :data:`~repro.service.jobs.TRANSITIONS`): the only code that
+        journals, applies, counts and announces a transition.
+
+        Write-ahead: the record (``job``, ``reason`` when given, and
+        ``record``) is appended between the site's crash points ``pre``
+        and ``post`` before the job moves. The event carries ``batch``,
+        a non-empty ``reason`` and ``attrs``. A ``replayed`` transition
+        is already journaled: the job moves, and that is all. Every
+        transition bumps its kind's counter but a registry hit at
+        :meth:`submit` (``counted=False``: the registry counts it).
+        """
+        state, counter = TRANSITIONS[kind]
+        if self.journal is not None and not replayed:
+            if pre is not None:
+                crash_point(pre)
+            if reason is not None:
+                record = {"reason": reason, **(record or {})}
+            self.journal.append(kind, job=job.job_id, **(record or {}))
+            if post is not None:
+                crash_point(post)
+        if self.queue.jobs.get(job.job_id) is not job:
+            job.state = state
+            job.reason = reason or job.reason
+            self.queue.add(job)
+        elif state is JobState.QUEUED:
+            self.queue.requeue(job)
+        else:
+            job.transition(state, reason=reason or "")
+        if replayed:
+            return
+        if counted and counter is not None and self.recorder.enabled:
+            self.recorder.counter(counter)
+        if reason:
+            attrs = {"reason": reason, **attrs}
+        self._emit(kind, job, batch, **attrs)
+
+    def _emit(
+        self, kind: str, job: Job, batch: Optional[str] = None, **attrs: Any
+    ) -> None:
+        """Log one lifecycle event of ``job``, stamped with its
+        fingerprint and the queue depth now."""
+        if self.events is not None:
+            self.events.emit(
+                kind,
+                job.job_id,
+                fingerprint=job.fingerprint,
+                batch=batch,
+                queue_depth=self.queue.depth,
+                **attrs,
+            )
 
     # ------------------------------------------------------------------
     # submission
@@ -547,19 +629,12 @@ class SchedulerService:
         """
         if self._closed:
             raise ServiceClosed("service has been shut down")
-        recorder = self.recorder
-        events = self.events
         if message_bits == -1:
             message_bits = default_message_bits(network.num_nodes)
         fingerprint = job_fingerprint(
             network, algorithm, master_seed, message_bits
         )
         job_id = self.queue.new_job_id()
-        tape_id = (
-            f"job:{fingerprint[:24]}"
-            if fingerprint is not None
-            else f"job-anon:{job_id}"
-        )
         job = Job(
             job_id=job_id,
             network=network,
@@ -567,7 +642,7 @@ class SchedulerService:
             master_seed=master_seed,
             message_bits=message_bits,
             fingerprint=fingerprint,
-            tape_id=tape_id,
+            tape_id=_tape_id(fingerprint, job_id),
         )
         if spec is not None:
             if "id" in spec:
@@ -595,94 +670,50 @@ class SchedulerService:
                 spool=job.meta.get("spool"),
             )
             crash_point("submit.post_journal")
-        if recorder.enabled:
-            recorder.counter("service.submitted")
-        if events is not None:
-            events.emit(
-                "submitted",
-                job.job_id,
-                fingerprint=fingerprint,
-                queue_depth=self.queue.depth,
-            )
+        if self.recorder.enabled:
+            self.recorder.counter("service.submitted")
+        self._emit("submitted", job)
 
         artifact = self.registry.get(fingerprint)
         if artifact is not None:
-            self._journal("done", job=job_id, from_registry=True)
-            job.state = JobState.DONE
-            job.result = JobResult(
-                outputs=dict(artifact.outputs),
-                solo_rounds=artifact.solo_rounds,
-                scheduler=artifact.scheduler,
-                batch_size=artifact.batch_size,
+            job.result = _artifact_result(artifact)
+            self._transition(
+                job,
+                "done",
+                record={"from_registry": True},
+                counted=False,
                 from_registry=True,
-                version=artifact.version,
             )
-            self.queue.add(job)
-            if events is not None:
-                events.emit(
-                    "done",
-                    job.job_id,
-                    fingerprint=fingerprint,
-                    queue_depth=self.queue.depth,
-                    from_registry=True,
-                )
             return job
 
-        probe = self._probe(job)
-        job.params = measure_params([probe])
-        decision = self.policy.check(
-            job.params, self._admission_backlog(), shard_depth=self.queue.backlog
-        )
-        self._admit(job, decision)
+        job.params = measure_params([self._probe(job)])
+        self._admit(job)
         self._gauge_depth()
         return job
 
-    def _admission_backlog(self) -> int:
-        """Queue depth the *global* admission gate judges against."""
-        if self._total_backlog is not None:
-            return self._total_backlog()
-        return self.queue.backlog
+    def _admit(self, job: Job) -> None:
+        """Journal and apply the admission policy's decision on ``job``.
 
-    def _admit(self, job: Job, decision) -> None:
-        """Journal and apply one admission decision (WAL order)."""
-        recorder = self.recorder
+        The global queue-depth gate judges the backlog across every
+        shard, the per-shard gate this queue's.
+        """
+        backlog = self.queue.backlog
+        decision = self.policy.check(
+            job.params,
+            backlog if self._total_backlog is None else self._total_backlog(),
+            shard_depth=backlog,
+        )
         if decision.admitted:
-            self._journal("admitted", job=job.job_id)
-            crash_point("admission.post_journal")
-            job.state = JobState.QUEUED
-            if recorder.enabled:
-                recorder.counter("service.admitted")
-        elif decision.action == "park":
-            self._journal("parked", job=job.job_id, reason=decision.reason)
-            crash_point("admission.post_journal")
-            job.state = JobState.PARKED
-            job.reason = decision.reason
-            if decision.cause:
-                job.meta["park_cause"] = decision.cause
-            if recorder.enabled:
-                recorder.counter("service.parked")
-        else:
-            self._journal("rejected", job=job.job_id, reason=decision.reason)
-            crash_point("admission.post_journal")
-            job.state = JobState.REJECTED
-            job.reason = decision.reason
-            if recorder.enabled:
-                recorder.counter("service.rejected")
-        self.queue.add(job)
-        if self.events is not None:
-            kind = {
-                JobState.QUEUED: "admitted",
-                JobState.PARKED: "parked",
-                JobState.REJECTED: "rejected",
-            }[job.state]
-            attrs = {"reason": job.reason} if job.reason else {}
-            self.events.emit(
-                kind,
-                job.job_id,
-                fingerprint=job.fingerprint,
-                queue_depth=self.queue.depth,
-                **attrs,
-            )
+            self._transition(job, "admitted", post="admission.post_journal")
+            return
+        if decision.action == "park" and decision.cause:
+            job.meta["park_cause"] = decision.cause
+        self._transition(
+            job,
+            "parked" if decision.action == "park" else "rejected",
+            decision.reason,
+            post="admission.post_journal",
+        )
 
     def submit_many(
         self,
@@ -752,17 +783,8 @@ class SchedulerService:
             # WAL order like every other transition: the record lands
             # before parked→queued is applied, so a crash here recovers
             # the job as queued instead of silently re-parking it.
-            self._journal("released", job=job.job_id)
-            crash_point("release.post_journal")
-            self.queue.requeue(job)
+            self._transition(job, "released", post="release.post_journal")
             released.append(job)
-            if self.events is not None:
-                self.events.emit(
-                    "released",
-                    job.job_id,
-                    fingerprint=job.fingerprint,
-                    queue_depth=self.queue.depth,
-                )
         self._gauge_depth()
         return released
 
@@ -788,32 +810,29 @@ class SchedulerService:
                 jobs=[job.job_id for job in batch],
             )
             crash_point("batch.post_journal")
-        workload = Workload(
-            batch[0].network,
-            [job.algorithm for job in batch],
-            master_seed=batch[0].master_seed,
-            message_bits=batch[0].message_bits,
-            solo_cache=self.solo_cache,
-            algorithm_ids=[job.tape_id for job in batch],
-            transport=self.transport,
-        )
+        workload = self._workload(batch)
         for job in batch:
             job.transition(JobState.BATCHED)
             job.meta["batch"] = batch_id
-            if self.events is not None:
-                self.events.emit(
-                    "batched",
-                    job.job_id,
-                    fingerprint=job.fingerprint,
-                    batch=batch_id,
-                    queue_depth=self.queue.depth,
-                    batch_jobs=len(batch),
-                )
+            self._emit("batched", job, batch_id, batch_jobs=len(batch))
         if self.recorder.enabled:
             self.recorder.counter("service.batches")
             self.recorder.observe("service.batch_size", len(batch))
         self._gauge_depth()
         return batch_id, batch, workload
+
+    def _workload(self, jobs: List[Job]) -> Workload:
+        """One execution of mutually compatible ``jobs``, each job under
+        its own tape identity."""
+        return Workload(
+            jobs[0].network,
+            [job.algorithm for job in jobs],
+            master_seed=jobs[0].master_seed,
+            message_bits=jobs[0].message_bits,
+            solo_cache=self.solo_cache,
+            algorithm_ids=[job.tape_id for job in jobs],
+            transport=self.transport,
+        )
 
     def _batch_scheduler(self, for_pickle: bool = False) -> Scheduler:
         scheduler = copy.copy(self.scheduler)
@@ -835,11 +854,9 @@ class SchedulerService:
         with self.recorder.span(
             "service.batch", category="service", batch=batch_id, jobs=len(batch)
         ):
-            start = time.perf_counter()
-            result = self._batch_scheduler().run_resilient(
-                workload, seed=self.schedule_seed
+            result, elapsed = _execute_payload(
+                (self._batch_scheduler(), workload, self.schedule_seed)
             )
-            elapsed = time.perf_counter() - start
             self._settle(batch_id, batch, result, elapsed=elapsed)
         return batch
 
@@ -861,25 +878,11 @@ class SchedulerService:
                         break
                     processed.extend(batch)
                 return processed
-            while True:
-                staged: List[Tuple[str, List[Job], Workload]] = []
-                while True:
-                    item = self._next_workload()
-                    if item is None:
-                        break
-                    staged.append(item)
-                if not staged:
-                    break
-                payloads = [
-                    (self._batch_scheduler(for_pickle=True), workload,
-                     self.schedule_seed)
-                    for _, _, workload in staged
-                ]
-                results = self.runner.map(_execute_payload, payloads)
-                for (batch_id, batch, _), (result, elapsed) in zip(
-                    staged, results
-                ):
-                    self._settle(batch_id, batch, result, elapsed=elapsed)
+            # A pool drains this queue as the one shard of a sharded drain.
+            from .sharding import _waves
+
+            for wave in _waves([self], self.runner):
+                for batch, _ in wave:
                     processed.extend(batch)
         return processed
 
@@ -900,24 +903,19 @@ class SchedulerService:
     ) -> None:
         """Assign a batch execution's outcome to its jobs (with retries)."""
         start = self._record(result.report)
-        stuck = (
+        failure = result.failure
+        if (
             self.stuck_batch_timeout is not None
             and elapsed is not None
             and elapsed > self.stuck_batch_timeout
-        )
-        stuck_reason = ""
-        if stuck:
-            stuck_reason = (
+        ):
+            failure = (
                 f"stuck batch: {elapsed:.3f}s exceeded "
                 f"stuck_batch_timeout={self.stuck_batch_timeout}s"
             )
             if self.recorder.enabled:
                 self.recorder.counter("service.stuck_batches")
-        served = (
-            set(result.verified_algorithms)
-            if result.failure is None and not stuck
-            else set()
-        )
+        served = set(result.verified_algorithms) if failure is None else set()
         retry_ids = count(1)
         for aid, job in enumerate(batch):
             job.transition(JobState.RUNNING)
@@ -925,12 +923,7 @@ class SchedulerService:
             if aid in served:
                 self._complete(job, result, aid, batch_id, batch_id, start)
             else:
-                self._retry_solo(
-                    job,
-                    batch_id,
-                    retry_ids,
-                    failure=stuck_reason if stuck else result.failure,
-                )
+                self._retry_solo(job, batch_id, retry_ids, failure=failure)
 
     def _retry_solo(
         self, job: Job, batch_id: str, retry_ids: Iterator[int], failure=None
@@ -953,30 +946,18 @@ class SchedulerService:
             execution_id = f"{batch_id}.r{next(retry_ids)}"
             if self.recorder.enabled:
                 self.recorder.counter("service.retries")
-            if self.events is not None:
-                self.events.emit(
-                    "retried",
-                    job.job_id,
-                    fingerprint=job.fingerprint,
-                    batch=batch_id,
-                    queue_depth=self.queue.depth,
-                    attempt=job.attempts + 1,
-                    execution=execution_id,
-                    reason=last_reason,
-                    **_provenance(job),
-                )
-            job.attempts += 1
-            workload = Workload(
-                job.network,
-                [job.algorithm],
-                master_seed=job.master_seed,
-                message_bits=job.message_bits,
-                solo_cache=self.solo_cache,
-                algorithm_ids=[job.tape_id],
-                transport=self.transport,
+            self._emit(
+                "retried",
+                job,
+                batch_id,
+                attempt=job.attempts + 1,
+                execution=execution_id,
+                reason=last_reason,
+                **_provenance(job),
             )
+            job.attempts += 1
             result = self._batch_scheduler().run_resilient(
-                workload, seed=self.schedule_seed
+                self._workload([job]), seed=self.schedule_seed
             )
             start = self._record(result.report)
             if result.correct:
@@ -987,25 +968,15 @@ class SchedulerService:
                 if result.failure is not None
                 else f"{len(result.mismatches)} outputs diverged"
             )
-        if self.journal is not None:
-            crash_point("failed.pre_journal")
-            self.journal.append(
-                "failed", job=job.job_id, reason=last_reason
-            )
-            crash_point("failed.post_journal")
-        job.transition(JobState.FAILED, reason=last_reason)
-        if self.recorder.enabled:
-            self.recorder.counter("service.jobs_failed")
-        if self.events is not None:
-            self.events.emit(
-                "failed",
-                job.job_id,
-                fingerprint=job.fingerprint,
-                batch=batch_id,
-                queue_depth=self.queue.depth,
-                reason=last_reason,
-                **_provenance(job),
-            )
+        self._transition(
+            job,
+            "failed",
+            last_reason,
+            pre="failed.pre_journal",
+            post="failed.post_journal",
+            batch=batch_id,
+            **_provenance(job),
+        )
 
     def _complete(
         self,
@@ -1023,7 +994,6 @@ class SchedulerService:
         outputs = {
             node: value for (a, node), value in result.outputs.items() if a == aid
         }
-        batch_size = report.params.num_algorithms
         # Jobs of a scheduler without per-algorithm completion rounds
         # finish when their execution does.
         completion_round = start + (
@@ -1031,7 +1001,20 @@ class SchedulerService:
             if report.completion_rounds is not None
             else report.length_rounds
         )
-        solo_rounds = job.params.dilation if job.params is not None else 0
+        artifact = RunArtifact(
+            fingerprint=job.fingerprint,
+            outputs=outputs,
+            solo_rounds=job.params.dilation if job.params is not None else 0,
+            scheduler=report.scheduler,
+            batch_size=report.params.num_algorithms,
+            version=report.version,
+            meta={
+                "batch": execution_id,
+                "schedule_seed": self.schedule_seed,
+                "length_rounds": report.length_rounds,
+                "completion_round": completion_round,
+            },
+        )
         # Completion order is the exactly-once contract: the artifact
         # lands in the registry FIRST, the journal acknowledges SECOND,
         # the in-memory transition happens LAST. A crash between
@@ -1041,49 +1024,18 @@ class SchedulerService:
         # re-executes, which is legal because nothing was acknowledged.
         crash_point("complete.pre_registry")
         if job.fingerprint is not None:
-            self.registry.put(
-                RunArtifact(
-                    fingerprint=job.fingerprint,
-                    outputs=dict(outputs),
-                    solo_rounds=solo_rounds,
-                    scheduler=report.scheduler,
-                    batch_size=batch_size,
-                    version=report.version,
-                    meta={
-                        "batch": execution_id,
-                        "schedule_seed": self.schedule_seed,
-                        "length_rounds": report.length_rounds,
-                        "completion_round": completion_round,
-                    },
-                )
-            )
-        if self.journal is not None:
-            crash_point("complete.pre_journal")
-            self.journal.append(
-                "done", job=job.job_id, batch=batch_id
-            )
-            crash_point("complete.post_journal")
-        job.result = JobResult(
-            outputs=outputs,
-            solo_rounds=solo_rounds,
-            scheduler=report.scheduler,
-            batch_size=batch_size,
-            version=report.version,
+            self.registry.put(artifact)
+        job.result = _artifact_result(artifact, completion_round)
+        self._transition(
+            job,
+            "done",
+            record={"batch": batch_id},
+            pre="complete.pre_journal",
+            post="complete.post_journal",
+            batch=batch_id,
+            batch_size=artifact.batch_size,
             completion_round=completion_round,
         )
-        job.transition(JobState.DONE)
-        if self.recorder.enabled:
-            self.recorder.counter("service.jobs_done")
-        if self.events is not None:
-            self.events.emit(
-                "done",
-                job.job_id,
-                fingerprint=job.fingerprint,
-                batch=batch_id,
-                queue_depth=self.queue.depth,
-                batch_size=batch_size,
-                completion_round=completion_round,
-            )
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -1141,11 +1093,6 @@ class SchedulerService:
             entry = journal.state.jobs[job_id]
             recorded_state = entry["state"]
             fingerprint = entry.get("fingerprint")
-            tape_id = (
-                f"job:{fingerprint[:24]}"
-                if fingerprint
-                else f"job-anon:{job_id}"
-            )
             decoded = None
             if recorded_state not in TERMINAL_RECORD_STATES:
                 decoded = decode_job_payload(entry.get("payload"))
@@ -1157,7 +1104,7 @@ class SchedulerService:
                 master_seed=entry.get("master_seed", 0),
                 message_bits=entry.get("message_bits"),
                 fingerprint=fingerprint,
-                tape_id=tape_id,
+                tape_id=_tape_id(fingerprint, job_id),
             )
             job.attempts = entry.get("batch_attempts", 0)
             job.meta["recovered"] = True
@@ -1179,32 +1126,19 @@ class SchedulerService:
     def _restore_terminal(self, job: Job, entry: Dict[str, Any]) -> None:
         """Re-create a job whose journaled state is already terminal."""
         state = entry["state"]
+        reason = entry.get("reason") or {
+            "failed": "failed before crash", "quarantined": "quarantined"
+        }.get(state, "")
         if state == "done":
             artifact = self.registry.get(job.fingerprint)
             if artifact is not None:
-                job.result = JobResult(
-                    outputs=dict(artifact.outputs),
-                    solo_rounds=artifact.solo_rounds,
-                    scheduler=artifact.scheduler,
-                    batch_size=artifact.batch_size,
-                    from_registry=True,
-                    version=artifact.version,
-                )
+                job.result = _artifact_result(artifact)
+                reason = ""
             else:
                 # In-memory registry, or artifact pruned: the completion
                 # stands (it was acknowledged) but outputs are gone.
-                job.reason = "recovered: result artifact unavailable"
-            job.state = JobState.DONE
-        elif state == "failed":
-            job.state = JobState.FAILED
-            job.reason = entry.get("reason") or "failed before crash"
-        elif state == "rejected":
-            job.state = JobState.REJECTED
-            job.reason = entry.get("reason", "")
-        else:
-            job.state = JobState.QUARANTINED
-            job.reason = entry.get("reason") or "quarantined"
-        self.queue.add(job)
+                reason = "recovered: result artifact unavailable"
+        self._transition(job, state, reason, replayed=True)
 
     def _redecide_pending(self, job: Job, entry: Dict[str, Any]) -> None:
         """Decide what a journaled-but-unfinished job becomes now.
@@ -1219,68 +1153,29 @@ class SchedulerService:
             # "done" record: the result was durably acknowledged, so
             # finishing the paperwork — not re-executing — is the only
             # correct move (exactly-once completion).
-            self._journal("done", job=job.job_id, from_registry=True)
-            job.result = JobResult(
-                outputs=dict(artifact.outputs),
-                solo_rounds=artifact.solo_rounds,
-                scheduler=artifact.scheduler,
-                batch_size=artifact.batch_size,
+            job.result = _artifact_result(artifact)
+            self._transition(
+                job,
+                "done",
+                record={"from_registry": True},
                 from_registry=True,
-                version=artifact.version,
+                recovered=True,
             )
-            job.state = JobState.DONE
-            self.queue.add(job)
-            if self.recorder.enabled:
-                self.recorder.counter("service.jobs_done")
-            if self.events is not None:
-                self.events.emit(
-                    "done",
-                    job.job_id,
-                    fingerprint=job.fingerprint,
-                    queue_depth=self.queue.depth,
-                    from_registry=True,
-                    recovered=True,
-                )
             return
         if entry.get("batch_attempts", 0) >= self.poison_threshold:
-            reason = (
+            self._transition(
+                job,
+                "quarantined",
                 f"quarantined after {entry['batch_attempts']} journaled "
-                f"batch attempts (poison_threshold={self.poison_threshold})"
+                f"batch attempts (poison_threshold={self.poison_threshold})",
             )
-            self._journal("quarantined", job=job.job_id, reason=reason)
-            job.state = JobState.QUARANTINED
-            job.reason = reason
-            self.queue.add(job)
-            if self.recorder.enabled:
-                self.recorder.counter("service.quarantined")
-            if self.events is not None:
-                self.events.emit(
-                    "quarantined",
-                    job.job_id,
-                    fingerprint=job.fingerprint,
-                    queue_depth=self.queue.depth,
-                    reason=reason,
-                )
             return
         if job.network is None or job.algorithm is None:
-            reason = "recovered: job payload unrecoverable"
-            self._journal("failed", job=job.job_id, reason=reason)
-            job.state = JobState.FAILED
-            job.reason = reason
-            self.queue.add(job)
-            if self.recorder.enabled:
-                self.recorder.counter("service.jobs_failed")
-            if self.events is not None:
-                self.events.emit(
-                    "failed",
-                    job.job_id,
-                    fingerprint=job.fingerprint,
-                    queue_depth=self.queue.depth,
-                    reason=reason,
-                )
+            self._transition(
+                job, "failed", "recovered: job payload unrecoverable"
+            )
             return
-        probe = self._probe(job)
-        job.params = measure_params([probe])
+        job.params = measure_params([self._probe(job)])
         if entry["state"] in ("submitted", "parked"):
             # "submitted": the crash landed before any admission
             # decision. "parked": the old decision was to wait for a
@@ -1289,25 +1184,12 @@ class SchedulerService:
             # restart with a raised budget releases parked jobs instead
             # of stranding them parked forever (and re-parks them,
             # journaled again, when the budget still says no).
-            decision = self.policy.check(
-                job.params,
-                self._admission_backlog(),
-                shard_depth=self.queue.backlog,
-            )
-            self._admit(job, decision)
+            self._admit(job)
             return
-        job.state = JobState.QUEUED
-        self.queue.add(job)
+        self.queue.add(job)  # a rebuilt Job starts queued
         if self.recorder.enabled:
             self.recorder.counter("service.recovered")
-        if self.events is not None:
-            self.events.emit(
-                "recovered",
-                job.job_id,
-                fingerprint=job.fingerprint,
-                queue_depth=self.queue.depth,
-                state=entry["state"],
-            )
+        self._emit("recovered", job, state=entry["state"])
 
     # ------------------------------------------------------------------
     # querying and lifecycle

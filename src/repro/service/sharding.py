@@ -42,7 +42,7 @@ directory rather than leave that journal's jobs unserved.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..congest.network import Network
 from ..congest.program import Algorithm
@@ -75,6 +75,44 @@ SHARD_KEY_CHARS = 12
 def shard_key(network: Network) -> str:
     """Stable shard id of a network (fingerprint-derived, path-safe)."""
     return f"net-{network_fingerprint(network)[:SHARD_KEY_CHARS]}"
+
+
+def _waves(
+    shards: Iterable[SchedulerService],
+    runner: ParallelRunner,
+    stop: Optional[Callable[[], bool]] = None,
+) -> Iterator[List[Tuple[List[Job], float]]]:
+    """Drain ``shards`` one wave at a time; yields each wave's settled
+    ``(batch, elapsed)`` pairs.
+
+    A wave stages every batch the shards can form now, shard by shard,
+    runs them in one ordered ``runner.map`` and settles them in staging
+    order, so it settles exactly like the serial loop would. ``stop`` is
+    polled before each wave.
+    """
+    while stop is None or not stop():
+        staged = [
+            (shard,) + item
+            for shard in shards
+            for item in iter(shard._next_workload, None)
+        ]
+        if not staged:
+            return
+        # A serial runner executes in-process, so (like run_once) the
+        # batch can record into its shard's recorder; a pool needs a
+        # picklable one.
+        pooled = runner.workers > 1
+        payloads = [
+            (shard._batch_scheduler(for_pickle=pooled), workload, shard.schedule_seed)
+            for shard, _, _, workload in staged
+        ]
+        wave = []
+        for (shard, batch_id, batch, _), (result, elapsed) in zip(
+            staged, runner.map(_execute_payload, payloads)
+        ):
+            shard._settle(batch_id, batch, result, elapsed=elapsed)
+            wave.append((batch, elapsed))
+        yield wave
 
 
 class ShardedSchedulerService:
@@ -248,18 +286,14 @@ class ShardedSchedulerService:
         """Route one job to its network's shard and submit it there."""
         if self._closed:
             raise ServiceClosed("service has been shut down")
-        key = shard_key(network)
-        shard = self.shards.get(key)
-        if shard is None:
-            shard = self._make_shard(key)
-        job = shard.submit(
+        job = self.shard_of(network).submit(
             network,
             algorithm,
             master_seed=master_seed,
             message_bits=message_bits,
             spec=spec,
         )
-        job.meta.setdefault("shard", key)
+        job.meta.setdefault("shard", shard_key(network))
         return job
 
     def submit_many(
@@ -305,39 +339,10 @@ class ShardedSchedulerService:
         with self.recorder.span(
             "service.drain", category="service", shards=len(self.shards)
         ):
-            while True:
-                if stop is not None and stop():
-                    break
-                staged = []
-                for shard in self.shards.values():
-                    while True:
-                        item = shard._next_workload()
-                        if item is None:
-                            break
-                        staged.append((shard,) + item)
-                if not staged:
-                    break
-                # A serial runner executes in-process, so (like
-                # SchedulerService.run_once) the batch can record into
-                # its shard's recorder; a pool needs a picklable one.
-                pooled = self.runner.workers > 1
-                payloads = [
-                    (
-                        shard._batch_scheduler(for_pickle=pooled),
-                        workload,
-                        shard.schedule_seed,
-                    )
-                    for shard, _, _, workload in staged
-                ]
-                results = self.runner.map(_execute_payload, payloads)
-                wave: List[float] = []
-                for (shard, batch_id, batch, _), (result, elapsed) in zip(
-                    staged, results
-                ):
-                    shard._settle(batch_id, batch, result, elapsed=elapsed)
+            for wave in _waves(self.shards.values(), self.runner, stop):
+                for batch, _ in wave:
                     processed.extend(batch)
-                    wave.append(elapsed)
-                self.drain_waves.append(wave)
+                self.drain_waves.append([elapsed for _, elapsed in wave])
         return processed
 
     def release_parked(self, cause: Optional[str] = None) -> List[Job]:

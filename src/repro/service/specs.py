@@ -25,7 +25,7 @@ module defines a tiny ``kind:key=value,...`` spec language::
                 sparse-phase  doubling  private
     transports  auto  reference  numpy
 
-Specs round-trip: a job spec persisted into the service spool directory
+Specs round-trip: a job spec appended to the service's spool log
 (or a scenario persisted into a fuzz corpus) is parsed back by ``serve``
 or the fuzzer with the ``parse_*`` functions here, building the exact
 same objects — the content-addressed fingerprints therefore match across

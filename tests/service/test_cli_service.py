@@ -292,7 +292,7 @@ class TestCrashRecoveryCli:
             "--count", str(count),
         )
 
-    def _crash_serve(self, capsys, tmp_path, point, hit=1):
+    def _crash_serve(self, capsys, tmp_path, point, hit=1, *extra):
         """Run serve with a crash point armed in raise mode; swallow it."""
         import os
 
@@ -304,7 +304,7 @@ class TestCrashRecoveryCli:
         os.environ[CRASH_MODE_ENV] = "raise"
         try:
             with pytest.raises(InjectedCrash):
-                main(["serve", "--dir", str(tmp_path)])
+                main(["serve", "--dir", str(tmp_path), *extra])
         finally:
             os.environ.pop(CRASH_POINT_ENV, None)
             os.environ.pop(CRASH_MODE_ENV, None)
@@ -360,6 +360,27 @@ class TestCrashRecoveryCli:
         entry = state["jobs"]["s0001"]
         assert entry["state"] == "done"
         assert entry["from_registry"] is True
+
+    def test_status_fails_on_quarantined_jobs(self, tmp_path, capsys):
+        # Three serves die with the batch journaled; the fourth
+        # quarantines both jobs (poison_threshold 3), and status must
+        # report that as a failure, as serve does.
+        self._spool(capsys, tmp_path, 2)
+        self._crash_serve(capsys, tmp_path, "batch.post_journal")
+        for _ in range(2):
+            self._crash_serve(
+                capsys, tmp_path, "batch.post_journal", 1, "--resume"
+            )
+        code, _ = _run(capsys, "serve", "--dir", str(tmp_path), "--resume")
+        assert code == 1
+        code, out = _run(capsys, "status", "--dir", str(tmp_path), "--json")
+        assert code == 1
+        states = {e["state"] for e in json.loads(out)["jobs"].values()}
+        assert states == {"quarantined"}
+        code, out = _run(capsys, "status", "--dir", str(tmp_path))
+        assert code == 1 and "2 job(s) quarantined" in out
+        code, _ = _run(capsys, "status", "--dir", str(tmp_path), "--job", "s0001")
+        assert code == 1
 
     def test_resume_without_pending_work_is_clean(self, tmp_path, capsys):
         self._spool(capsys, tmp_path, 1)
