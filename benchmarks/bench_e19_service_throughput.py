@@ -55,6 +55,12 @@ def _stream(network):
     return algorithms
 
 
+def _reports(service):
+    """Every execution report of the service's one shard."""
+    (shard,) = service.shards.values()
+    return shard.reports
+
+
 def _serve(network, algorithms, batch_size):
     """Run the stream through a fresh service; returns (service, seconds)."""
     service = SchedulerService(
@@ -89,16 +95,16 @@ def test_e19_service_throughput(benchmark, results_dir):
     assert batch_service.stats()["batches"] == -(-JOBS // BATCH_SIZE)
 
     # cost model: total scheduled rounds per job
-    solo_rounds = sum(r.length_rounds for r in solo_service.reports)
-    batch_rounds = sum(r.length_rounds for r in batch_service.reports)
+    solo_rounds = sum(r.length_rounds for r in _reports(solo_service))
+    batch_rounds = sum(r.length_rounds for r in _reports(batch_service))
     round_speedup = solo_rounds / batch_rounds
     wall_speedup = solo_time / batch_time
 
     # registry: the identical stream again costs zero executions
-    executions = len(batch_service.reports)
+    executions = len(_reports(batch_service))
     resubmitted = batch_service.submit_many(network, algorithms)
     assert all(job.result.from_registry for job in resubmitted)
-    assert len(batch_service.reports) == executions
+    assert len(_reports(batch_service)) == executions
     assert batch_service.registry.hits >= JOBS
 
     rows = [

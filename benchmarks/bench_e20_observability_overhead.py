@@ -9,7 +9,7 @@ once on the e19 serving workload (32 jobs batched 8-at-a-time on an
 
 * **overhead** — the full stack (a live
   :class:`~repro.telemetry.InMemoryRecorder` on the service *and* its
-  schedulers, plus an :class:`~repro.service.EventLog` spooling every
+  schedulers, plus a service directory whose event log spools every
   lifecycle event to disk) must cost **under 3%** of the bare run's
   wall-clock (asserted). Like e15, the bound is structural rather than
   a diff of two serves: back-to-back ~80 ms serves drift by +/-5-10%
@@ -113,8 +113,17 @@ def _stream(network):
     return algorithms
 
 
-def _serve(network, algorithms, recorder, events):
+def _events(service):
+    """The lifecycle events of the service's one shard."""
+    (shard,) = service.shards.values()
+    return shard.events
+
+
+def _serve(network, algorithms, recorder, directory):
     """One full serve of the stream; returns (service, jobs, seconds).
+
+    ``directory=None`` keeps no event log at all; a directory spools
+    the events (and journals the jobs) under it.
 
     GC is paused inside the timed region: the observed leg allocates
     more (spans, events), so with a large heap left by earlier benches
@@ -125,7 +134,8 @@ def _serve(network, algorithms, recorder, events):
         batch_size=BATCH_SIZE,
         solo_cache=SoloRunCache(),
         recorder=recorder,
-        events=events,
+        directory=directory,
+        events=True if directory is not None else None,
     )
     gc.collect()
     gc.disable()
@@ -203,7 +213,7 @@ def test_e20_observability_overhead_under_3_percent(
     # branch predictors still settle), then interleave the timed reps,
     # alternating which leg goes first so positional drift cancels.
     _serve(network, algorithms, NULL_RECORDER, None)
-    _serve(network, algorithms, InMemoryRecorder(), EventLog(tmp_path / "w.jsonl"))
+    _serve(network, algorithms, InMemoryRecorder(), tmp_path / "w")
 
     bare_times, full_times, rep_overheads = [], [], []
     bare_jobs = full_jobs = None
@@ -220,7 +230,7 @@ def test_e20_observability_overhead_under_3_percent(
                 network,
                 algorithms,
                 counting,
-                EventLog(tmp_path / f"events_{rep}.jsonl"),
+                tmp_path / f"events_{rep}",
             )
             return service, jobs, seconds
 
@@ -238,7 +248,7 @@ def test_e20_observability_overhead_under_3_percent(
         # the same slowdown and the ratio cancels it.
         ops = _per_op_seconds(tmp_path / f"micro_{rep}.jsonl")
         stack_s = _stack_seconds(
-            full_service.recorder.calls, len(full_service.events.events), ops
+            full_service.recorder.calls, len(_events(full_service)), ops
         )
         rep_overheads.append((SAFETY * stack_s / bare_s, stack_s))
 
@@ -257,7 +267,9 @@ def test_e20_observability_overhead_under_3_percent(
         assert sketch["count"] == JOBS
         assert sketch["p50"] <= sketch["p90"] <= sketch["p99"]
     assert latency["jobs_per_sec"] > 0
-    last_spool = tmp_path / f"events_{REPS - 1}.jsonl"
+    full_service.shutdown(drain=False)  # flushes the spool
+    last_spool = _events(full_service).path
+    assert str(last_spool).startswith(str(tmp_path / f"events_{REPS - 1}"))
     assert last_spool.exists() and last_spool.stat().st_size > 0
     snapshot = full_service.recorder.snapshot()
     assert "p99" in snapshot["histograms"]["service.batch_size"]
@@ -271,7 +283,7 @@ def test_e20_observability_overhead_under_3_percent(
     # The min over reps keeps the least-noisy same-window measurement:
     # noise can only inflate a rep's ratio, never deflate it.
     calls = full_service.recorder.calls
-    events = len(full_service.events.events)
+    events = len(_events(full_service))
     overhead, stack_s = min(rep_overheads)
 
     rows = [

@@ -75,8 +75,17 @@ def _stream(network):
     return algorithms
 
 
-def _serve(network, algorithms, journal):
+def _journal(service):
+    """The journal of the service's one shard."""
+    (shard,) = service.shards.values()
+    return shard.journal
+
+
+def _serve(network, algorithms, directory):
     """One full serve of the stream; returns (service, jobs, seconds).
+
+    ``directory=None`` journals nothing; a directory journals every
+    transition under it.
 
     GC is paused inside the timed region: the journaled leg allocates
     more (records, CRC strings), so with a large heap left by earlier
@@ -87,7 +96,7 @@ def _serve(network, algorithms, journal):
         scheduler=RandomDelayScheduler(),
         batch_size=BATCH_SIZE,
         solo_cache=SoloRunCache(),
-        journal=journal,
+        directory=directory,
     )
     gc.collect()
     gc.disable()
@@ -130,7 +139,7 @@ def test_e21_durability_overhead_under_5_percent(
     # Warm-up leg per mode, then interleave the timed reps, alternating
     # which leg goes first so positional drift cancels.
     _serve(network, algorithms, None)
-    _serve(network, algorithms, JobJournal(tmp_path / "w.jsonl"))
+    _serve(network, algorithms, tmp_path / "w")
 
     bare_times, wal_times, rep_overheads = [], [], []
     bare_jobs = wal_jobs = None
@@ -142,8 +151,7 @@ def test_e21_durability_overhead_under_5_percent(
             return jobs, seconds
 
         def _wal():
-            journal = JobJournal(tmp_path / f"journal_{rep}.jsonl")
-            return _serve(network, algorithms, journal)
+            return _serve(network, algorithms, tmp_path / f"journal_{rep}")
 
         if rep % 2:
             wal_service, wal_jobs, wal_s = _wal()
@@ -158,7 +166,7 @@ def test_e21_durability_overhead_under_5_percent(
         # machine is throttled right now, numerator and denominator see
         # the same slowdown and the ratio cancels it.
         per_append = _per_append_seconds(tmp_path / f"micro_{rep}.jsonl")
-        wal_cost_s = wal_service.journal.seq * per_append
+        wal_cost_s = _journal(wal_service).seq * per_append
         rep_overheads.append((SAFETY * wal_cost_s / bare_s, wal_cost_s))
 
     # purity: the journaled run served bit-identical outputs
@@ -168,7 +176,7 @@ def test_e21_durability_overhead_under_5_percent(
         )
 
     # liveness: the journal is complete and replayable
-    journal = wal_service.journal
+    journal = _journal(wal_service)
     records, problems = read_journal(journal.path)
     assert problems == [], problems
     assert len(records) == journal.seq > 0
@@ -191,7 +199,7 @@ def test_e21_durability_overhead_under_5_percent(
 
     rows = [
         [
-            "bare (journal=None)",
+            "bare (directory=None)",
             f"{bare_best * 1e3:.1f}",
             0,
             "-",

@@ -4,11 +4,12 @@ Claims measured:
 
 * **structural drain speedup** — draining a workload spanning
   :data:`SHARD_COUNT` independent networks through
-  :class:`repro.service.ShardedSchedulerService` costs **at least 3x
-  less critical-path time** than a single-queue serial drain of the
-  same submissions (asserted).  Jobs on different networks share
+  :meth:`repro.service.SchedulerService.drain` costs **at least 3x
+  less critical-path time** than a serial drain of the same
+  submissions, one :meth:`~repro.service.SchedulerService.run_once`
+  batch at a time (asserted).  Jobs on different networks share
   nothing — not the graph, not the congestion, not the tapes — so the
-  sharded drain stages batches from every shard into one pool wave;
+  drain stages batches from every shard into one pool wave;
   on enough cores a wave costs its *slowest batch*, while the serial
   drain pays the *sum* of all batches.  The gate is structural (sums
   vs per-wave maxima of measured per-batch execution times) so it
@@ -26,9 +27,9 @@ Claims measured:
 
 Crash recovery of the sharded layout (per-shard journals under
 ``<dir>/shards/<key>/``) is exercised point-by-point in
-``tests/service/test_sharding.py::TestShardedRecovery`` — the full
-``CRASH_POINTS`` matrix recovers byte-identically per shard — so this
-bench only measures throughput.
+``tests/service/test_recovery.py::TestCrashMatrix`` — the full
+``CRASH_POINTS`` matrix on one and on two networks recovers
+byte-identically — so this bench only measures throughput.
 """
 
 import gc
@@ -40,7 +41,7 @@ from repro.algorithms import BFS, HopBroadcast
 from repro.congest import topology
 from repro.core import RandomDelayScheduler
 from repro.parallel import SoloRunCache
-from repro.service import SchedulerService, ShardedSchedulerService
+from repro.service import SchedulerService
 
 from conftest import emit
 
@@ -115,7 +116,8 @@ def _snapshot(service):
 
 
 def _serial_drain(networks):
-    """Single-queue serial drain; per-batch costs timed one by one."""
+    """Serial drain, one ``run_once`` batch at a time; per-batch costs
+    timed one by one."""
     service = SchedulerService(
         scheduler=RandomDelayScheduler(),
         batch_size=BATCH_SIZE,
@@ -137,8 +139,8 @@ def _serial_drain(networks):
 
 
 def _sharded_drain(networks):
-    """Sharded concurrent drain; per-batch costs come from the waves."""
-    service = ShardedSchedulerService(
+    """Wave drain; per-batch costs come from the waves."""
+    service = SchedulerService(
         scheduler=RandomDelayScheduler(),
         batch_size=BATCH_SIZE,
         solo_cache=SoloRunCache(),
@@ -206,7 +208,7 @@ def test_e23_sharded_serve(benchmark, results_dir):
 
     rows = [
         [
-            "serial single-queue",
+            "serial run_once",
             1,
             len(batch_costs),
             f"{serial_cost * 1e3:.1f}",

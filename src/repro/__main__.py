@@ -454,8 +454,8 @@ def _serve_cli(args) -> int:
     from repro.parallel import ParallelRunner
     from repro.service import (
         AdmissionPolicy,
+        SchedulerService,
         ServeLoop,
-        ShardedSchedulerService,
         parse_algorithm,
         parse_network,
         parse_scheduler,
@@ -470,7 +470,7 @@ def _serve_cli(args) -> int:
     # unfinished jobs from a crashed serve belong to --resume.
     try:
         check_layout(base)
-        pending = ShardedSchedulerService.pending_jobs(base)
+        pending = SchedulerService.pending_jobs(base)
     except ValueError as exc:
         raise SystemExit(f"serve: {exc}")
     if pending and not getattr(args, "resume", False):
@@ -514,7 +514,7 @@ def _serve_cli(args) -> int:
         fsync=args.fsync,
     )
     if resuming:
-        service = ShardedSchedulerService.recover(base, **kwargs)
+        service = SchedulerService.recover(base, **kwargs)
         recovered = sum(
             1 for job in service.jobs() if job.meta.get("recovered")
         )
@@ -523,7 +523,7 @@ def _serve_cli(args) -> int:
             f"{len(service.shards)} shard journal(s) under {base}"
         )
     else:
-        service = ShardedSchedulerService(directory=base, **kwargs)
+        service = SchedulerService(directory=base, **kwargs)
     # Records already journaled by a crashed serve belong to recovery,
     # not resubmission; everything else unsettled is submitted fresh.
     settled.update(service.journaled_spools())
@@ -726,6 +726,7 @@ _FAILED = ("failed", "quarantined")
 
 def _status_cli(args) -> int:
     from repro.experiments import format_table
+    from repro.service.jobs import id_order
     from repro.service.spool import SpoolReader
 
     state = _read_state(args.dir)
@@ -778,7 +779,9 @@ def _status_cli(args) -> int:
             "yes" if entry.get("from_registry") else "-",
             entry.get("reason", "-") or "-",
         ]
-        for spool_id, entry in sorted(jobs.items())
+        for spool_id, entry in sorted(
+            jobs.items(), key=lambda item: id_order(item[0])
+        )
     ]
     print(format_table(["job", "algorithm", "state", "registry", "note"], rows))
     failures = [

@@ -17,7 +17,7 @@ fault-free scenarios
     * ``transport-identity`` — reference and numpy transports produce
       bit-identical outputs and lengths;
     * ``service`` — the same jobs submitted through
-      :class:`ShardedSchedulerService` (sharded drain) come back done,
+      :class:`SchedulerService` (wave drain) come back done,
       with per-job outputs equal to solo, and a content-identical
       resubmission is served from the registry;
     * ``crash`` — nothing raises a raw exception.
@@ -46,7 +46,7 @@ from ..core.base import verify_outputs
 from ..core.transport import available_transports
 from ..core.workload import Workload
 from ..faults.plan import FaultPlan
-from ..service.sharding import ShardedSchedulerService
+from ..service.service import SchedulerService
 from ..service.specs import parse_scheduler
 from . import inject as inject_module
 from .scenario import BuiltScenario, Scenario
@@ -313,8 +313,7 @@ class DifferentialOracle:
         if self.fuzz_seed is not None:
             spec["fuzz_seed"] = self.fuzz_seed
         try:
-            service = ShardedSchedulerService(
-                directory=None,
+            service = SchedulerService(
                 scheduler=parse_scheduler(scheduler_name),
                 schedule_seed=scenario.schedule_seed,
             )

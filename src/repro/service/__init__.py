@@ -6,9 +6,13 @@ compatible jobs into single near-optimal workload executions, query job
 states at any time, and have every result persisted content-addressed
 so resubmissions never re-execute.
 
-* :class:`SchedulerService` — the service: admission, batching,
-  resilient execution with per-job retries, registry integration,
-  ``service.*`` telemetry, graceful drain/shutdown;
+* :class:`SchedulerService` — the service: jobs routed by
+  :func:`shard_key` to per-network shards, each with its own queue,
+  journal segment, and event log, drained together over one process
+  pool; admission with per-shard backpressure, batching, resilient
+  execution with per-job retries, registry integration, ``service.*``
+  telemetry, ``stats()`` merged across shards, graceful
+  drain/shutdown;
 * :class:`JobQueue` / :class:`Job` / :class:`JobState` — the queue and
   the job lifecycle (``queued → batched → running → done/failed``, with
   ``rejected``/``parked`` at admission);
@@ -25,11 +29,6 @@ so resubmissions never re-execute.
   against the registry) after a crash — see the ``Durability &
   recovery`` section of ``docs/SERVICE.md`` and :data:`CRASH_POINTS`
   for the injection points that keep the contract tested;
-* :class:`ShardedSchedulerService` / :func:`shard_key` — per-network
-  shards, each with its own queue, journal segment, and event log,
-  drained concurrently over one process pool, with cross-shard
-  ``stats()`` merged by the documented metric rules and per-shard
-  backpressure via :class:`AdmissionPolicy` (``max_shard_depth``);
 * :class:`ServeLoop` — the poll → drain → checkpoint daemon behind
   ``python -m repro serve --follow``: graceful SIGTERM/SIGINT (finish
   the in-flight wave, checkpoint, exit), periodic journal compaction;
@@ -51,7 +50,7 @@ from .jobs import Job, JobResult, JobState, job_fingerprint
 from .journal import JobJournal, JournalState, read_journal
 from .registry import RunArtifact, RunRegistry
 from .service import CRASH_POINTS, JobQueue, SchedulerService, ServiceClosed
-from .sharding import ShardedSchedulerService, shard_key
+from .service import ShardedSchedulerService, shard_key
 from .specs import (
     format_fault_plan,
     parse_algorithm,

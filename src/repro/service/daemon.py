@@ -1,7 +1,7 @@
 """The serve-loop daemon: poll, drain, checkpoint, stop cleanly.
 
-:class:`ServeLoop` wraps a service (sharded or single-queue) in the
-long-running shape ``python -m repro serve --follow`` needs:
+:class:`ServeLoop` wraps a :class:`~repro.service.service.SchedulerService`
+in the long-running shape ``python -m repro serve --follow`` needs:
 
 * each iteration *polls* for new work (the CLI's poll hook submits
   freshly spooled jobs), *drains* whatever the shards can batch, and
@@ -48,8 +48,8 @@ class ServeLoop:
     ----------
     service:
         Anything with ``drain(stop=...)`` and ``release_parked(cause=
-        ...)`` — a :class:`~repro.service.sharding.ShardedSchedulerService`
-        in production, a stub in tests.
+        ...)`` — a :class:`~repro.service.service.SchedulerService` in
+        production, a stub in tests.
     poll:
         Called once per iteration to ingest new work (the CLI submits
         the spool log's new lines here); returns how many jobs it

@@ -473,7 +473,7 @@ def latency_stats(events: Iterable[JobEvent]) -> Dict[str, Any]:
     throughput but not queue latency.
 
     Implemented as :meth:`LatencyAccumulator.from_events` followed by
-    :meth:`LatencyAccumulator.stats`; a sharded service computes the
+    :meth:`LatencyAccumulator.stats`; the service computes the
     same summary by merging per-shard accumulators instead.
     """
     return LatencyAccumulator.from_events(events).stats()

@@ -28,9 +28,10 @@ down with it as ``quarantined`` (see
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .._util import stable_digest
 from ..congest.network import Network
@@ -38,7 +39,20 @@ from ..congest.program import Algorithm
 from ..metrics.congestion import WorkloadParams
 from ..parallel.cache import algorithm_fingerprint, network_fingerprint
 
-__all__ = ["Job", "JobResult", "JobState", "job_fingerprint"]
+__all__ = ["Job", "JobResult", "JobState", "id_order", "job_fingerprint"]
+
+_NUMBER = re.compile(r"(\d+)")
+
+
+def id_order(key: str) -> List[Union[str, int]]:
+    """Sort key putting ids in the order of their numbers.
+
+    Job ids (``j0001``) and spool keys (``s0001``, ``spool@<offset>``)
+    are zero-padded to four digits only, so string order puts
+    ``j10000`` before ``j9999``; this key compares the digit runs as
+    integers.
+    """
+    return [int(part) if i % 2 else part for i, part in enumerate(_NUMBER.split(key))]
 
 
 def job_fingerprint(

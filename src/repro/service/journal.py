@@ -78,7 +78,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .._util import atomic_write_text
 from .events import FSYNC_POLICIES, AppendLog
-from .jobs import TERMINAL_STATES, TRANSITIONS
+from .jobs import TERMINAL_STATES, TRANSITIONS, id_order
 
 __all__ = [
     "JobJournal",
@@ -196,11 +196,15 @@ class JournalState:
     # ------------------------------------------------------------------
 
     def pending(self) -> List[str]:
-        """Job ids whose last journaled state is non-terminal."""
+        """Job ids whose last journaled state is non-terminal, in id
+        order."""
         return sorted(
-            job_id
-            for job_id, record in self.jobs.items()
-            if record["state"] not in TERMINAL_RECORD_STATES
+            (
+                job_id
+                for job_id, record in self.jobs.items()
+                if record["state"] not in TERMINAL_RECORD_STATES
+            ),
+            key=id_order,
         )
 
     def by_state(self) -> Dict[str, int]:

@@ -1,14 +1,15 @@
-"""The batch scheduling service: queue, batcher, workers, registry glue.
+"""The batch scheduling service: per-network shards, one process pool.
 
 This is the serving shape the paper's result wants (Theorem 1.1:
 ``k`` algorithms amortize into one ``O(congestion + dilation·log n)``
-schedule): callers :meth:`~SchedulerService.submit` independent
-``(network, algorithm)`` jobs over time, the service batches compatible
-jobs — same network, master seed, and message budget — into single
-:class:`~repro.core.workload.Workload` executions scheduled by any
-existing :class:`~repro.core.base.Scheduler`, and each job gets back
-exactly the outputs of its standalone run (stable tape identities make
-this hold batch-invariantly, even for randomized algorithms).
+schedule on *one* network): callers :meth:`~SchedulerService.submit`
+independent ``(network, algorithm)`` jobs over time, the service
+batches compatible jobs — same network, master seed, and message
+budget — into single :class:`~repro.core.workload.Workload` executions
+scheduled by any existing :class:`~repro.core.base.Scheduler`, and each
+job gets back exactly the outputs of its standalone run (stable tape
+identities make this hold batch-invariantly, even for randomized
+algorithms).
 
 Pipeline per submission::
 
@@ -16,6 +17,18 @@ Pipeline per submission::
        └────miss──▶ admission probe ──reject/park──▶ rejected / parked
                         └──admit──▶ queued ──▶ batched ──▶ running ──▶ done
                                                               └─retry─▶ failed
+
+Jobs on different networks share nothing — not the graph, not the
+congestion, not the random tapes — so every submission is routed by
+:func:`shard_key` to its network's :class:`Shard`: a queue, a
+write-ahead journal segment and an event log of its own, under
+``<directory>/shards/<key>/``. :meth:`~SchedulerService.drain` stages
+one *wave* at a time — every batch every shard can form now — and runs
+it over one :class:`~repro.parallel.runner.ParallelRunner`, so batches
+of independent networks are in flight together. What the shards share
+is exactly what is safe to share: the content-addressed
+:class:`~repro.service.registry.RunRegistry`, the solo-run cache, the
+recorder, the job-id sequence, and the configuration.
 
 Execution is resilient by construction: batches run through
 :meth:`~repro.core.base.Scheduler.run_resilient`, so fault-induced
@@ -26,17 +39,12 @@ solo executions — with bounded exponential backoff between attempts —
 up to ``max_retries`` before being marked ``failed``, and a batch that
 exceeds ``stuck_batch_timeout`` is distrusted wholesale and sent down
 the same retry path: one bad job cannot sink its batchmates.
-:meth:`~SchedulerService.drain` fans independent batches out over a
-:class:`~repro.parallel.runner.ParallelRunner` process pool, and
-:meth:`~SchedulerService.shutdown` drains gracefully before closing the
-queue.
 
 Crash safety is the journal's job (:mod:`repro.service.journal`): with
-a :class:`~repro.service.journal.JobJournal` attached, every state
-transition is appended to the write-ahead log *before* it is applied,
-and :meth:`SchedulerService.recover` rebuilds the queue, parked set,
-and id counters from the journal after a crash — replaying
-idempotently against the :class:`~repro.service.registry.RunRegistry`
+a ``directory``, every state transition is appended to its shard's
+write-ahead log *before* it is applied, and
+:meth:`SchedulerService.recover` rebuilds every shard's queue and
+parked set after a crash — replaying idempotently against the registry
 so an acknowledged completion (its artifact landed) is never executed
 twice, and quarantining a job whose batch died ``poison_threshold``
 times into the ``quarantined`` dead-letter state instead of letting it
@@ -83,21 +91,26 @@ from ..core.workload import Workload
 from ..faults.crashpoints import crash_point
 from ..metrics.congestion import measure_params
 from ..metrics.schedule import ENGINE_COUNTERS, ScheduleReport
-from ..parallel.cache import SoloRunCache, default_cache
+from ..parallel.cache import SoloRunCache, default_cache, network_fingerprint
 from ..parallel.runner import ParallelRunner
 from ..telemetry import NULL_RECORDER, Recorder
 from .admission import AdmissionPolicy
-from .events import EventLog, LatencyAccumulator
-from .jobs import TRANSITIONS, Job, JobResult, JobState, job_fingerprint
+from .events import EventLog, LatencyAccumulator, check_fsync
+from .jobs import TRANSITIONS, Job, JobResult, JobState, id_order, job_fingerprint
 from .journal import (
     TERMINAL_RECORD_STATES,
     JobJournal,
+    JournalState,
     decode_job_payload,
     encode_job_payload,
+    read_journal,
 )
 from .registry import RunArtifact, RunRegistry
 
-__all__ = ["CRASH_POINTS", "JobQueue", "SchedulerService", "ServiceClosed"]
+__all__ = [
+    "CRASH_POINTS", "JobQueue", "SchedulerService", "ServiceClosed",
+    "ShardedSchedulerService", "shard_key",
+]
 
 #: Every named crash point the service threads through its write-ahead
 #: critical sections, in lifecycle order. ``pre_journal`` points kill
@@ -120,6 +133,21 @@ CRASH_POINTS = (
     "failed.pre_journal",
     "failed.post_journal",
 )
+
+
+#: Hex digits of the network fingerprint used as the shard directory
+#: name: 48 bits, short enough to read in a path. By the birthday bound
+#: two of about 2×10^7 distinct networks already share a key with even
+#: odds. Networks whose keys collide share a shard — one journal segment
+#: and event log — but never a batch: the shard's :class:`JobQueue`
+#: interns networks by ``==``, so each keeps its own compatibility
+#: bucket.
+SHARD_KEY_CHARS = 12
+
+
+def shard_key(network: Network) -> str:
+    """Stable shard id of a network (fingerprint-derived, path-safe)."""
+    return f"net-{network_fingerprint(network)[:SHARD_KEY_CHARS]}"
 
 
 class ServiceClosed(RuntimeError):
@@ -220,14 +248,8 @@ class JobQueue:
         self._depth = 0
         self._counts: Dict[JobState, int] = {state: 0 for state in JobState}
         self._parked: Dict[str, Job] = {}
-        self._counter = 0
 
     # ------------------------------------------------------------------
-
-    def new_job_id(self) -> str:
-        """Allocate the next sequential job id (``j0001``, ``j0002``, ...)."""
-        self._counter += 1
-        return f"j{self._counter:04d}"
 
     def _intern_network(self, network: Any) -> int:
         # id() is a safe cache key because every mapped object is kept
@@ -395,148 +417,49 @@ def _artifact_result(
     )
 
 
-class SchedulerService:
-    """Accepts jobs, batches them, executes, and persists results.
+class Shard:
+    """One network's share of a :class:`SchedulerService`.
 
-    Parameters
-    ----------
-    scheduler:
-        Scheduler executing each batched workload (default
-        :class:`~repro.core.random_delay.RandomDelayScheduler` — the
-        Theorem 1.1 construction).
-    batch_size:
-        Maximum jobs per workload execution.
-    policy:
-        :class:`~repro.service.admission.AdmissionPolicy` applied at
-        submission (default: admit everything).
-    registry:
-        :class:`~repro.service.registry.RunRegistry` serving
-        resubmissions and persisting artifacts (default: a fresh
-        memory-only registry).
-    recorder:
-        Telemetry sink for ``service.*`` metrics; also threaded into
-        the scheduler and registry.
-    runner:
-        :class:`~repro.parallel.runner.ParallelRunner` fanning
-        independent batches out during :meth:`drain` (default serial).
-    max_retries:
-        Solo re-executions granted to a job whose batch failed or
-        diverged before it is marked ``failed``.
-    schedule_seed:
-        Seed for the scheduler's own randomness (delays, cluster
-        radii), fixed per service for reproducibility.
-    solo_cache:
-        Passed through to every workload built by the service (default:
-        the process-wide solo-run cache, which also makes admission
-        probes free once the reference exists).
-    transport:
-        Message-transport backend (see :mod:`repro.core.transport`)
-        threaded into admission probes, batch workloads, and the
-        scheduler. ``None`` defers to the scheduler's own setting and
-        the ``REPRO_TRANSPORT`` environment default. Backends are
-        bit-identical, so this only affects wall-clock time.
-    events:
-        Job-lifecycle event log (see :mod:`repro.service.events`). The
-        default ``"memory"`` keeps an in-memory log so :meth:`stats`
-        can always derive queue/end-to-end latency histograms and a
-        jobs/sec gauge; pass an :class:`~repro.service.events.EventLog`
-        with a path to also spool ``events.jsonl``, or ``None`` to
-        disable lifecycle events entirely.
-    journal:
-        Optional :class:`~repro.service.journal.JobJournal` write-ahead
-        log. When present, every state transition is journaled *before*
-        it is applied, the job/batch id counters continue from the
-        journal's replayed state, and :meth:`recover` can rebuild the
-        service after a crash. ``None`` (default) keeps the pre-journal
-        in-memory behaviour.
-    stuck_batch_timeout:
-        Wall-clock seconds after which a batch execution is distrusted:
-        its jobs go down the solo-retry path instead of being settled
-        from the (suspiciously slow) result. ``None`` never times out.
-    retry_backoff / retry_backoff_max:
-        Base and cap of the exponential backoff slept between solo
-        retries of a failed job (``min(retry_backoff * 2**attempt,
-        retry_backoff_max)`` seconds). The default base of 0 disables
-        sleeping, which keeps tests and in-memory services fast.
-    poison_threshold:
-        Journaled batch attempts after which :meth:`recover` moves a
-        still-pending job to the ``quarantined`` dead-letter state
-        instead of re-queueing it — a job that killed the process this
-        many times stops sinking its batchmates.
+    A shard owns the per-network state — its :class:`JobQueue`, its
+    journal segment and event log (files under
+    ``<directory>/shards/<key>/`` when the service has a directory),
+    :attr:`reports` and :attr:`rounds` of its executions, and its batch
+    id counter — and the lifecycle steps that move its jobs. It has no
+    options of its own: every setting is read from :attr:`service`.
     """
 
-    def __init__(
-        self,
-        scheduler: Optional[Scheduler] = None,
-        batch_size: int = 8,
-        policy: Optional[AdmissionPolicy] = None,
-        registry: Optional[RunRegistry] = None,
-        recorder: Recorder = NULL_RECORDER,
-        runner: Optional[ParallelRunner] = None,
-        max_retries: int = 1,
-        schedule_seed: int = 1,
-        solo_cache: Any = "default",
-        events: Union[EventLog, str, None] = "memory",
-        journal: Optional[JobJournal] = None,
-        stuck_batch_timeout: Optional[float] = None,
-        retry_backoff: float = 0.0,
-        retry_backoff_max: float = 0.5,
-        poison_threshold: int = 3,
-        transport: Any = None,
-    ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if stuck_batch_timeout is not None and stuck_batch_timeout <= 0:
-            raise ValueError("stuck_batch_timeout must be positive (or None)")
-        if retry_backoff < 0 or retry_backoff_max < 0:
-            raise ValueError("retry backoff values must be non-negative")
-        if poison_threshold < 1:
-            raise ValueError("poison_threshold must be >= 1")
-        self.scheduler = scheduler if scheduler is not None else RandomDelayScheduler()
-        self.batch_size = batch_size
-        self.policy = policy if policy is not None else AdmissionPolicy()
-        self.registry = registry if registry is not None else RunRegistry()
-        self.recorder = recorder
-        if recorder.enabled and self.registry.recorder is NULL_RECORDER:
-            self.registry.recorder = recorder
-        self.runner = runner if runner is not None else ParallelRunner(1)
-        self.max_retries = max_retries
-        self.schedule_seed = schedule_seed
-        self.solo_cache = solo_cache
-        self.transport = transport
-        if events == "memory":
-            events = EventLog()
-        elif isinstance(events, str):
-            raise ValueError("events must be an EventLog, 'memory', or None")
-        self.events: Optional[EventLog] = events
-        self.journal = journal
-        self.stuck_batch_timeout = stuck_batch_timeout
-        self.retry_backoff = retry_backoff
-        self.retry_backoff_max = retry_backoff_max
-        self.poison_threshold = poison_threshold
-        self._sleep = time.sleep  # injectable for backoff tests
-        #: Installed by :class:`~repro.service.sharding.ShardedSchedulerService`
-        #: so admission's global queue-depth gate sees the backlog across
-        #: every shard while the per-shard depth gate sees this queue.
-        self._total_backlog: Optional[Callable[[], int]] = None
+    def __init__(self, service: "SchedulerService", key: str):
+        self.service = service
+        self.key = key
         self.queue = JobQueue()
+        base = (
+            service.directory / "shards" / key
+            if service.directory is not None
+            else None
+        )
+        self.events: Optional[EventLog] = None
+        if service.events:
+            self.events = EventLog(
+                base / "events.jsonl" if base is not None else None,
+                fsync=service.fsync,
+            )
+        self.journal: Optional[JobJournal] = None
         #: Reports of every workload execution (batches and solo
-        #: retries), in execution order — the raw material for
-        #: :meth:`stats`' engine-counter aggregation.
+        #: retries), in execution order.
         self.reports: List[ScheduleReport] = []
         #: Σ ``length_rounds`` over :attr:`reports`: the rounds this
-        #: service's executions have taken, one after another.
+        #: shard's executions have taken, one after another.
         self.rounds = 0
         self._batch_counter = 0
-        self._closed = False
-        if journal is not None:
+        if base is not None:
+            self.journal = JobJournal(base / "journal.jsonl", fsync=service.fsync)
             # Continue the id chains of whatever history the journal
             # replayed, so post-restart ids never collide with
             # journaled ones.
-            self.queue._counter = journal.state.last_job
-            self._batch_counter = journal.state.last_batch
+            self._batch_counter = self.journal.state.last_batch
+            service._job_counter = max(
+                service._job_counter, self.journal.state.last_job
+            )
 
     def _transition(
         self,
@@ -561,7 +484,7 @@ class SchedulerService:
         a non-empty ``reason`` and ``attrs``. A ``replayed`` transition
         is already journaled: the job moves, and that is all. Every
         transition bumps its kind's counter but a registry hit at
-        :meth:`submit` (``counted=False``: the registry counts it).
+        submission (``counted=False``: the registry counts it).
         """
         state, counter = TRANSITIONS[kind]
         if self.journal is not None and not replayed:
@@ -582,8 +505,9 @@ class SchedulerService:
             job.transition(state, reason=reason or "")
         if replayed:
             return
-        if counted and counter is not None and self.recorder.enabled:
-            self.recorder.counter(counter)
+        recorder = self.service.recorder
+        if counted and counter is not None and recorder.enabled:
+            recorder.counter(counter)
         if reason:
             attrs = {"reason": reason, **attrs}
         self._emit(kind, job, batch, **attrs)
@@ -603,78 +527,43 @@ class SchedulerService:
                 **attrs,
             )
 
+    def _gauge_depth(self) -> None:
+        recorder = self.service.recorder
+        if recorder.enabled:
+            recorder.gauge("service.queue_depth", self.queue.depth)
+
     # ------------------------------------------------------------------
-    # submission
+    # submission and admission
     # ------------------------------------------------------------------
 
-    def submit(
-        self,
-        network: Network,
-        algorithm: Algorithm,
-        master_seed: int = 0,
-        message_bits: Optional[int] = -1,
-        spec: Optional[Dict[str, Any]] = None,
-    ) -> Job:
-        """Submit one job; returns it in its post-admission state.
-
-        Resubmissions of content-identical jobs are served from the
-        registry immediately (state ``done``, ``result.from_registry``),
-        skipping admission and execution entirely.
-
-        ``spec`` is an optional JSON-able description of the job (the
-        CLI passes its spool record: ``{"id", "net", "algo", "seed"}``).
-        With a journal attached it rides in the ``submit`` record so
-        :meth:`recover` can rebuild the job human-readably; without one
-        the journal falls back to pickling ``(network, algorithm)``.
-        """
-        if self._closed:
-            raise ServiceClosed("service has been shut down")
-        if message_bits == -1:
-            message_bits = default_message_bits(network.num_nodes)
-        fingerprint = job_fingerprint(
-            network, algorithm, master_seed, message_bits
-        )
-        job_id = self.queue.new_job_id()
-        job = Job(
-            job_id=job_id,
-            network=network,
-            algorithm=algorithm,
-            master_seed=master_seed,
-            message_bits=message_bits,
-            fingerprint=fingerprint,
-            tape_id=_tape_id(fingerprint, job_id),
-        )
-        if spec is not None:
-            if "id" in spec:
-                job.meta["spool"] = spec["id"]
-            # "scenario"/"fuzz_seed" are the fuzzer's provenance stamps:
-            # they ride into the failure events below so a divergence in
-            # a serve log names the scenario that reproduces it.
-            for key in ("net", "algo", "scenario", "fuzz_seed"):
-                if key in spec:
-                    job.meta[key] = spec[key]
+    def _enter(self, job: Job, spec: Optional[Dict[str, Any]]) -> Job:
+        """Journal a new ``job`` (``spec`` rides in its record, see
+        :meth:`SchedulerService.submit`), then serve it from the
+        registry or put it through admission; returns it in its
+        post-admission state."""
+        service = self.service
         if self.journal is not None:
             # Write-ahead: the job exists durably before it exists in
             # memory. A crash before this line means the submission was
             # never acknowledged and legitimately vanishes.
-            payload = encode_job_payload(network, algorithm, spec)
+            payload = encode_job_payload(job.network, job.algorithm, spec)
             crash_point("submit.pre_journal")
             self.journal.append(
                 "submit",
-                job=job_id,
-                fingerprint=fingerprint,
-                master_seed=master_seed,
-                message_bits=message_bits,
-                algorithm=algorithm.name,
+                job=job.job_id,
+                fingerprint=job.fingerprint,
+                master_seed=job.master_seed,
+                message_bits=job.message_bits,
+                algorithm=job.algorithm.name,
                 payload=payload,
                 spool=job.meta.get("spool"),
             )
             crash_point("submit.post_journal")
-        if self.recorder.enabled:
-            self.recorder.counter("service.submitted")
+        if service.recorder.enabled:
+            service.recorder.counter("service.submitted")
         self._emit("submitted", job)
 
-        artifact = self.registry.get(fingerprint)
+        artifact = service.registry.get(job.fingerprint)
         if artifact is not None:
             job.result = _artifact_result(artifact)
             self._transition(
@@ -686,7 +575,7 @@ class SchedulerService:
             )
             return job
 
-        job.params = measure_params([self._probe(job)])
+        job.params = measure_params([service._probe(job)])
         self._admit(job)
         self._gauge_depth()
         return job
@@ -697,11 +586,9 @@ class SchedulerService:
         The global queue-depth gate judges the backlog across every
         shard, the per-shard gate this queue's.
         """
-        backlog = self.queue.backlog
-        decision = self.policy.check(
-            job.params,
-            backlog if self._total_backlog is None else self._total_backlog(),
-            shard_depth=backlog,
+        service = self.service
+        decision = service.policy.check(
+            job.params, service.backlog(), shard_depth=self.queue.backlog
         )
         if decision.admitted:
             self._transition(job, "admitted", post="admission.post_journal")
@@ -715,85 +602,13 @@ class SchedulerService:
             post="admission.post_journal",
         )
 
-    def submit_many(
-        self,
-        network: Network,
-        algorithms: Sequence[Algorithm],
-        master_seed: int = 0,
-        message_bits: Optional[int] = -1,
-    ) -> List[Job]:
-        """Submit a stream of jobs sharing one network and seed."""
-        return [
-            self.submit(
-                network, algorithm, master_seed=master_seed,
-                message_bits=message_bits,
-            )
-            for algorithm in algorithms
-        ]
-
-    def _probe(self, job: Job) -> SoloRun:
-        """The job's standalone reference run (admission + ground truth).
-
-        Goes through the configured solo-run cache under the job's
-        stable tape identity, so the batched workload's own reference
-        lookups (same key) are hits — admission costs no extra
-        simulation in the steady state.
-        """
-        cache = self._resolve_cache()
-        if cache is not None:
-            return cache.get_or_run(
-                job.network,
-                job.algorithm,
-                algorithm_id=job.tape_id,
-                seed=job.master_seed,
-                message_bits=job.message_bits,
-                transport=self.transport,
-            )
-        sim = Simulator(
-            job.network, message_bits=job.message_bits, transport=self.transport
-        )
-        return sim.run(
-            job.algorithm, seed=job.master_seed, algorithm_id=job.tape_id
-        )
-
-    def _resolve_cache(self) -> Optional[SoloRunCache]:
-        if self.solo_cache == "default":
-            return default_cache()
-        if isinstance(self.solo_cache, SoloRunCache):
-            return self.solo_cache
-        return None
-
-    # ------------------------------------------------------------------
-    # parked jobs
-    # ------------------------------------------------------------------
-
-    def release_parked(self, cause: Optional[str] = None) -> List[Job]:
-        """Re-queue parked jobs (e.g. after raising the budget).
-
-        With ``cause`` (an :class:`~repro.service.admission
-        .AdmissionDecision` cause such as ``"depth"``), only jobs parked
-        for that reason are released — the serve loop uses this to free
-        backpressure-parked jobs once their shard drained without also
-        releasing jobs parked to wait for a bigger round budget.
-        """
-        released = []
-        for job in self.queue.parked():
-            if cause is not None and job.meta.get("park_cause") != cause:
-                continue
-            # WAL order like every other transition: the record lands
-            # before parked→queued is applied, so a crash here recovers
-            # the job as queued instead of silently re-parking it.
-            self._transition(job, "released", post="release.post_journal")
-            released.append(job)
-        self._gauge_depth()
-        return released
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
 
     def _next_workload(self) -> Optional[Tuple[str, List[Job], Workload]]:
-        batch = self.queue.next_batch(self.batch_size)
+        service = self.service
+        batch = self.queue.next_batch(service.batch_size)
         if not batch:
             return None
         self._batch_counter += 1
@@ -810,85 +625,20 @@ class SchedulerService:
                 jobs=[job.job_id for job in batch],
             )
             crash_point("batch.post_journal")
-        workload = self._workload(batch)
+        workload = service._workload(batch)
         for job in batch:
             job.transition(JobState.BATCHED)
             job.meta["batch"] = batch_id
             self._emit("batched", job, batch_id, batch_jobs=len(batch))
-        if self.recorder.enabled:
-            self.recorder.counter("service.batches")
-            self.recorder.observe("service.batch_size", len(batch))
+        if service.recorder.enabled:
+            service.recorder.counter("service.batches")
+            service.recorder.observe("service.batch_size", len(batch))
         self._gauge_depth()
         return batch_id, batch, workload
 
-    def _workload(self, jobs: List[Job]) -> Workload:
-        """One execution of mutually compatible ``jobs``, each job under
-        its own tape identity."""
-        return Workload(
-            jobs[0].network,
-            [job.algorithm for job in jobs],
-            master_seed=jobs[0].master_seed,
-            message_bits=jobs[0].message_bits,
-            solo_cache=self.solo_cache,
-            algorithm_ids=[job.tape_id for job in jobs],
-            transport=self.transport,
-        )
-
-    def _batch_scheduler(self, for_pickle: bool = False) -> Scheduler:
-        scheduler = copy.copy(self.scheduler)
-        scheduler.recorder = NULL_RECORDER if for_pickle else self.recorder
-        if self.transport is not None:
-            scheduler.transport = self.transport
-        return scheduler
-
-    def run_once(self) -> List[Job]:
-        """Batch and execute the oldest compatible queued jobs.
-
-        Returns the jobs of the executed batch (empty when the queue
-        was empty); every returned job is in a terminal state.
-        """
-        item = self._next_workload()
-        if item is None:
-            return []
-        batch_id, batch, workload = item
-        with self.recorder.span(
-            "service.batch", category="service", batch=batch_id, jobs=len(batch)
-        ):
-            result, elapsed = _execute_payload(
-                (self._batch_scheduler(), workload, self.schedule_seed)
-            )
-            self._settle(batch_id, batch, result, elapsed=elapsed)
-        return batch
-
-    def drain(self) -> List[Job]:
-        """Execute every queued batch; returns all jobs processed.
-
-        With a multi-worker runner, independent batches are fanned out
-        over the process pool (results return in submission order, so a
-        parallel drain settles jobs exactly like the serial loop);
-        retries always run in the parent so the registry and telemetry
-        see every outcome.
-        """
-        processed: List[Job] = []
-        with self.recorder.span("service.drain", category="service"):
-            if self.runner.workers <= 1:
-                while True:
-                    batch = self.run_once()
-                    if not batch:
-                        break
-                    processed.extend(batch)
-                return processed
-            # A pool drains this queue as the one shard of a sharded drain.
-            from .sharding import _waves
-
-            for wave in _waves([self], self.runner):
-                for batch, _ in wave:
-                    processed.extend(batch)
-        return processed
-
     def _record(self, report: ScheduleReport) -> int:
         """Log one execution's report; returns the round of this
-        service's running total at which the execution started."""
+        shard's running total at which the execution started."""
         start = self.rounds
         self.reports.append(report)
         self.rounds += report.length_rounds
@@ -902,19 +652,17 @@ class SchedulerService:
         elapsed: Optional[float] = None,
     ) -> None:
         """Assign a batch execution's outcome to its jobs (with retries)."""
+        service = self.service
         start = self._record(result.report)
         failure = result.failure
-        if (
-            self.stuck_batch_timeout is not None
-            and elapsed is not None
-            and elapsed > self.stuck_batch_timeout
-        ):
+        timeout = service.stuck_batch_timeout
+        if timeout is not None and elapsed is not None and elapsed > timeout:
             failure = (
                 f"stuck batch: {elapsed:.3f}s exceeded "
-                f"stuck_batch_timeout={self.stuck_batch_timeout}s"
+                f"stuck_batch_timeout={timeout}s"
             )
-            if self.recorder.enabled:
-                self.recorder.counter("service.stuck_batches")
+            if service.recorder.enabled:
+                service.recorder.counter("service.stuck_batches")
         served = set(result.verified_algorithms) if failure is None else set()
         retry_ids = count(1)
         for aid, job in enumerate(batch):
@@ -935,17 +683,18 @@ class SchedulerService:
         recorded under its own id; journal records and events stay
         keyed by the batch.
         """
+        service = self.service
         last_reason = str(failure) if failure is not None else "outputs diverged"
-        for attempt in range(self.max_retries):
-            if self.retry_backoff > 0:
+        for attempt in range(service.max_retries):
+            if service.retry_backoff > 0:
                 delay = min(
-                    self.retry_backoff * 2**attempt, self.retry_backoff_max
+                    service.retry_backoff * 2**attempt, service.retry_backoff_max
                 )
                 if delay > 0:
-                    self._sleep(delay)
+                    service._sleep(delay)
             execution_id = f"{batch_id}.r{next(retry_ids)}"
-            if self.recorder.enabled:
-                self.recorder.counter("service.retries")
+            if service.recorder.enabled:
+                service.recorder.counter("service.retries")
             self._emit(
                 "retried",
                 job,
@@ -956,8 +705,8 @@ class SchedulerService:
                 **_provenance(job),
             )
             job.attempts += 1
-            result = self._batch_scheduler().run_resilient(
-                self._workload([job]), seed=self.schedule_seed
+            result = service._batch_scheduler().run_resilient(
+                service._workload([job]), seed=service.schedule_seed
             )
             start = self._record(result.report)
             if result.correct:
@@ -989,7 +738,7 @@ class SchedulerService:
     ) -> None:
         """Settle ``job`` as algorithm ``aid`` of the verified execution
         ``execution_id`` (the batch itself, or one of its solo retries),
-        which began at round ``start`` of this service's running total."""
+        which began at round ``start`` of this shard's running total."""
         report = result.report
         outputs = {
             node: value for (a, node), value in result.outputs.items() if a == aid
@@ -1010,7 +759,7 @@ class SchedulerService:
             version=report.version,
             meta={
                 "batch": execution_id,
-                "schedule_seed": self.schedule_seed,
+                "schedule_seed": self.service.schedule_seed,
                 "length_rounds": report.length_rounds,
                 "completion_round": completion_round,
             },
@@ -1024,7 +773,7 @@ class SchedulerService:
         # re-executes, which is legal because nothing was acknowledged.
         crash_point("complete.pre_registry")
         if job.fingerprint is not None:
-            self.registry.put(artifact)
+            self.service.registry.put(artifact)
         job.result = _artifact_result(artifact, completion_round)
         self._transition(
             job,
@@ -1041,54 +790,18 @@ class SchedulerService:
     # crash recovery
     # ------------------------------------------------------------------
 
-    @classmethod
-    def recover(
-        cls,
-        directory: Union[str, Path, None] = None,
-        journal: Optional[JobJournal] = None,
-        **kwargs: Any,
-    ) -> "SchedulerService":
-        """Rebuild a service from its write-ahead journal after a crash.
+    def _replay(self) -> None:
+        """Materialize the journal's jobs into the live queue.
 
-        Pass the spool ``directory`` (the journal is read from
-        ``<directory>/journal.jsonl`` and, unless a ``registry`` kwarg
-        overrides it, artifacts from ``<directory>/registry``) or an
-        already-opened ``journal``. Remaining kwargs go to the
-        constructor unchanged.
-
-        Recovery is an idempotent replay: terminal jobs are restored
-        as-is, and every still-pending job is re-decided against the
-        durable evidence — a registry artifact under its fingerprint
-        means the completion was acknowledged before the crash, so the
-        job is marked ``done`` **without re-execution** (exactly-once);
-        a job journaled into ``poison_threshold`` or more batch
-        attempts is dead-lettered as ``quarantined``; a job whose
-        payload cannot be rebuilt is ``failed`` with a reason; a job
-        last journaled ``submitted`` or ``parked`` goes back through
-        the current admission policy (so a resume with a raised budget
-        frees parked jobs); anything else re-enters the queue to be
-        drained again.
-        Each new decision is itself journaled first, so recovering a
-        recovered journal reaches the identical state.
+        Terminal jobs are restored as-is; every still-pending job is
+        re-decided (:meth:`_redecide_pending`). Replaying twice is a
+        no-op.
         """
-        if journal is None:
-            if directory is None:
-                raise ValueError("recover() needs a directory or a journal")
-            journal = JobJournal(Path(directory) / "journal.jsonl")
-        if directory is not None and "registry" not in kwargs:
-            kwargs["registry"] = RunRegistry(Path(directory) / "registry")
-        service = cls(journal=journal, **kwargs)
-        service._replay_journal()
-        return service
-
-    def _replay_journal(self) -> None:
-        """Materialize the journal's jobs into the live queue."""
         journal = self.journal
         if journal is None:
             return
-        for job_id in sorted(journal.state.jobs):
+        for job_id in sorted(journal.state.jobs, key=id_order):
             if job_id in self.queue.jobs:
-                # Replaying twice is a no-op: the job already exists.
                 continue
             entry = journal.state.jobs[job_id]
             recorded_state = entry["state"]
@@ -1130,7 +843,7 @@ class SchedulerService:
             "failed": "failed before crash", "quarantined": "quarantined"
         }.get(state, "")
         if state == "done":
-            artifact = self.registry.get(job.fingerprint)
+            artifact = self.service.registry.get(job.fingerprint)
             if artifact is not None:
                 job.result = _artifact_result(artifact)
                 reason = ""
@@ -1147,7 +860,8 @@ class SchedulerService:
         WAL discipline through recovery itself — which is what makes
         recovering twice converge to the same state.
         """
-        artifact = self.registry.get(job.fingerprint)
+        service = self.service
+        artifact = service.registry.get(job.fingerprint)
         if artifact is not None:
             # The crash hit between registry.put and the journal's
             # "done" record: the result was durably acknowledged, so
@@ -1162,12 +876,12 @@ class SchedulerService:
                 recovered=True,
             )
             return
-        if entry.get("batch_attempts", 0) >= self.poison_threshold:
+        if entry.get("batch_attempts", 0) >= service.poison_threshold:
             self._transition(
                 job,
                 "quarantined",
                 f"quarantined after {entry['batch_attempts']} journaled "
-                f"batch attempts (poison_threshold={self.poison_threshold})",
+                f"batch attempts (poison_threshold={service.poison_threshold})",
             )
             return
         if job.network is None or job.algorithm is None:
@@ -1175,7 +889,7 @@ class SchedulerService:
                 job, "failed", "recovered: job payload unrecoverable"
             )
             return
-        job.params = measure_params([self._probe(job)])
+        job.params = measure_params([service._probe(job)])
         if entry["state"] in ("submitted", "parked"):
             # "submitted": the crash landed before any admission
             # decision. "parked": the old decision was to wait for a
@@ -1187,101 +901,569 @@ class SchedulerService:
             self._admit(job)
             return
         self.queue.add(job)  # a rebuilt Job starts queued
-        if self.recorder.enabled:
-            self.recorder.counter("service.recovered")
+        if service.recorder.enabled:
+            service.recorder.counter("service.recovered")
         self._emit("recovered", job, state=entry["state"])
+
+
+class SchedulerService:
+    """Accepts jobs, batches them per network, executes, and persists
+    results.
+
+    Parameters
+    ----------
+    directory:
+        Service directory: every shard journals to and logs events
+        under ``<directory>/shards/<key>/``, and the default registry
+        lives at ``<directory>/registry``. ``None`` keeps everything in
+        memory (no journal, so nothing to :meth:`recover`).
+    scheduler:
+        Scheduler executing each batched workload (default
+        :class:`~repro.core.random_delay.RandomDelayScheduler` — the
+        Theorem 1.1 construction).
+    batch_size:
+        Maximum jobs per workload execution.
+    policy:
+        :class:`~repro.service.admission.AdmissionPolicy` applied at
+        submission (default: admit everything).
+    registry:
+        :class:`~repro.service.registry.RunRegistry` serving
+        resubmissions and persisting artifacts (default: the
+        directory's, or a fresh memory-only one without a directory).
+    recorder:
+        Telemetry sink for ``service.*`` metrics; also threaded into
+        the scheduler and registry.
+    runner:
+        :class:`~repro.parallel.runner.ParallelRunner` each
+        :meth:`drain` wave is mapped over (default serial).
+    max_retries:
+        Solo re-executions granted to a job whose batch failed or
+        diverged before it is marked ``failed``.
+    schedule_seed:
+        Seed for the scheduler's own randomness (delays, cluster
+        radii), fixed per service for reproducibility.
+    solo_cache:
+        Passed through to every workload built by the service (default:
+        the process-wide solo-run cache, which also makes admission
+        probes free once the reference exists).
+    events:
+        Keep a job-lifecycle event log per shard (see
+        :mod:`repro.service.events`), from which :meth:`stats` derives
+        queue/end-to-end latency histograms and a jobs/sec gauge: a
+        ``events.jsonl`` file beside the shard's journal with a
+        directory, in memory without one. ``None`` disables lifecycle
+        events entirely.
+    fsync:
+        Durability policy of every journal segment and event log (see
+        :data:`~repro.service.events.FSYNC_POLICIES`).
+    stuck_batch_timeout:
+        Wall-clock seconds after which a batch execution is distrusted:
+        its jobs go down the solo-retry path instead of being settled
+        from the (suspiciously slow) result. ``None`` never times out.
+    retry_backoff / retry_backoff_max:
+        Base and cap of the exponential backoff slept between solo
+        retries of a failed job (``min(retry_backoff * 2**attempt,
+        retry_backoff_max)`` seconds). The default base of 0 disables
+        sleeping, which keeps tests and in-memory services fast.
+    poison_threshold:
+        Journaled batch attempts after which :meth:`recover` moves a
+        still-pending job to the ``quarantined`` dead-letter state
+        instead of re-queueing it — a job that killed the process this
+        many times stops sinking its batchmates.
+    transport:
+        Message-transport backend (see :mod:`repro.core.transport`)
+        threaded into admission probes, batch workloads, and the
+        scheduler. ``None`` defers to the scheduler's own setting and
+        the ``REPRO_TRANSPORT`` environment default. Backends are
+        bit-identical, so this only affects wall-clock time.
+    """
+
+    def __init__(
+        self,
+        directory: Union[str, Path, None] = None,
+        scheduler: Optional[Scheduler] = None,
+        batch_size: int = 8,
+        policy: Optional[AdmissionPolicy] = None,
+        registry: Optional[RunRegistry] = None,
+        recorder: Recorder = NULL_RECORDER,
+        runner: Optional[ParallelRunner] = None,
+        max_retries: int = 1,
+        schedule_seed: int = 1,
+        solo_cache: Any = "default",
+        events: Optional[bool] = True,
+        fsync: str = "batch",
+        stuck_batch_timeout: Optional[float] = None,
+        retry_backoff: float = 0.0,
+        retry_backoff_max: float = 0.5,
+        poison_threshold: int = 3,
+        transport: Any = None,
+    ):
+        if batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        if max_retries < 0:
+            raise ValueError("max_retries must be non-negative")
+        if stuck_batch_timeout is not None and stuck_batch_timeout <= 0:
+            raise ValueError("stuck_batch_timeout must be positive (or None)")
+        if retry_backoff < 0 or retry_backoff_max < 0:
+            raise ValueError("retry backoff values must be non-negative")
+        if poison_threshold < 1:
+            raise ValueError("poison_threshold must be >= 1")
+        if events not in (True, False, None):
+            raise ValueError("events must be True, or None (or False) to disable them")
+        self.directory = Path(directory) if directory is not None else None
+        self.scheduler = scheduler if scheduler is not None else RandomDelayScheduler()
+        self.batch_size = batch_size
+        self.policy = policy if policy is not None else AdmissionPolicy()
+        if registry is None:
+            registry = RunRegistry(
+                self.directory / "registry" if self.directory is not None else None
+            )
+        self.registry = registry
+        self.recorder = recorder
+        if recorder.enabled and registry.recorder is NULL_RECORDER:
+            registry.recorder = recorder
+        self.runner = runner if runner is not None else ParallelRunner(1)
+        self.max_retries = max_retries
+        self.schedule_seed = schedule_seed
+        self.solo_cache = solo_cache
+        self.events = bool(events)
+        self.fsync = check_fsync(fsync)
+        self.stuck_batch_timeout = stuck_batch_timeout
+        self.retry_backoff = retry_backoff
+        self.retry_backoff_max = retry_backoff_max
+        self.poison_threshold = poison_threshold
+        self.transport = transport
+        self._sleep = time.sleep  # injectable for backoff tests
+        #: Live shards in creation order, ``key -> Shard``.
+        self.shards: Dict[str, Shard] = {}
+        #: The last job id handed out. Job ids come from this one
+        #: sequence so they stay unique across shards (the CLI maps
+        #: spool records by job id); a shard opening its journal
+        #: advances it past the journal's last id.
+        self._job_counter = 0
+        #: Per-batch elapsed seconds of every wave the drains
+        #: dispatched, in wave order — the raw material for
+        #: critical-path throughput accounting (``bench_e23``): a wave's
+        #: cost on enough cores is its max entry; a serial drain pays
+        #: the sum.
+        self.drain_waves: List[List[float]] = []
+        #: Set by :meth:`shutdown`; a closed service refuses submissions.
+        self.closed = False
+
+    def _shard(self, key: str) -> Shard:
+        """The shard ``key`` (created, opening its journal, on first use)."""
+        shard = self.shards.get(key)
+        if shard is None:
+            shard = self.shards[key] = Shard(self, key)
+        return shard
+
+    # ------------------------------------------------------------------
+    # submission
+    # ------------------------------------------------------------------
+
+    def submit(
+        self,
+        network: Network,
+        algorithm: Algorithm,
+        master_seed: int = 0,
+        message_bits: Optional[int] = -1,
+        spec: Optional[Dict[str, Any]] = None,
+    ) -> Job:
+        """Submit one job to its network's shard; returns it in its
+        post-admission state.
+
+        Resubmissions of content-identical jobs are served from the
+        registry immediately (state ``done``, ``result.from_registry``),
+        skipping admission and execution entirely.
+
+        ``spec`` is an optional JSON-able description of the job (the
+        CLI passes its spool record: ``{"id", "net", "algo", "seed"}``).
+        With a directory it rides in the journal's ``submit`` record so
+        :meth:`recover` can rebuild the job human-readably; without one
+        the journal falls back to pickling ``(network, algorithm)``.
+        """
+        if self.closed:
+            raise ServiceClosed("service has been shut down")
+        if message_bits == -1:
+            message_bits = default_message_bits(network.num_nodes)
+        shard = self._shard(shard_key(network))
+        fingerprint = job_fingerprint(
+            network, algorithm, master_seed, message_bits
+        )
+        self._job_counter += 1
+        job_id = f"j{self._job_counter:04d}"
+        job = Job(
+            job_id=job_id,
+            network=network,
+            algorithm=algorithm,
+            master_seed=master_seed,
+            message_bits=message_bits,
+            fingerprint=fingerprint,
+            tape_id=_tape_id(fingerprint, job_id),
+        )
+        job.meta["shard"] = shard.key
+        if spec is not None:
+            if "id" in spec:
+                job.meta["spool"] = spec["id"]
+            # "scenario"/"fuzz_seed" are the fuzzer's provenance stamps:
+            # they ride into the failure events so a divergence in a
+            # serve log names the scenario that reproduces it.
+            for key in ("net", "algo", "scenario", "fuzz_seed"):
+                if key in spec:
+                    job.meta[key] = spec[key]
+        return shard._enter(job, spec)
+
+    def submit_many(
+        self,
+        network: Network,
+        algorithms: Sequence[Algorithm],
+        master_seed: int = 0,
+        message_bits: Optional[int] = -1,
+    ) -> List[Job]:
+        """Submit a stream of jobs sharing one network and seed."""
+        return [
+            self.submit(
+                network, algorithm, master_seed=master_seed,
+                message_bits=message_bits,
+            )
+            for algorithm in algorithms
+        ]
+
+    def _probe(self, job: Job) -> SoloRun:
+        """The job's standalone reference run (admission + ground truth).
+
+        Goes through the configured solo-run cache under the job's
+        stable tape identity, so the batched workload's own reference
+        lookups (same key) are hits — admission costs no extra
+        simulation in the steady state.
+        """
+        cache = default_cache() if self.solo_cache == "default" else self.solo_cache
+        if isinstance(cache, SoloRunCache):
+            return cache.get_or_run(
+                job.network,
+                job.algorithm,
+                algorithm_id=job.tape_id,
+                seed=job.master_seed,
+                message_bits=job.message_bits,
+                transport=self.transport,
+            )
+        sim = Simulator(
+            job.network, message_bits=job.message_bits, transport=self.transport
+        )
+        return sim.run(
+            job.algorithm, seed=job.master_seed, algorithm_id=job.tape_id
+        )
+
+    def release_parked(self, cause: Optional[str] = None) -> List[Job]:
+        """Re-queue parked jobs (e.g. after raising the budget).
+
+        With ``cause`` (an :class:`~repro.service.admission
+        .AdmissionDecision` cause such as ``"depth"``), only jobs parked
+        for that reason are released — the serve loop uses this to free
+        backpressure-parked jobs once their shard drained without also
+        releasing jobs parked to wait for a bigger round budget.
+        """
+        released: List[Job] = []
+        for shard in self.shards.values():
+            for job in shard.queue.parked():
+                if cause is not None and job.meta.get("park_cause") != cause:
+                    continue
+                # WAL order like every other transition: the record
+                # lands before parked→queued is applied, so a crash
+                # here recovers the job as queued instead of silently
+                # re-parking it.
+                shard._transition(job, "released", post="release.post_journal")
+                released.append(job)
+            shard._gauge_depth()
+        return released
+
+    # ------------------------------------------------------------------
+    # execution
+    # ------------------------------------------------------------------
+
+    def _workload(self, jobs: List[Job]) -> Workload:
+        """One execution of mutually compatible ``jobs``, each job under
+        its own tape identity."""
+        return Workload(
+            jobs[0].network,
+            [job.algorithm for job in jobs],
+            master_seed=jobs[0].master_seed,
+            message_bits=jobs[0].message_bits,
+            solo_cache=self.solo_cache,
+            algorithm_ids=[job.tape_id for job in jobs],
+            transport=self.transport,
+        )
+
+    def _batch_scheduler(self, for_pickle: bool = False) -> Scheduler:
+        scheduler = copy.copy(self.scheduler)
+        scheduler.recorder = NULL_RECORDER if for_pickle else self.recorder
+        if self.transport is not None:
+            scheduler.transport = self.transport
+        return scheduler
+
+    def _run(self, staged: List[Tuple[Shard, str, List[Job], Workload]]) -> List[float]:
+        """Execute ``(shard, batch id, batch, workload)`` items in one
+        ordered map over :attr:`runner` and settle them in staging
+        order; returns each batch's elapsed seconds."""
+        # A serial runner executes in-process, so the batch can record
+        # into the service's recorder; a pool needs a picklable one.
+        pooled = self.runner.workers > 1
+        payloads = [
+            (self._batch_scheduler(for_pickle=pooled), workload, self.schedule_seed)
+            for _, _, _, workload in staged
+        ]
+        elapsed = []
+        for (shard, batch_id, batch, _), (result, seconds) in zip(
+            staged, self.runner.map(_execute_payload, payloads)
+        ):
+            shard._settle(batch_id, batch, result, elapsed=seconds)
+            elapsed.append(seconds)
+        return elapsed
+
+    def run_once(self) -> List[Job]:
+        """Batch and execute the next batch of the first shard that can
+        form one.
+
+        Returns the jobs of the executed batch (empty when every queue
+        was empty); every returned job is in a terminal state.
+        """
+        for shard in self.shards.values():
+            item = shard._next_workload()
+            if item is not None:
+                self._run([(shard, *item)])
+                return item[1]
+        return []
+
+    def drain(self, stop: Optional[Callable[[], bool]] = None) -> List[Job]:
+        """Execute every queued batch, batches of independent shards in
+        flight together; returns all jobs processed.
+
+        Each iteration stages one *wave*: every batch every shard can
+        form now, shard by shard, executed by :meth:`_run` — so a
+        pooled drain settles exactly like a serial one. Retries always
+        run in the parent so the registry and telemetry see every
+        outcome.
+
+        ``stop`` is polled before each wave; when it turns true the
+        drain returns after the in-flight wave settles, leaving the
+        remaining queue for a later drain (the serve loop's
+        graceful-shutdown hook).
+        """
+        processed: List[Job] = []
+        with self.recorder.span(
+            "service.drain", category="service", shards=len(self.shards)
+        ):
+            while stop is None or not stop():
+                staged = [
+                    (shard, *item)
+                    for shard in self.shards.values()
+                    for item in iter(shard._next_workload, None)
+                ]
+                if not staged:
+                    break
+                self.drain_waves.append(self._run(staged))
+                processed.extend(job for _, _, batch, _ in staged for job in batch)
+        return processed
+
+    # ------------------------------------------------------------------
+    # crash recovery
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def recover(
+        cls, directory: Union[str, Path], **kwargs: Any
+    ) -> "SchedulerService":
+        """Rebuild a service from its shard journals after a crash.
+
+        Every ``<directory>/shards/<key>/journal.jsonl`` is replayed, one
+        shard at a time, so one shard's damage never blocks another's
+        recovery; artifacts come from ``<directory>/registry`` unless a
+        ``registry`` kwarg overrides it. Remaining kwargs go to the
+        constructor unchanged. Raises ``ValueError`` if
+        ``<directory>/journal.jsonl`` exists (see :meth:`pending_jobs`).
+
+        Recovery is an idempotent replay: terminal jobs are restored
+        as-is, and every still-pending job is re-decided against the
+        durable evidence — a registry artifact under its fingerprint
+        means the completion was acknowledged before the crash, so the
+        job is marked ``done`` **without re-execution** (exactly-once);
+        a job journaled into ``poison_threshold`` or more batch
+        attempts is dead-lettered as ``quarantined``; a job whose
+        payload cannot be rebuilt is ``failed`` with a reason; a job
+        last journaled ``submitted`` or ``parked`` goes back through
+        the current admission policy (so a resume with a raised budget
+        frees parked jobs); anything else re-enters the queue to be
+        drained again.
+        Each new decision is itself journaled first, so recovering a
+        recovered journal reaches the identical state.
+        """
+        journal_paths = cls._shard_journals(directory)
+        service = cls(directory=directory, **kwargs)
+        for journal_path in journal_paths:
+            service._shard(journal_path.parent.name)._replay()
+        return service
+
+    @staticmethod
+    def _shard_journals(directory: Union[str, Path]) -> List[Path]:
+        base = Path(directory)
+        if (base / "journal.jsonl").exists():
+            raise ValueError(
+                f"{base / 'journal.jsonl'} is a single-queue journal, which "
+                "the service does not replay; resubmit its jobs and "
+                "remove it"
+            )
+        return sorted((base / "shards").glob("*/journal.jsonl"))
+
+    @staticmethod
+    def pending_jobs(directory: Union[str, Path]) -> Dict[str, List[str]]:
+        """Per-shard pending job ids left by a crashed serve.
+
+        Reads journal segments without opening (and thus repairing)
+        them — the cheap pre-flight the CLI uses to refuse a plain
+        ``serve`` over unfinished work. Raises ``ValueError`` if
+        ``<directory>/journal.jsonl`` exists: that journal is no
+        shard's, and serving would strand its jobs.
+        """
+        pending: Dict[str, List[str]] = {}
+        for path in SchedulerService._shard_journals(directory):
+            records, _problems = read_journal(path)
+            state = JournalState()
+            for record in records:
+                state.apply(record)
+            unfinished = state.pending()
+            if unfinished:
+                pending[path.parent.name] = unfinished
+        return pending
+
+    def journaled_spools(self) -> set:
+        """Spool ids already journaled by any shard (skip on re-serve)."""
+        return {
+            entry["spool"]
+            for shard in self.shards.values()
+            if shard.journal is not None
+            for entry in shard.journal.state.jobs.values()
+            if entry.get("spool")
+        }
 
     # ------------------------------------------------------------------
     # querying and lifecycle
     # ------------------------------------------------------------------
 
-    def status(self, job_id: str) -> Dict[str, Any]:
-        """JSON-friendly status of one job (raises KeyError if unknown)."""
-        return self.queue.jobs[job_id].describe()
+    def backlog(self) -> int:
+        """Jobs owed across every shard (queued + parked)."""
+        return sum(shard.queue.backlog for shard in self.shards.values())
 
     def jobs(self) -> List[Job]:
-        """All jobs ever submitted, in submission order."""
-        return sorted(self.queue.jobs.values(), key=lambda j: j.job_id)
+        """All jobs across shards, in submission (job id) order."""
+        return sorted(
+            (job for shard in self.shards.values() for job in shard.queue.jobs.values()),
+            key=lambda job: id_order(job.job_id),
+        )
 
-    def engine_totals(self) -> Dict[str, float]:
-        """The :data:`~repro.metrics.schedule.ENGINE_COUNTERS` this
-        service's executions accumulated — read off the execution reports
-        (recorded reports surface them zero-filled), so no engine
-        internals are touched. Every batch runs under the service's one
-        recorder and stamps a *cumulative* snapshot into its report, so
-        the total is the largest value seen, not the sum."""
-        engines = {name: 0.0 for name in ENGINE_COUNTERS}
-        for report in self.reports:
-            for name, value in report.engine_counters().items():
-                engines[name] = max(engines[name], value)
-        return engines
+    def status(self, job_id: str) -> Dict[str, Any]:
+        """JSON-friendly status of one job (raises KeyError if unknown)."""
+        for shard in self.shards.values():
+            job = shard.queue.jobs.get(job_id)
+            if job is not None:
+                return job.describe()
+        raise KeyError(job_id)
 
     def stats(self) -> Dict[str, Any]:
         """Service-level aggregate: states, queue, latency, registry.
 
-        The ``engine_counters`` block is :meth:`engine_totals`. The
-        ``latency`` block is derived by replaying the job-lifecycle
-        event log (:func:`repro.service.events.latency_stats`):
-        p50/p90/p99 queue and end-to-end latency plus jobs/sec. The
-        ``completion_rounds`` block (mean/p50/p90) comes from the same
-        replay: the round of :attr:`rounds` by which each executed job
-        finished. Both are ``None`` when the service was built with
-        ``events=None``.
+        Every job lives in exactly one shard, so the aggregate is a
+        merge: per-state job counts, batches and queue depths add; the
+        per-shard :class:`~repro.service.events.LatencyAccumulator`
+        replays of the event logs merge (histogram buckets add, window
+        = min first-submit .. max last-terminal) into the ``latency``
+        block (p50/p90/p99 queue and end-to-end latency plus jobs/sec)
+        and the ``completion_rounds`` block (mean/p50/p90 of the round
+        of its shard's :attr:`Shard.rounds` by which each executed job
+        finished) — both ``None`` with ``events=None``. The
+        ``engine_counters`` block reads the
+        :data:`~repro.metrics.schedule.ENGINE_COUNTERS` off the
+        execution reports: every batch runs under the one recorder and
+        stamps a *cumulative* snapshot into its report, so each total
+        is the largest value seen. The ``journal`` block (``None``
+        without a directory) sums the segments, and ``shards`` gives
+        per-shard depth/backlog/batches/rounds for hot-shard
+        visibility.
         """
-        latency = completion = None
-        if self.events is not None:
-            replay = LatencyAccumulator.from_events(self.events.events)
-            latency = replay.stats()
-            completion = replay.completion_stats()
-        journal = None
-        if self.journal is not None:
-            journal = {
-                "seq": self.journal.seq,
-                "records": len(self.journal),
-                "pending": len(self.journal.state.pending()),
-                "problems": list(self.journal.problems),
+        shards = self.shards.values()
+        engines = {name: 0.0 for name in ENGINE_COUNTERS}
+        for shard in shards:
+            for report in shard.reports:
+                for name, value in report.engine_counters().items():
+                    engines[name] = max(engines[name], value)
+        logs = [shard.events for shard in shards if shard.events is not None]
+        latency = LatencyAccumulator()
+        for log in logs:
+            latency.merge(LatencyAccumulator.from_events(log.events))
+        journals = [shard.journal for shard in shards if shard.journal is not None]
+        per_shard = {
+            key: {
+                "queue_depth": shard.queue.depth,
+                "backlog": shard.queue.backlog,
+                "batches": shard._batch_counter,
+                "rounds": shard.rounds,
+                "jobs": shard.queue.by_state(),
             }
+            for key, shard in self.shards.items()
+        }
         return {
-            "jobs": self.queue.by_state(),
-            "queue_depth": self.queue.depth,
-            "backlog": self.queue.backlog,
-            "batches": self._batch_counter,
+            "jobs": {
+                state.value: sum(s["jobs"][state.value] for s in per_shard.values())
+                for state in JobState
+            },
+            "queue_depth": sum(s["queue_depth"] for s in per_shard.values()),
+            "backlog": sum(s["backlog"] for s in per_shard.values()),
+            "batches": sum(s["batches"] for s in per_shard.values()),
             "registry": self.registry.stats(),
-            "engine_counters": self.engine_totals(),
-            "latency": latency,
-            "completion_rounds": completion,
-            "journal": journal,
-            "events": len(self.events) if self.events is not None else 0,
-            "closed": self._closed,
+            "engine_counters": engines,
+            "latency": latency.stats() if self.events else None,
+            "completion_rounds": latency.completion_stats() if self.events else None,
+            "journal": {
+                "segments": len(journals),
+                "records": sum(len(journal) for journal in journals),
+                "pending": sum(len(journal.state.pending()) for journal in journals),
+                "problems": [p for journal in journals for p in journal.problems],
+            } if journals else None,
+            "events": sum(len(log) for log in logs),
+            "shards": per_shard,
+            "closed": self.closed,
         }
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
+    def checkpoint(self) -> None:
+        """Compact every shard journal to its live state."""
+        for shard in self.shards.values():
+            if shard.journal is not None:
+                shard.journal.checkpoint()
 
     def shutdown(self, drain: bool = True) -> List[Job]:
-        """Stop accepting jobs; optionally drain the queue first.
+        """Stop accepting jobs; optionally drain every shard first.
 
         Graceful by default: every queued job is executed before the
-        queue closes. Parked jobs stay parked (resubmittable to a
-        service with a bigger budget); with ``drain=False`` queued jobs
-        simply remain queued, visible via :meth:`status`.
+        logs close. Parked jobs stay parked (resubmittable to a service
+        with a bigger budget); with ``drain=False`` queued jobs simply
+        remain queued, visible via :meth:`status`.
         """
         processed = self.drain() if drain else []
-        self._closed = True
-        if self.events is not None:
-            self.events.close()
-        if self.journal is not None:
-            self.journal.close()
+        for shard in self.shards.values():
+            for log in (shard.events, shard.journal):
+                if log is not None:
+                    log.close()
+        self.runner.close()
+        self.closed = True
         return processed
-
-    def _gauge_depth(self) -> None:
-        if self.recorder.enabled:
-            self.recorder.gauge("service.queue_depth", self.queue.depth)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"SchedulerService(scheduler={self.scheduler.name!r}, "
-            f"batch_size={self.batch_size}, depth={self.queue.depth}, "
-            f"jobs={len(self.queue.jobs)})"
+            f"shards={len(self.shards)}, backlog={self.backlog()}, "
+            f"closed={self.closed})"
         )
+
+
+#: Another name for :class:`SchedulerService`, for callers that import
+#: it under this one.
+ShardedSchedulerService = SchedulerService

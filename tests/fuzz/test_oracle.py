@@ -149,13 +149,12 @@ class TestProvenanceStamping:
                 )
                 return result
 
-        from repro.service import EventLog, read_events
+        from repro.service import read_events, shard_key
 
-        log = EventLog(tmp_path / "events.jsonl", flush_every=1)
         service = SchedulerService(
+            directory=tmp_path,
             scheduler=CorruptingScheduler(),
             max_retries=1,
-            events=log,
         )
         network = topology.path_graph(4)
         service.submit(
@@ -164,11 +163,9 @@ class TestProvenanceStamping:
             spec={"scenario": "cafe01234567", "fuzz_seed": 7},
         )
         service.drain()
-        log.close()
-        failed = [
-            e for e in read_events(tmp_path / "events.jsonl")
-            if e.kind == "failed"
-        ]
+        service.shutdown(drain=False)
+        events = tmp_path / "shards" / shard_key(network) / "events.jsonl"
+        failed = [e for e in read_events(events) if e.kind == "failed"]
         assert failed
         assert failed[0].attrs["scenario"] == "cafe01234567"
         assert failed[0].attrs["fuzz_seed"] == 7

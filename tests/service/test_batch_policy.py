@@ -18,7 +18,7 @@ import pytest
 from repro.algorithms import BFS, HopBroadcast
 from repro.congest import topology
 from repro.parallel import SoloRunCache
-from repro.service import JobQueue, JobState, ShardedSchedulerService
+from repro.service import JobQueue, JobState, SchedulerService
 from repro.service import service as service_module
 
 
@@ -76,7 +76,7 @@ def _stream():
 def _drain(queue_class):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(service_module, "JobQueue", queue_class)
-        service = ShardedSchedulerService(batch_size=4, solo_cache=SoloRunCache())
+        service = SchedulerService(batch_size=4, solo_cache=SoloRunCache())
         jobs = [service.submit(network, algo) for network, algo in _stream()]
         service.drain()
     return service, jobs

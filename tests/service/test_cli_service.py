@@ -103,6 +103,19 @@ class TestServeAndStatus:
         code, out = _run(capsys, "status", "--dir", str(tmp_path), "--job", "s0002")
         assert code == 0 and "state: done" in out
 
+    def test_status_lists_spool_ids_in_number_order(self, tmp_path, capsys):
+        state = {
+            "jobs": {
+                key: {"state": "done", "algo": "bfs:source=0,hops=1"}
+                for key in ("s10000", "s9999", "s10001")
+            }
+        }
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        code, out = _run(capsys, "status", "--dir", str(tmp_path))
+        assert code == 0
+        rows = [line.split()[0] for line in out.splitlines() if line.startswith("s")]
+        assert rows == ["s9999", "s10000", "s10001"]
+
     def test_resubmitted_spec_served_from_registry(self, tmp_path, capsys):
         self._spool(capsys, tmp_path, "bfs:source=1,hops=3")
         _run(capsys, "serve", "--dir", str(tmp_path))

@@ -321,11 +321,17 @@ class TestLatencyStats:
         }
 
 
+def _events(service):
+    """The event log of the one shard of a one-network service."""
+    (shard,) = service.shards.values()
+    return shard.events
+
+
 class TestServiceIntegration:
-    def _serve(self, events):
+    def _serve(self, **kwargs):
         network = topology.grid_graph(4, 4)
         service = SchedulerService(
-            batch_size=2, solo_cache=SoloRunCache(), events=events
+            batch_size=2, solo_cache=SoloRunCache(), **kwargs
         )
         service.submit_many(
             network, [BFS(0, hops=3), BFS(5, hops=3), BFS(10, hops=3)]
@@ -334,23 +340,24 @@ class TestServiceIntegration:
         return service
 
     def test_lifecycle_events_emitted_in_order(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        service = self._serve(EventLog(path))
-        kinds = [e.kind for e in service.events.events]
+        service = self._serve(directory=tmp_path)
+        log = _events(service)
+        path = log.path
+        kinds = [e.kind for e in log.events]
         assert kinds.count("submitted") == 3
         assert kinds.count("admitted") == 3
         assert kinds.count("batched") == 3
         assert kinds.count("done") == 3
         for job_id in ("j0001", "j0002", "j0003"):
             job_kinds = [
-                e.kind for e in service.events.events if e.job_id == job_id
+                e.kind for e in log.events if e.job_id == job_id
             ]
             assert job_kinds == ["submitted", "admitted", "batched", "done"]
         # the spool file holds the exact same stream
-        assert read_events(path) == service.events.events
+        assert read_events(path) == log.events
 
     def test_stats_latency_block(self):
-        service = self._serve("memory")
+        service = self._serve()
         stats = service.stats()
         latency = stats["latency"]
         assert latency["completed"] == 3
@@ -360,24 +367,22 @@ class TestServiceIntegration:
             <= latency["e2e_latency_s"]["p99"]
         )
         assert latency["jobs_per_sec"] > 0
-        assert stats["events"] == len(service.events)
+        assert stats["events"] == len(_events(service))
 
     def test_registry_hit_emits_done_with_marker(self):
         network = topology.grid_graph(4, 4)
-        service = SchedulerService(
-            batch_size=2, solo_cache=SoloRunCache(), events="memory"
-        )
+        service = SchedulerService(batch_size=2, solo_cache=SoloRunCache())
         service.submit(network, BFS(0, hops=3))
         service.drain()
         job = service.submit(network, BFS(0, hops=3))
         assert job.result.from_registry
-        hit = service.events.events[-1]
+        hit = _events(service).events[-1]
         assert hit.kind == "done"
         assert hit.attrs.get("from_registry") is True
 
     def test_events_none_disables_everything(self):
-        service = self._serve(None)
-        assert service.events is None
+        service = self._serve(events=None)
+        assert _events(service) is None
         stats = service.stats()
         assert stats["latency"] is None
         assert stats["events"] == 0
@@ -422,13 +427,13 @@ class TestServiceIntegration:
             directory=tmp_path,
             poison_threshold=2,
             solo_cache=SoloRunCache(),
-            events="memory",
         )
         [job] = recovered.jobs()
         assert job.state is JobState.QUARANTINED
-        assert recovered.events.events[-1].kind == "quarantined"
+        events = _events(recovered).events
+        assert events[-1].kind == "quarantined"
 
-        stats = latency_stats(recovered.events.events)
+        stats = latency_stats(events)
         assert stats["quarantined"] == 1
         assert stats["completed"] == 0
         latency = recovered.stats()["latency"]

@@ -31,15 +31,17 @@ from repro.service import (
     EventLog,
     JobJournal,
     JournalState,
-    RunRegistry,
     SchedulerService,
     parse_algorithm,
     parse_network,
     read_journal,
+    shard_key,
 )
+from repro.service import service as service_module
 from repro.telemetry import InMemoryRecorder
 
 NET = "grid:3x3"
+SHARD = shard_key(parse_network(NET))
 GOLDEN = Path(__file__).parent / "golden" / "lifecycle_transcript.json"
 
 
@@ -82,7 +84,7 @@ def _event_rows(events):
     ]
 
 
-def _transcript(directory):
+def _transcript(directory, monkeypatch):
     """Run the scripted session; returns its journal lines, events and
     counters. One clock stamps journal records and events alike, so the
     ``ts`` fields also pin how appends and events interleave."""
@@ -91,6 +93,11 @@ def _transcript(directory):
     def tick():
         return float(next(clock))
 
+    def clocked(cls):
+        return lambda *args, **kwargs: cls(*args, clock=tick, **kwargs)
+
+    monkeypatch.setattr(service_module, "JobJournal", clocked(JobJournal))
+    monkeypatch.setattr(service_module, "EventLog", clocked(EventLog))
     cache = SoloRunCache()
     kwargs = dict(
         scheduler=_Poisoned(),
@@ -100,14 +107,8 @@ def _transcript(directory):
         ),
         solo_cache=cache,
     )
-    live_recorder, live_events = InMemoryRecorder(), EventLog(clock=tick)
-    live = SchedulerService(
-        journal=JobJournal(directory / "journal.jsonl", clock=tick),
-        registry=RunRegistry(directory / "registry"),
-        recorder=live_recorder,
-        events=live_events,
-        **kwargs,
-    )
+    live_recorder = InMemoryRecorder()
+    live = SchedulerService(directory=directory, recorder=live_recorder, **kwargs)
     _submit(live, "bfs:source=0,hops=2", id="s0001")  # admitted
     _submit(live, "bfs:source=8,hops=9", id="s0002")  # rejected: budget
     _submit(  # admitted, then poisons its batch
@@ -128,20 +129,23 @@ def _transcript(directory):
         pass
     else:  # pragma: no cover - the script must crash here
         raise AssertionError("complete.pre_journal never fired")
-    live.journal.close()
+    live.shards[SHARD].journal.close()
 
-    recovered_recorder, recovered_events = InMemoryRecorder(), EventLog(clock=tick)
-    SchedulerService.recover(
+    recovered_recorder = InMemoryRecorder()
+    recovered = SchedulerService.recover(
         directory=directory,
-        journal=JobJournal(directory / "journal.jsonl", clock=tick),
         recorder=recovered_recorder,
-        events=recovered_events,
         poison_threshold=1,
         **kwargs,
-    ).shutdown(drain=False)
+    )
+    recovered.shutdown(drain=False)
+    journal = directory / "shards" / SHARD / "journal.jsonl"
     return {
-        "journal": (directory / "journal.jsonl").read_text().splitlines(),
-        "events": _event_rows(live_events) + _event_rows(recovered_events),
+        "journal": journal.read_text().splitlines(),
+        "events": (
+            _event_rows(live.shards[SHARD].events)
+            + _event_rows(recovered.shards[SHARD].events)
+        ),
         "counters": [
             _service_counters(live_recorder),
             _service_counters(recovered_recorder),
@@ -149,11 +153,11 @@ def _transcript(directory):
     }
 
 
-def test_golden_transcript(tmp_path):
+def test_golden_transcript(tmp_path, monkeypatch):
     """Journal bytes, events and counters of every transition kind are
     exactly those the hand-written transitions produced."""
     disarm()
-    got = _transcript(tmp_path)
+    got = _transcript(tmp_path, monkeypatch)
     want = json.loads(GOLDEN.read_text())
     assert got["journal"] == want["journal"]
     assert got["events"] == want["events"]
@@ -204,15 +208,18 @@ def _states(service):
 
 
 def _assert_live_is_replay(service, directory):
-    records, problems = read_journal(directory / "journal.jsonl")
+    records, problems = read_journal(
+        directory / "shards" / SHARD / "journal.jsonl"
+    )
     assert problems == []
     replay = JournalState()
     for record in records:
         replay.apply(record)
+    live = {job.job_id: job for job in service.jobs()}
     expected = {}
     for job_id, entry in replay.jobs.items():
         state = entry["state"]
-        job = service.queue.jobs.get(job_id)
+        job = live.get(job_id)
         if state == "batched" and job is not None and job.meta.get("recovered"):
             # Recovery requeues a job whose batch died without a record
             # of its own; its next batch record supersedes the old one.
@@ -254,8 +261,9 @@ def test_live_state_is_replayed_journal_state(ops):
                             service.shutdown(drain=False)
                         service = _recover_twice(directory, cache)
             except InjectedCrash:
-                if service is not None and service.journal is not None:
-                    service.journal.close()
+                if service is not None:
+                    for shard in service.shards.values():
+                        shard.journal.close()
                 service = None
                 continue
             _assert_live_is_replay(service, directory)

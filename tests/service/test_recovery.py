@@ -1,11 +1,14 @@
 """Crash recovery: the service's exactly-once contract, enforced.
 
 The matrix test kills the service (via in-process
-:class:`~repro.faults.InjectedCrash`) at *every* named crash point,
-recovers from the journal, drains, and asserts the recovered terminal
+:class:`~repro.faults.InjectedCrash`) at *every* named crash point, on
+one network and on two (each its own shard and journal segment),
+recovers from the journals, drains, and asserts the recovered terminal
 state is identical to an uninterrupted run: same states, bit-identical
 outputs, no acknowledged completion executed twice.
 """
+
+from contextlib import nullcontext
 
 import pytest
 
@@ -18,9 +21,7 @@ from repro.parallel import SoloRunCache
 from repro.service import (
     CRASH_POINTS,
     AdmissionPolicy,
-    JobJournal,
     JobState,
-    RunRegistry,
     SchedulerService,
     job_fingerprint,
 )
@@ -39,6 +40,11 @@ def grid():
     return topology.grid_graph(4, 4)
 
 
+def _networks(count):
+    """The first ``count`` of two independent networks."""
+    return [topology.grid_graph(4, 4), topology.cycle_graph(6)][:count]
+
+
 def _algorithms(network, count=4):
     nodes = list(network.nodes)
     out = []
@@ -50,25 +56,18 @@ def _algorithms(network, count=4):
     return out
 
 
-def _run(directory, network, crash=None, hit=1, **kwargs):
+def _run(directory, networks, crash=None, hit=1, **kwargs):
     """One service run; returns the service, or None if it crashed."""
     kwargs.setdefault("batch_size", 2)
-    service = SchedulerService(
-        journal=JobJournal(directory / "journal.jsonl"),
-        registry=RunRegistry(directory / "registry"),
-        **kwargs,
-    )
+    service = SchedulerService(directory=directory, **kwargs)
     try:
-        if crash is not None:
-            with armed(crash, hit=hit):
+        with armed(crash, hit=hit) if crash is not None else nullcontext():
+            for network in networks:
                 service.submit_many(network, _algorithms(network))
-                service.drain()
-        else:
-            service.submit_many(network, _algorithms(network))
             service.drain()
     except InjectedCrash:
         # The process is considered dead: nothing in-memory survives,
-        # only journal + registry + events on disk.
+        # only journals + registry + events on disk.
         return None
     service.shutdown(drain=False)
     return service
@@ -86,15 +85,22 @@ def _terminal_snapshot(service):
     return snap
 
 
+def _reports(service):
+    """Every execution report of every shard."""
+    return [report for shard in service.shards.values() for report in shard.reports]
+
+
 class TestCrashMatrix:
+    @pytest.mark.parametrize("networks", [1, 2])
     @pytest.mark.parametrize("point", CRASH_POINTS)
     @pytest.mark.parametrize("hit", [1, 2])
     def test_kill_recover_drain_matches_uninterrupted(
-        self, tmp_path, grid, point, hit
+        self, tmp_path, point, hit, networks
     ):
+        nets = _networks(networks)
         baseline_dir = tmp_path / "baseline"
         baseline_dir.mkdir()
-        baseline = _run(baseline_dir, grid)
+        baseline = _run(baseline_dir, nets)
         expected = _terminal_snapshot(baseline)
         assert all(
             state == JobState.DONE.value for state, _, _ in expected.values()
@@ -102,7 +108,7 @@ class TestCrashMatrix:
 
         crash_dir = tmp_path / "crash"
         crash_dir.mkdir()
-        crashed = _run(crash_dir, grid, crash=point, hit=hit)
+        crashed = _run(crash_dir, nets, crash=point, hit=hit)
         if crashed is not None:
             # The point never reached this hit count in a full run;
             # the run is itself the uninterrupted execution.
@@ -120,16 +126,13 @@ class TestCrashMatrix:
         # CLI's spool replay does. Every journaled job must have
         # survived recovery.
         have = {job.fingerprint for job in recovered.jobs()}
-        lost = [
-            algorithm
-            for algorithm in _algorithms(grid)
-            if job_fingerprint(
-                grid, algorithm, 0, default_message_bits(grid.num_nodes)
-            )
-            not in have
-        ]
-        for algorithm in lost:
-            recovered.submit(grid, algorithm)
+        for net in nets:
+            for algorithm in _algorithms(net):
+                fp = job_fingerprint(
+                    net, algorithm, 0, default_message_bits(net.num_nodes)
+                )
+                if fp not in have:
+                    recovered.submit(net, algorithm)
         recovered.drain()
         assert _terminal_snapshot(recovered) == expected
         # Exactly-once: a completion acknowledged before the crash was
@@ -149,7 +152,7 @@ class TestCrashMatrix:
     )
     def test_acknowledged_job_not_reexecuted(self, tmp_path, grid, point):
         """Crash after registry.put: recovery finishes the paperwork only."""
-        assert _run(tmp_path, grid, crash=point, hit=1) is None
+        assert _run(tmp_path, [grid], crash=point, hit=1) is None
         recovered = SchedulerService.recover(directory=tmp_path)
         done = [
             job for job in recovered.jobs() if job.state is JobState.DONE
@@ -157,13 +160,13 @@ class TestCrashMatrix:
         assert done, "the acknowledged completion must already be done"
         assert all(job.result.from_registry for job in done)
         # recovery itself executed nothing
-        assert recovered.reports == []
+        assert _reports(recovered) == []
         assert recovered.registry.stats()["stores"] == 0
 
     def test_crash_before_journal_loses_unacknowledged_submit(
         self, tmp_path, grid
     ):
-        assert _run(tmp_path, grid, crash="submit.pre_journal", hit=1) is None
+        assert _run(tmp_path, [grid], crash="submit.pre_journal", hit=1) is None
         recovered = SchedulerService.recover(directory=tmp_path)
         # The submission never became durable, so it legitimately
         # vanished — but nothing else leaked into the journal either.
@@ -173,16 +176,21 @@ class TestCrashMatrix:
         assert job.job_id == "j0001"
 
 
+def _seqs(service):
+    """The last journal sequence number of every shard."""
+    return {key: shard.journal.seq for key, shard in service.shards.items()}
+
+
 class TestRecoverIdempotence:
     def test_recover_twice_equals_recover_once(self, tmp_path, grid):
         assert (
-            _run(tmp_path, grid, crash="complete.pre_registry", hit=2) is None
+            _run(tmp_path, [grid], crash="complete.pre_registry", hit=2) is None
         )
         first = SchedulerService.recover(directory=tmp_path)
         snap_once = {
             job.job_id: job.state.value for job in first.jobs()
         }
-        seq_once = first.journal.seq
+        seq_once = _seqs(first)
         first.shutdown(drain=False)
 
         second = SchedulerService.recover(directory=tmp_path)
@@ -192,14 +200,34 @@ class TestRecoverIdempotence:
         assert snap_twice == snap_once
         # The first recovery journaled its decisions; the second found
         # nothing new to decide.
-        assert second.journal.seq == seq_once
+        assert _seqs(second) == seq_once
         second.shutdown(drain=False)
 
     def test_replay_journal_on_live_service_is_noop(self, tmp_path, grid):
-        service = _run(tmp_path, grid)
+        service = _run(tmp_path, [grid])
         before = {job.job_id: job.state for job in service.jobs()}
-        service._replay_journal()
+        for shard in service.shards.values():
+            shard._replay()
         assert {job.job_id: job.state for job in service.jobs()} == before
+
+
+class TestIdOrder:
+    def test_ids_past_9999_recover_in_submission_order(self, tmp_path, grid):
+        """``j10000`` sorts after ``j9999`` live, in the journal's pending
+        list and after recovery, so the oldest job still anchors the
+        first batch."""
+        service = SchedulerService(directory=tmp_path, batch_size=1)
+        service._job_counter = 9998
+        ids = [service.submit(grid, BFS(i, hops=2)).job_id for i in range(3)]
+        assert ids == ["j9999", "j10000", "j10001"]
+        assert [job.job_id for job in service.jobs()] == ids
+        service.shutdown(drain=False)
+
+        assert list(SchedulerService.pending_jobs(tmp_path).values()) == [ids]
+        recovered = SchedulerService.recover(tmp_path, batch_size=1)
+        assert [job.job_id for job in recovered.jobs()] == ids
+        assert [job.job_id for job in recovered.run_once()] == ["j9999"]
+        recovered.shutdown(drain=False)
 
 
 class TestParkedRecovery:
@@ -209,8 +237,7 @@ class TestParkedRecovery:
 
     def _park_one(self, tmp_path, grid):
         service = SchedulerService(
-            journal=JobJournal(tmp_path / "journal.jsonl"),
-            registry=RunRegistry(tmp_path / "registry"),
+            directory=tmp_path,
             policy=AdmissionPolicy(**self._PARKING),
             solo_cache=SoloRunCache(),
         )
@@ -294,7 +321,7 @@ class TestQuarantine:
             assert "poison_threshold" in job.reason
         # quarantine is terminal: draining executes nothing
         recovered.drain()
-        assert recovered.reports == []
+        assert _reports(recovered) == []
         snapshot = recorder.snapshot()
         assert snapshot["counters"]["service.quarantined"] == len(states)
 

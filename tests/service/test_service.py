@@ -18,7 +18,6 @@ from repro.metrics.schedule import ENGINE_COUNTERS
 from repro.parallel import ParallelRunner, SoloRunCache
 from repro.service import (
     AdmissionPolicy,
-    JobJournal,
     JobState,
     RunRegistry,
     SchedulerService,
@@ -48,6 +47,12 @@ def grid():
     return topology.grid_graph(6, 6)
 
 
+def _shard(service):
+    """The one shard of a service whose jobs share a network."""
+    (shard,) = service.shards.values()
+    return shard
+
+
 class TestAcceptance:
     def test_32_job_stream_batched_and_bit_identical(self, grid):
         batch_size = 8
@@ -65,7 +70,7 @@ class TestAcceptance:
         assert all(j.state is JobState.DONE for j in jobs)
         # <= ceil(32 / batch_size) workload executions, none retried
         assert service.stats()["batches"] <= -(-32 // batch_size)
-        assert len(service.reports) == service.stats()["batches"]
+        assert len(_shard(service).reports) == service.stats()["batches"]
 
         # outputs bit-identical to each job's standalone solo run
         for job, algorithm in zip(jobs, algorithms):
@@ -80,12 +85,12 @@ class TestAcceptance:
             assert not job.result.from_registry
 
         # resubmission: served from the registry, no new executions
-        executions_before = len(service.reports)
+        executions_before = len(_shard(service).reports)
         resubmitted = service.submit_many(grid, algorithms)
         assert all(j.state is JobState.DONE for j in resubmitted)
         assert all(j.result.from_registry for j in resubmitted)
         assert service.registry.hits >= 32
-        assert len(service.reports) == executions_before
+        assert len(_shard(service).reports) == executions_before
         for job, again in zip(jobs, resubmitted):
             assert again.result.outputs == job.result.outputs
 
@@ -128,7 +133,7 @@ class TestBatching:
         jobs = service.submit_many(grid, _job_stream(grid, 5))
         first = service.run_once()
         assert [j.job_id for j in first] == [j.job_id for j in jobs[:2]]
-        assert service.queue.depth == 3
+        assert _shard(service).queue.depth == 3
         assert service.run_once() and service.run_once()
         assert service.run_once() == []
 
@@ -241,17 +246,18 @@ class TestRetries:
             batch_size=4,
             max_retries=1,
             solo_cache=SoloRunCache(),
-            journal=JobJournal(tmp_path / "journal.jsonl"),
+            directory=tmp_path,
         )
         jobs = service.submit_many(grid, _job_stream(grid, 8))
         service.drain()
+        shard = _shard(service)
         assert all(j.state is JobState.DONE for j in jobs)
         retried = [j for j in jobs if j.attempts == 2]
         assert len(retried) == 1
         (job,) = retried
         # Executions: b0001, its retry b0001.r1, then b0002.
-        assert len(service.reports) == 3
-        first, retry, _second = service.reports
+        assert len(shard.reports) == 3
+        first, retry, _second = shard.reports
         meta = service.registry.get(job.fingerprint).meta
         assert meta["batch"] == "b0001.r1"
         assert meta["length_rounds"] == retry.length_rounds
@@ -265,15 +271,15 @@ class TestRetries:
             other_meta = service.registry.get(other.fingerprint).meta
             lengths[other_meta["batch"]] = other_meta["length_rounds"]
         assert sorted(lengths) == ["b0001", "b0001.r1", "b0002"]
-        assert sum(lengths.values()) == service.rounds == sum(
-            report.length_rounds for report in service.reports
+        assert sum(lengths.values()) == shard.rounds == sum(
+            report.length_rounds for report in shard.reports
         )
         # Journal records and events stay keyed by the original batch.
         assert job.meta["batch"] == "b0001"
-        done, _ = read_journal(tmp_path / "journal.jsonl")
+        done, _ = read_journal(shard.journal.path)
         done = [r for r in done if r["kind"] == "done" and r["job"] == job.job_id]
         assert [r["batch"] for r in done] == ["b0001"]
-        events = [e for e in service.events.events if e.job_id == job.job_id]
+        events = [e for e in shard.events.events if e.job_id == job.job_id]
         (retried,) = [e for e in events if e.kind == "retried"]
         assert retried.attrs["execution"] == "b0001.r1"
         assert all(e.batch == "b0001" for e in events if e.batch is not None)

@@ -1,23 +1,24 @@
-"""ShardedSchedulerService: routing, bit-identity, backpressure, stats.
+"""Shards: routing, bit-identity, backpressure, stats, recovery.
 
-The sharded service is a *transparent* restructuring of the single
-queue: same submissions in, byte-identical terminal states, outputs,
-and registry contents out. These tests pin that contract:
+A service holding N networks is N one-network services side by side:
+same submissions in, byte-identical terminal states, outputs, and
+registry contents out. These tests pin that contract:
 
 * routing — jobs land in per-network shards keyed by the network
   fingerprint (``==``-equal rebuilt networks share a shard);
-* bit-identity — a sharded concurrent drain of a multi-network
-  workload settles every job exactly like one single-queue service
-  draining the same submissions serially, with zero duplicate
-  executions (registry stores are counted);
+* bit-identity — one wave drain of a multi-network workload settles
+  every job exactly like one service per network draining its share,
+  with zero duplicate executions (registry stores are counted);
 * backpressure — ``max_shard_depth`` parks/sheds on the hot shard
   only, and ``release_parked(cause="depth")`` frees exactly the
   backpressure-parked jobs;
-* cross-shard stats — merged per-shard recorders and latency sketches
-  equal the single-queue run's, under the documented merge rules
-  (counters add, gauges element-wise max, histogram buckets add);
-* crash recovery — the full :data:`CRASH_POINTS` matrix against the
-  sharded service recovers byte-identically per shard.
+* cross-shard stats — the merged stats, recorder metrics and latency
+  sketches equal those of the one-network services, under the
+  documented merge rules (counters add, gauges element-wise max,
+  histogram buckets add);
+* crash recovery — recovering twice converges, and a top-level journal
+  is refused (the crash matrix over one and two networks lives in
+  ``test_recovery.py``).
 """
 
 import re
@@ -29,16 +30,16 @@ from repro.congest import solo_run, topology
 from repro.faults import InjectedCrash, armed, disarm
 from repro.parallel import SoloRunCache
 from repro.service import (
-    CRASH_POINTS,
     AdmissionPolicy,
+    JobJournal,
     JobState,
     LatencyAccumulator,
     SchedulerService,
-    ShardedSchedulerService,
     latency_stats,
     shard_key,
 )
 from repro.telemetry import InMemoryRecorder
+from repro.telemetry.metrics import MetricsRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +72,20 @@ def _submit_all(service, networks):
     return jobs
 
 
+def _per_network(networks, recorded=False, **kwargs):
+    """One drained one-network service per network, in network order
+    (each with a recorder of its own when ``recorded``)."""
+    services = []
+    for network in networks:
+        if recorded:
+            kwargs["recorder"] = InMemoryRecorder()
+        service = SchedulerService(solo_cache=SoloRunCache(), **kwargs)
+        _submit_all(service, [network])
+        service.drain()
+        services.append(service)
+    return services
+
+
 def _terminal_snapshot(service):
     snap = {}
     for job in service.jobs():
@@ -85,7 +100,7 @@ def _terminal_snapshot(service):
 class TestRouting:
     def test_jobs_route_by_network_fingerprint(self):
         nets = _networks(3)
-        service = ShardedSchedulerService(solo_cache=SoloRunCache())
+        service = SchedulerService(solo_cache=SoloRunCache())
         jobs = _submit_all(service, nets)
         assert len(service.shards) == 3
         keys = {shard_key(net) for net in nets}
@@ -99,7 +114,7 @@ class TestRouting:
         b = topology.cycle_graph(6)  # == a, is not a
         assert a is not b and a == b
         assert shard_key(a) == shard_key(b)
-        service = ShardedSchedulerService(solo_cache=SoloRunCache())
+        service = SchedulerService(solo_cache=SoloRunCache())
         service.submit(a, BFS(0, hops=2))
         service.submit(b, BFS(1, hops=2))
         assert len(service.shards) == 1
@@ -112,7 +127,7 @@ class TestRouting:
 
     def test_submit_many_and_status_lookup(self):
         nets = _networks(2)
-        service = ShardedSchedulerService(solo_cache=SoloRunCache())
+        service = SchedulerService(solo_cache=SoloRunCache())
         jobs = service.submit_many(nets[0], _algorithms(nets[0]))
         service.submit_many(nets[1], _algorithms(nets[1]))
         assert service.backlog() == 6
@@ -127,13 +142,14 @@ class TestBitIdentity:
     def test_sharded_drain_matches_single_queue_serial_drain(self, tmp_path):
         nets = _networks(4)
 
-        single = SchedulerService(batch_size=4, solo_cache=SoloRunCache())
-        _submit_all(single, nets)
-        single.shutdown(drain=True)
-        expected = _terminal_snapshot(single)
+        singles = _per_network(nets, batch_size=4)
+        expected = {}
+        for single in singles:
+            single.shutdown(drain=False)
+            expected.update(_terminal_snapshot(single))
         assert all(s == "done" for s, _, _ in expected.values())
 
-        sharded = ShardedSchedulerService(
+        sharded = SchedulerService(
             directory=tmp_path, batch_size=4, solo_cache=SoloRunCache()
         )
         jobs = _submit_all(sharded, nets)
@@ -144,11 +160,11 @@ class TestBitIdentity:
         assert _terminal_snapshot(sharded) == expected
         # Zero duplicate executions: every unique job stored exactly once.
         assert sharded.registry.stores == len(jobs)
-        assert single.registry.stores == len(jobs)
+        assert sum(single.registry.stores for single in singles) == len(jobs)
 
     def test_outputs_match_solo_references(self):
         nets = _networks(2)
-        service = ShardedSchedulerService(solo_cache=SoloRunCache())
+        service = SchedulerService(solo_cache=SoloRunCache())
         jobs = _submit_all(service, nets)
         service.drain()
         for job in jobs:
@@ -164,7 +180,7 @@ class TestBitIdentity:
 
     def test_resubmission_served_from_shared_registry(self):
         net = _networks(1)[0]
-        service = ShardedSchedulerService(solo_cache=SoloRunCache())
+        service = SchedulerService(solo_cache=SoloRunCache())
         algo = BFS(0, hops=3)
         first = service.submit(net, algo)
         service.drain()
@@ -176,7 +192,7 @@ class TestBitIdentity:
 
     def test_wave_records_cover_all_batches(self):
         nets = _networks(4)
-        service = ShardedSchedulerService(
+        service = SchedulerService(
             batch_size=8, solo_cache=SoloRunCache()
         )
         _submit_all(service, nets)
@@ -192,7 +208,7 @@ class TestBackpressure:
     def test_hot_shard_parks_others_unaffected(self):
         hot, cold = _networks(2)
         policy = AdmissionPolicy(max_shard_depth=2, park_over_depth=True)
-        service = ShardedSchedulerService(
+        service = SchedulerService(
             policy=policy, solo_cache=SoloRunCache()
         )
         hot_jobs = [
@@ -218,7 +234,7 @@ class TestBackpressure:
     def test_sheds_without_park_flag(self):
         net = _networks(1)[0]
         policy = AdmissionPolicy(max_shard_depth=1)
-        service = ShardedSchedulerService(
+        service = SchedulerService(
             policy=policy, solo_cache=SoloRunCache()
         )
         first = service.submit(net, BFS(0, hops=2))
@@ -236,7 +252,7 @@ class TestBackpressure:
             round_budget=1,
             park_over_budget=True,
         )
-        service = ShardedSchedulerService(
+        service = SchedulerService(
             policy=policy, solo_cache=SoloRunCache()
         )
         # Over-budget on an empty shard: parked with cause="budget".
@@ -256,7 +272,7 @@ class TestBackpressure:
     def test_global_depth_gate_sees_summed_backlog(self):
         nets = _networks(2)
         policy = AdmissionPolicy(max_queue_depth=3)
-        service = ShardedSchedulerService(
+        service = SchedulerService(
             policy=policy, solo_cache=SoloRunCache()
         )
         accepted = [
@@ -277,64 +293,87 @@ class TestCrossShardStats:
     def test_merged_stats_equal_single_queue_run(self):
         nets = _networks(3)
 
-        single_rec = InMemoryRecorder()
-        single = SchedulerService(
-            batch_size=4, solo_cache=SoloRunCache(), recorder=single_rec
-        )
-        _submit_all(single, nets)
-        single.drain()
-        single_stats = single.stats()
+        singles = _per_network(nets, recorded=True, batch_size=4)
+        single_stats = [single.stats() for single in singles]
 
-        sharded = ShardedSchedulerService(
-            batch_size=4, solo_cache=SoloRunCache(), per_shard_recorders=True
+        sharded = SchedulerService(
+            batch_size=4, solo_cache=SoloRunCache(), recorder=InMemoryRecorder()
         )
         _submit_all(sharded, nets)
         sharded.drain()
         stats = sharded.stats()
 
-        assert stats["jobs"] == single_stats["jobs"]
-        assert stats["batches"] == single_stats["batches"]
-        assert stats["engine_counters"] == single_stats["engine_counters"]
+        def total(read):
+            return sum(read(single) for single in single_stats)
+
+        assert stats["jobs"] == {
+            state: total(lambda single: single["jobs"][state])
+            for state in stats["jobs"]
+        }
+        assert stats["batches"] == total(lambda single: single["batches"])
+        # One recorder holds every shard's engine work; each
+        # one-network service's recorder holds its own.
+        assert stats["engine_counters"] == {
+            name: total(lambda single: single["engine_counters"][name])
+            for name in stats["engine_counters"]
+        }
         latency = stats["latency"]
-        # Histogram buckets add: merged counts equal the single run's.
+        # Histogram buckets add: merged counts equal the summed runs'.
         for key in ("queue_latency_s", "e2e_latency_s"):
-            assert (
-                latency[key]["count"] == single_stats["latency"][key]["count"]
+            assert latency[key]["count"] == total(
+                lambda single: single["latency"][key]["count"]
             )
-        assert latency["completed"] == single_stats["latency"]["completed"]
-        assert latency["events"] == single_stats["latency"]["events"]
-        single.shutdown(drain=False)
+        assert latency["completed"] == total(
+            lambda single: single["latency"]["completed"]
+        )
+        assert latency["events"] == total(
+            lambda single: single["latency"]["events"]
+        )
+        for single in singles:
+            single.shutdown(drain=False)
         sharded.shutdown(drain=False)
 
     def test_merged_recorder_counters_add(self):
         nets = _networks(3)
-        sharded = ShardedSchedulerService(
-            batch_size=4, solo_cache=SoloRunCache(), per_shard_recorders=True
+        singles = _per_network(nets, recorded=True, batch_size=4)
+        merged = MetricsRegistry()
+        for single in singles:
+            merged.merge(single.recorder.metrics)
+        snapshot = merged.snapshot()
+
+        recorder = InMemoryRecorder()
+        sharded = SchedulerService(
+            batch_size=4, solo_cache=SoloRunCache(), recorder=recorder
         )
         jobs = _submit_all(sharded, nets)
         sharded.drain()
-        merged = sharded.merged_metrics()
-        snapshot = merged.snapshot()
+        counters = recorder.snapshot()["counters"]
         assert snapshot["counters"]["service.submitted"] == len(jobs)
         assert snapshot["counters"]["service.jobs_done"] == len(jobs)
+        assert counters["service.submitted"] == len(jobs)
+        assert counters["service.jobs_done"] == len(jobs)
         # Gauges merge element-wise max: depth peaked at the hottest
-        # shard's peak, not the sum of the shards.
+        # network's peak, not the sum of the networks.
         peak = max(
-            rec.metrics.snapshot()["gauges"]["service.queue_depth"]
-            for rec in sharded._shard_recorders.values()
+            single.recorder.metrics.snapshot()["gauges"]["service.queue_depth"]
+            for single in singles
         )
         assert snapshot["gauges"]["service.queue_depth"] == peak
-        # Histograms merge bucket-wise: batch sizes from all shards.
+        # Histograms merge bucket-wise: batch sizes from all networks,
+        # as many as the one service's shards ran.
         hist = snapshot["histograms"]["service.batch_size"]
         assert hist["count"] == sum(
-            rec.metrics.snapshot()["histograms"]["service.batch_size"]["count"]
-            for rec in sharded._shard_recorders.values()
+            single.recorder.metrics.snapshot()["histograms"]["service.batch_size"]["count"]
+            for single in singles
+        )
+        assert hist["count"] == (
+            recorder.snapshot()["histograms"]["service.batch_size"]["count"]
         )
         sharded.shutdown(drain=False)
 
     def test_latency_accumulator_merge_equals_concatenated_stream(self):
         nets = _networks(3)
-        sharded = ShardedSchedulerService(
+        sharded = SchedulerService(
             batch_size=4, solo_cache=SoloRunCache()
         )
         _submit_all(sharded, nets)
@@ -351,79 +390,10 @@ class TestCrossShardStats:
 
 
 class TestShardedRecovery:
-    def _baseline(self, tmp_path, nets):
-        directory = tmp_path / "baseline"
-        service = ShardedSchedulerService(
-            directory=directory, batch_size=2, solo_cache=SoloRunCache()
-        )
-        _submit_all(service, nets)
-        service.drain()
-        service.shutdown(drain=False)
-        return _terminal_snapshot(service)
-
-    @pytest.mark.parametrize("point", CRASH_POINTS)
-    def test_crash_matrix_recovers_byte_identically(self, tmp_path, point):
-        from repro.congest import default_message_bits
-        from repro.service import job_fingerprint
-
-        nets = _networks(2)
-        expected = self._baseline(tmp_path, nets)
-        assert all(s == "done" for s, _, _ in expected.values())
-
-        directory = tmp_path / "crashed"
-        service = ShardedSchedulerService(
-            directory=directory, batch_size=2, solo_cache=SoloRunCache()
-        )
-        crashed = False
-        try:
-            with armed(point, hit=2):
-                _submit_all(service, nets)
-                service.drain()
-        except InjectedCrash:
-            crashed = True
-        disarm()
-        if not crashed:
-            # The point never reached hit 2 in this workload; the run
-            # is itself the uninterrupted execution.
-            service.shutdown(drain=False)
-            assert _terminal_snapshot(service) == expected
-            return
-
-        recovered = ShardedSchedulerService.recover(
-            directory, batch_size=2, solo_cache=SoloRunCache()
-        )
-        acknowledged = {
-            job.fingerprint
-            for job in recovered.jobs()
-            if job.result is not None and job.result.from_registry
-        }
-        # A submission the crash caught before its journal record was
-        # never acknowledged — resubmit it, exactly like the CLI's
-        # spool replay does.
-        have = {job.fingerprint for job in recovered.jobs()}
-        for net in nets:
-            for algorithm in _algorithms(net):
-                fp = job_fingerprint(
-                    net, algorithm, 0, default_message_bits(net.num_nodes)
-                )
-                if fp not in have:
-                    recovered.submit(net, algorithm)
-        recovered.drain()
-        assert _terminal_snapshot(recovered) == expected
-        # Exactly-once per shard: a completion acknowledged before the
-        # crash is served from the registry, never executed again.
-        for job in recovered.jobs():
-            if job.fingerprint in acknowledged:
-                assert job.result.from_registry
-        assert recovered.registry.stats()["stores"] == len(expected) - len(
-            acknowledged
-        )
-        recovered.shutdown(drain=False)
-
     def test_recover_twice_converges(self, tmp_path):
         nets = _networks(2)
         directory = tmp_path / "svc"
-        service = ShardedSchedulerService(
+        service = SchedulerService(
             directory=directory, batch_size=2, solo_cache=SoloRunCache()
         )
         try:
@@ -433,14 +403,14 @@ class TestShardedRecovery:
         except InjectedCrash:
             pass
         disarm()
-        first = ShardedSchedulerService.recover(
+        first = SchedulerService.recover(
             directory, batch_size=2, solo_cache=SoloRunCache()
         )
         first_states = {
             j.job_id: j.state.value for j in first.jobs()
         }
         first.shutdown(drain=False)
-        second = ShardedSchedulerService.recover(
+        second = SchedulerService.recover(
             directory, batch_size=2, solo_cache=SoloRunCache()
         )
         assert {
@@ -453,23 +423,15 @@ class TestShardedRecovery:
         second.shutdown(drain=False)
 
     def test_single_queue_journal_is_refused(self, tmp_path):
-        net = _networks(1)[0]
-        from repro.service import JobJournal, RunRegistry
-
-        single = SchedulerService(
-            journal=JobJournal(tmp_path / "journal.jsonl"),
-            registry=RunRegistry(tmp_path / "registry"),
-            batch_size=2,
-            solo_cache=SoloRunCache(),
-        )
-        single.submit(net, BFS(0, hops=2))
-        # Left pending: sharded serving must not strand this job silently.
-        single.journal.close()
+        # A top-level journal holding a pending job: serving must not
+        # strand it silently.
+        with JobJournal(tmp_path / "journal.jsonl") as journal:
+            journal.append("submit", job="j0001")
 
         named = re.escape(str(tmp_path / "journal.jsonl"))
         with pytest.raises(ValueError, match=named):
-            ShardedSchedulerService.pending_jobs(tmp_path)
+            SchedulerService.pending_jobs(tmp_path)
         with pytest.raises(ValueError, match=named):
-            ShardedSchedulerService.recover(
+            SchedulerService.recover(
                 tmp_path, batch_size=2, solo_cache=SoloRunCache()
             )
