@@ -212,13 +212,12 @@ def _phase_engine_leg():
     times = {}
     results = {}
     for transport in ("reference", "numpy"):
-        scheduler = RandomDelayScheduler().with_transport(transport)
         workload = Workload(network, list(algorithms), transport=transport)
         gc.collect()
         gc.disable()
         try:
             start = time.perf_counter()
-            results[transport] = scheduler.run(workload, seed=11)
+            results[transport] = RandomDelayScheduler().run(workload, seed=11)
             times[transport] = time.perf_counter() - start
         finally:
             gc.enable()

@@ -510,7 +510,6 @@ def _serve_cli(args) -> int:
         # from *all* shards across it at once.
         runner=ParallelRunner(args.workers, persistent=True),
         schedule_seed=args.seed,
-        transport=args.transport,
         fsync=args.fsync,
     )
     if resuming:
@@ -1105,13 +1104,6 @@ def main(argv=None) -> int:
         )
         parser.add_argument(
             "--seed", type=int, default=1, help="schedule seed (default: 1)"
-        )
-        parser.add_argument(
-            "--transport", default=None,
-            choices=("auto", "reference", "numpy"),
-            help="message-transport backend for every execution "
-            "(default: auto — numpy when available; backends are "
-            "bit-identical, only wall-clock differs)",
         )
         parser.add_argument(
             "--resume", action="store_true",

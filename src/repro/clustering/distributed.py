@@ -355,7 +355,6 @@ def run_distributed_clustering(
     horizon_constant: float = 2.0,
     verify_sharing: bool = True,
     recorder: Recorder = NULL_RECORDER,
-    transport: Any = None,
 ) -> Clustering:
     """Build the Lemma 4.2 clustering by actually running the protocol.
 
@@ -369,7 +368,7 @@ def run_distributed_clustering(
     if num_layers is None:
         num_layers = default_num_layers(network.num_nodes)
 
-    simulator = Simulator(network, recorder=recorder, transport=transport)
+    simulator = Simulator(network, recorder=recorder)
     layers: List[ClusterLayer] = []
     total_rounds = 0
     sharing_bits = 0

@@ -115,11 +115,12 @@ class Simulator:
         bit-identical to an injector-free build. A seeded injector may
         drop, duplicate or delay messages and crash-stop nodes.
     transport:
-        Message-transport backend (see
-        :mod:`repro.core.transport`): ``None``/``"auto"`` selects the
-        numpy struct-of-arrays backend when numpy is importable and the
-        object-per-message reference otherwise; results are bit-identical
-        either way.
+        Message-transport backend (see :mod:`repro.core.transport`):
+        ``None``/``"auto"`` is the numpy struct-of-arrays backend,
+        ``"reference"`` the object-per-message one; results are
+        bit-identical either way. A :class:`~repro.core.workload.Workload`
+        passes its own ``transport`` here for its solo runs; tests pass
+        one to compare the backends.
     """
 
     def __init__(

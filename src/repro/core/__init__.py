@@ -42,7 +42,6 @@ from .sparse_phase import SparsePhaseScheduler
 from .transport import (
     REFERENCE_TRANSPORT,
     Transport,
-    available_transports,
     resolve_transport,
 )
 from .workload import OutputMap, Workload
@@ -73,7 +72,6 @@ __all__ = [
     "SparsePhaseScheduler",
     "Transport",
     "Workload",
-    "available_transports",
     "resolve_transport",
     "capture_delay_schedule",
     "evaluate_delay_schedule",

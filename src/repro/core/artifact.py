@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from ..errors import ScheduleError
 from ..metrics.schedule import ScheduleReport, phase_schedule_length
@@ -100,16 +100,15 @@ class ScheduleArtifact:
             return Network.from_json(self.network_json) == workload.network
         return True
 
-    def replay(
-        self, workload: Workload, strict: bool = True, transport: Any = None
-    ) -> ScheduleResult:
+    def replay(self, workload: Workload, strict: bool = True) -> ScheduleResult:
         """Re-execute the schedule on ``workload`` and verify everything.
 
         With ``strict`` the replay raises if the measured length or max
         load deviates from the recorded values (a mismatch means the
         workload is not the one the artifact was captured for).
-        Replays are bit-identical across ``transport`` backends, so an
-        artifact recorded under one backend verifies under any other.
+        Replays are bit-identical across the workload's transport
+        backends, so an artifact recorded under one backend verifies
+        under any other.
         """
         if not self.matches(workload):
             raise ScheduleError(
@@ -117,7 +116,7 @@ class ScheduleArtifact:
                 f"(k={self.num_algorithms} vs {workload.num_algorithms}, "
                 f"n={self.network_nodes} vs {workload.network.num_nodes})"
             )
-        execution = run_delayed_phases(workload, self.delays, transport=transport)
+        execution = run_delayed_phases(workload, self.delays)
         length = phase_schedule_length(
             execution.num_phases, self.phase_size, execution.max_phase_load
         )

@@ -182,27 +182,6 @@ class Scheduler(ABC):
     #: would-be hang into a structured partial failure.
     round_budget: Optional[int] = None
 
-    #: Message-transport backend threaded into the execution engines
-    #: (see :mod:`repro.core.transport`). The class-level default of
-    #: ``None`` resolves to ``"auto"``: the numpy struct-of-arrays
-    #: backend when numpy is importable, the object-per-message
-    #: reference otherwise. Outputs, reports and telemetry are
-    #: bit-identical across backends, so changing the transport can only
-    #: change wall-clock time.
-    transport: Any = None
-
-    def with_transport(self, transport: Any) -> "Scheduler":
-        """Select a transport backend (``"auto"``/``"reference"``/
-        ``"numpy"`` or a :class:`~repro.core.transport.Transport`);
-        returns ``self`` for chaining."""
-        from .transport import resolve_transport
-
-        # Validate eagerly (a typo should fail here, not mid-run) but
-        # store the spec: workloads/simulators re-resolve it themselves.
-        resolve_transport(transport)
-        self.transport = transport
-        return self
-
     def with_recorder(self, recorder: Recorder) -> "Scheduler":
         """Attach a telemetry recorder; returns ``self`` for chaining."""
         self.recorder = recorder

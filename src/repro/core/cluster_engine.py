@@ -53,7 +53,7 @@ from ..congest.wave import StepGroup, WaveGroup
 from ..errors import CoverageError, ReproError, SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
-from .transport import resolve_transport
+from .transport import ReferenceClusterLoadChannel
 from .workload import OutputMap, Workload
 
 __all__ = ["ClusterExecution", "run_cluster_copies", "select_output_layers"]
@@ -140,7 +140,6 @@ def run_cluster_copies(
     recorder: Recorder = NULL_RECORDER,
     injector: FaultInjector = NULL_INJECTOR,
     on_limit: str = "raise",
-    transport: Any = None,
 ) -> ClusterExecution:
     """Execute every (layer, cluster, algorithm) copy under big-round delays.
 
@@ -160,11 +159,12 @@ def run_cluster_copies(
     still observe genuinely different inboxes (a delayed message reaches
     late copies only), the copy-consistency check downgrades from a hard
     error to first-payload-wins while faults are enabled. ``on_limit``
-    and ``transport`` as in
-    :func:`~repro.core.phase_engine.run_delayed_phases` (the transport
-    carries only the per-big-round load accounting here — the shared
-    pool and dedup registry *are* scheduling decisions and stay in the
-    engine).
+    as in :func:`~repro.core.phase_engine.run_delayed_phases`. The
+    workload's transport runs only the solo references here: the
+    per-big-round load accounting has one implementation
+    (:class:`~repro.core.transport.ReferenceClusterLoadChannel`), and the
+    shared pool and dedup registry *are* scheduling decisions and stay
+    in the engine.
     """
     network = workload.network
     if on_limit not in ("raise", "truncate"):
@@ -227,9 +227,9 @@ def run_cluster_copies(
     # Dedup registry: (aid, round, sender, receiver) -> payload.
     sent: Dict[Tuple[int, int, int, int], Any] = {}
 
-    # Per-big-round directed-edge load accounting lives in the
-    # transport channel; pool/dedup/truncation stay engine-side.
-    channel = resolve_transport(transport).cluster_load_channel()
+    # Per-big-round directed-edge load accounting lives in the load
+    # channel; pool/dedup/truncation stay engine-side.
+    channel = ReferenceClusterLoadChannel()
     messages_sent = 0
     messages_deduplicated = 0
     messages_truncated = 0

@@ -8,7 +8,7 @@ account the result into a :class:`~repro.metrics.schedule.ScheduleReport`.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 
 from ..faults import NULL_INJECTOR, FaultInjector
@@ -47,7 +47,6 @@ def execute_with_delays(
     injector: FaultInjector = NULL_INJECTOR,
     max_phases: Optional[int] = None,
     on_limit: str = "raise",
-    transport: Any = None,
 ) -> tuple:
     """Run the phase engine and build the report (not yet verified).
 
@@ -67,7 +66,6 @@ def execute_with_delays(
             recorder=recorder,
             injector=injector,
             on_limit=on_limit,
-            transport=transport,
         )
     params = workload.params()
     report = ScheduleReport(

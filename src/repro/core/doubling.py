@@ -77,7 +77,6 @@ class DoublingScheduler(Scheduler):
                 recorder=self.recorder,
                 injector=self.injector,
                 on_limit="truncate" if self.round_budget is not None else "raise",
-                transport=self.transport,
             )
             planned = execution.num_phases * phase_size
             if execution.max_phase_load <= capacity:

@@ -24,7 +24,7 @@ from typing import Any, Dict, List
 
 from ..metrics.schedule import ScheduleReport
 from .base import ScheduleResult, Scheduler
-from .transport import resolve_transport
+from .transport import ReferenceEagerChannel
 from .workload import Workload, group_outputs
 
 __all__ = ["EagerScheduler"]
@@ -50,10 +50,10 @@ class EagerScheduler(Scheduler):
             params.congestion + params.dilation + k + 4
         )
 
-        # The per-directed-edge FIFO queues live in the transport channel
-        # (kept object-per-message in every backend: the inbox build
-        # order here is output-visible — see the channel docstring).
-        channel = resolve_transport(self.transport).eager_channel()
+        # The per-directed-edge FIFO queues live in the eager channel
+        # (object-per-message whatever the workload's transport: the
+        # inbox build order here is output-visible — see its docstring).
+        channel = ReferenceEagerChannel()
         overwrites = 0
         delivered_late = 0
         # A confused program may violate CONGEST rules (e.g. double-sends

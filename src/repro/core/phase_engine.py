@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..congest.wave import WaveGroup
 from ..errors import SimulationLimitExceeded
@@ -68,7 +68,6 @@ def run_delayed_phases(
     injector: FaultInjector = NULL_INJECTOR,
     on_limit: str = "raise",
     fast_forward: bool = True,
-    transport: Any = None,
 ) -> PhaseExecution:
     """Execute all algorithms with per-algorithm phase delays.
 
@@ -76,7 +75,10 @@ def run_delayed_phases(
     ----------
     workload:
         The DAS instance. Node random tapes are derived from its master
-        seed exactly as in the solo runs, so outputs are comparable.
+        seed exactly as in the solo runs, so outputs are comparable. Its
+        ``transport`` moves the messages (see
+        :mod:`repro.core.transport`); outputs, load profiles and
+        telemetry are bit-identical across backends.
     delays:
         ``delays[i]`` = number of whole phases algorithm ``i`` waits
         before starting.
@@ -107,10 +109,6 @@ def run_delayed_phases(
         phase-by-phase walk, which also restores the per-silent-phase
         zero telemetry samples. Skipped phases are reported in the
         ``phase.skipped_phases`` counter.
-    transport:
-        Message-transport backend (see :mod:`repro.core.transport`);
-        ``None``/``"auto"`` picks numpy when importable. Outputs, load
-        profiles and telemetry are bit-identical across backends.
     """
     network = workload.network
     k = workload.num_algorithms
@@ -134,7 +132,7 @@ def run_delayed_phases(
     # transport channel; the loop below keeps only the scheduling
     # decisions (who starts when, when the run is complete).
     groups = [workload.host_group(aid) for aid in range(k)]
-    channel = resolve_transport(transport).phase_channel(
+    channel = resolve_transport(workload.transport).phase_channel(
         k, injector, collect_histogram
     )
 

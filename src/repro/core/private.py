@@ -209,7 +209,6 @@ class PrivateScheduler(Scheduler):
                 recorder=recorder,
                 injector=self.injector,
                 on_limit="truncate" if self.round_budget is not None else "raise",
-                transport=self.transport,
             )
 
         phase_size = phase_size_log(n, self.phase_constant)

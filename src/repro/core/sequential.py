@@ -32,7 +32,7 @@ class SequentialScheduler(Scheduler):
                 message_bits=workload.message_bits,
                 recorder=self.recorder,
                 injector=self.injector,
-                transport=self.transport,
+                transport=workload.transport,
             )
             runs = [
                 sim.run(

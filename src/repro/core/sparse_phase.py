@@ -63,6 +63,5 @@ class SparsePhaseScheduler(Scheduler):
             injector=self.injector,
             max_phases=self.round_budget,
             on_limit="truncate" if self.round_budget is not None else "raise",
-            transport=self.transport,
         )
         return self._finish(workload, outputs, report)

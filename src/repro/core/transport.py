@@ -9,29 +9,34 @@ bench_e19 measured an 8× round-count win turning into a 0.98× wall-clock
 "win" (ROADMAP item 1).
 
 This module is the seam between the two: a :class:`Transport` builds
-per-engine *channels* (solo / phase / cluster / eager) that own all
-message buffering, fault routing, trace recording and load accounting,
-while the engines keep every decision.  Two implementations exist:
+the solo and phase *channels* that own message buffering, fault
+routing, trace recording and load accounting, while the engines keep
+every decision.  Two implementations exist:
 
 * :class:`ReferenceTransport` (here) — the original object-per-message
   code paths, moved behind the channel interface **verbatim**.  It is
   the golden reference: every other backend must be bit-identical to it
-  (outputs, traces, load histograms, telemetry counters).
+  (outputs, traces, load histograms, telemetry counters), and it is the
+  fault path of both backends.
 * ``NumpyTransport`` (:mod:`repro.core.transport_numpy`) — a
   struct-of-arrays backend batching per-round edge/load columns and
-  delivery buffers.  Selected automatically when numpy is importable.
+  delivery buffers.  The default.
+
+The cluster engine's load accounting
+(:class:`ReferenceClusterLoadChannel`) and the eager scheduler's edge
+queues (:class:`ReferenceEagerChannel`) have one implementation each;
+their engines build them directly.
 
 Backend selection
 -----------------
-Every entry point (``Simulator``, ``run_delayed_phases``,
-``run_cluster_copies``, ``Workload``, the schedulers and the service)
-accepts ``transport=`` and resolves it with :func:`resolve_transport`:
+A :class:`~repro.core.workload.Workload` carries the choice
+(``Workload(transport=…)``); every engine that executes the workload
+reads it from there, and :class:`~repro.congest.simulator.Simulator`
+takes its own ``transport=`` for solo runs.  :func:`resolve_transport`
+turns a spec into a backend:
 
-* ``None`` — consult the ``REPRO_TRANSPORT`` environment variable, then
-  fall back to ``"auto"``;
-* ``"auto"`` — numpy backend when numpy is importable, else reference;
-* ``"reference"`` / ``"numpy"`` — force a backend (``"numpy"`` raises a
-  helpful error when numpy is missing);
+* ``None`` or ``"auto"`` — the numpy backend;
+* ``"reference"`` / ``"numpy"`` — that backend;
 * a :class:`Transport` instance — used as-is.
 
 Because results are bit-identical across backends, the transport is
@@ -42,9 +47,8 @@ fault fates or telemetry values — only how fast the messages move.
 
 from __future__ import annotations
 
-import os
 from collections import Counter, deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Tuple
 
 from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
@@ -52,13 +56,8 @@ from ..faults import FaultInjector
 __all__ = [
     "ReferenceTransport",
     "Transport",
-    "TRANSPORT_ENV",
-    "available_transports",
     "resolve_transport",
 ]
-
-#: Environment variable consulted when no explicit transport is given.
-TRANSPORT_ENV = "REPRO_TRANSPORT"
 
 #: A buffered send: ``(receiver, payload)`` (matches ``NodeContext``).
 Send = Tuple[int, Any]
@@ -67,9 +66,9 @@ Inboxes = Dict[int, Dict[int, Any]]
 
 
 class Transport:
-    """Factory of per-engine message channels.
+    """Factory of the solo and phase message channels.
 
-    Subclasses implement the four ``*_channel`` constructors.  Instances
+    Subclasses implement both ``*_channel`` constructors.  Instances
     are stateless (all state lives in the channels they build), cheap to
     share, and picklable — a :class:`~repro.core.workload.Workload`
     carries one across process boundaries.
@@ -92,19 +91,6 @@ class Transport:
         self, k: int, injector: FaultInjector, collect_histogram: bool
     ) -> "ReferencePhaseChannel":
         """Channel for :func:`~repro.core.phase_engine.run_delayed_phases`."""
-        raise NotImplementedError
-
-    def cluster_load_channel(self) -> "ReferenceClusterLoadChannel":
-        """Load accounting for the cluster-copies engine.
-
-        The cluster engine keeps its shared message pool and dedup
-        registry (those *are* scheduling decisions — see Lemma 4.4);
-        only the per-big-round directed-edge load accounting moves here.
-        """
-        raise NotImplementedError
-
-    def eager_channel(self) -> "ReferenceEagerChannel":
-        """FIFO edge queues for the eager (unsafe) scheduler."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -443,68 +429,30 @@ class ReferenceTransport(Transport):
     ) -> ReferencePhaseChannel:
         return ReferencePhaseChannel(k, injector, collect_histogram)
 
-    def cluster_load_channel(self) -> ReferenceClusterLoadChannel:
-        return ReferenceClusterLoadChannel()
-
-    def eager_channel(self) -> ReferenceEagerChannel:
-        return ReferenceEagerChannel()
-
 
 #: Shared stateless instance (channels carry all state).
 REFERENCE_TRANSPORT = ReferenceTransport()
 
-_NUMPY_TRANSPORT: Optional[Transport] = None
-_NUMPY_ERROR: Optional[str] = None
-
-
-def _numpy_transport() -> Optional[Transport]:
-    """Build (once) the numpy transport, or remember why we can't."""
-    global _NUMPY_TRANSPORT, _NUMPY_ERROR
-    if _NUMPY_TRANSPORT is None and _NUMPY_ERROR is None:
-        try:
-            from .transport_numpy import NumpyTransport
-        except ImportError as exc:  # numpy (or the module) unavailable
-            _NUMPY_ERROR = str(exc)
-        else:
-            _NUMPY_TRANSPORT = NumpyTransport()
-    return _NUMPY_TRANSPORT
-
-
-def available_transports() -> Tuple[str, ...]:
-    """Names of the backends usable right now (always includes reference)."""
-    names = ["reference"]
-    if _numpy_transport() is not None:
-        names.append("numpy")
-    return tuple(names)
-
 
 def resolve_transport(spec: Any = None) -> Transport:
-    """Resolve a transport spec (see module docstring) to an instance.
-
-    ``None`` consults the ``REPRO_TRANSPORT`` environment variable and
-    falls back to ``"auto"``; ``"auto"`` prefers numpy when importable
-    and degrades gracefully to the reference backend otherwise.
-    """
-    if spec is None:
-        spec = os.environ.get(TRANSPORT_ENV) or "auto"
+    """Resolve a transport spec (see module docstring) to an instance:
+    ``None`` and ``"auto"`` are the numpy backend."""
     if isinstance(spec, Transport):
         return spec
+    if spec is None:
+        spec = "auto"
     if not isinstance(spec, str):
         raise ValueError(
             f"transport must be a Transport, a name, or None; got {spec!r}"
         )
     name = spec.strip().lower()
-    if name == "auto":
-        return _numpy_transport() or REFERENCE_TRANSPORT
     if name == "reference":
         return REFERENCE_TRANSPORT
-    if name == "numpy":
-        transport = _numpy_transport()
-        if transport is None:
-            raise ValueError(
-                f"transport 'numpy' requested but unavailable: {_NUMPY_ERROR}"
-            )
-        return transport
+    if name in ("auto", "numpy"):
+        # Imported here: the numpy backend builds on this module.
+        from .transport_numpy import NUMPY_TRANSPORT
+
+        return NUMPY_TRANSPORT
     raise ValueError(
         f"unknown transport {spec!r}; expected 'auto', 'reference' or 'numpy'"
     )

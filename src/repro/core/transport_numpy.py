@@ -51,8 +51,9 @@ consequences shape the implementation:
   be batched without re-deriving them message-by-message anyway, so
   fault-injected runs (a tiny fraction of real workloads) simply use the
   golden code path — identical by construction.
-* **The eager channel stays object-per-message** in every backend: its
-  FIFO drain order is output-visible (see the reference docstring).
+* **The eager channel stays object-per-message**: it has one
+  implementation, :class:`~repro.core.transport.ReferenceEagerChannel`,
+  since its FIFO drain order is output-visible (see its docstring).
 
 Node ids are assumed to fit in 31 bits (they are dense ``0 .. n-1``
 indices everywhere in this codebase), which lets a directed edge pack
@@ -72,8 +73,6 @@ from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
 from .transport import (
     Inboxes,
-    ReferenceClusterLoadChannel,
-    ReferenceEagerChannel,
     ReferencePhaseChannel,
     ReferenceSoloChannel,
     Transport,
@@ -568,9 +567,8 @@ class NumpyPhaseChannel:
 class NumpyTransport(Transport):
     """Struct-of-arrays transport; bit-identical to the reference.
 
-    Fault-injected channels, the cluster engine's load accounting and
-    the eager channel delegate to the reference implementations (see the
-    module docstring for why).
+    Fault-injected channels delegate to the reference implementations
+    (see the module docstring for why).
     """
 
     name = "numpy"
@@ -587,8 +585,6 @@ class NumpyTransport(Transport):
             return ReferencePhaseChannel(k, injector, collect_histogram)
         return NumpyPhaseChannel(k, collect_histogram)
 
-    def cluster_load_channel(self) -> ReferenceClusterLoadChannel:
-        return ReferenceClusterLoadChannel()
 
-    def eager_channel(self) -> ReferenceEagerChannel:
-        return ReferenceEagerChannel()
+#: Shared stateless instance (channels carry all state).
+NUMPY_TRANSPORT = NumpyTransport()

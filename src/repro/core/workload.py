@@ -58,11 +58,14 @@ class Workload:
     to always simulate fresh. Caching never changes results — the cache
     key pins every input of the deterministic simulator.
 
-    ``transport`` selects the message-transport backend used for the
-    solo reference runs (see :mod:`repro.core.transport`); engines that
-    execute the workload take their own ``transport=``. Because every
-    backend is bit-identical, the transport is *not* part of the solo
-    cache key and never changes outputs or tape identities.
+    ``transport`` is the one holder of the message-transport backend
+    (see :mod:`repro.core.transport`; ``None`` is the numpy default): the
+    solo reference runs and every engine that executes the workload
+    read it from here. Because every backend is bit-identical, the
+    transport is *not* part of the solo cache key and never changes
+    outputs or tape identities; a caller comparing backends builds each
+    leg's workload with ``solo_cache=None``, or the second leg reads
+    back the first leg's solo runs.
 
     ``algorithm_ids`` optionally fixes each algorithm's *tape identity*:
     the value salted (together with the master seed and the node id)
@@ -223,17 +226,6 @@ class Workload:
         state = dict(self.__dict__)
         if isinstance(state.get("solo_cache"), SoloRunCache):
             state["solo_cache"] = "default"
-        # Ship transport *specs*, not instances: the receiving process
-        # re-resolves (it may lack numpy even if we have it — results
-        # are bit-identical either way).
-        from .transport import Transport
-
-        transport = state.get("transport")
-        if isinstance(transport, Transport) and transport.name in (
-            "reference",
-            "numpy",
-        ):
-            state["transport"] = transport.name
         return state
 
     def params(self) -> WorkloadParams:

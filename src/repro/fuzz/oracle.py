@@ -15,7 +15,9 @@ fault-free scenarios
     * ``sequential-length`` — the sequential schedule is exactly the
       sum of the solo runs;
     * ``transport-identity`` — reference and numpy transports produce
-      bit-identical outputs and lengths;
+      bit-identical outputs and lengths. Each transport leg runs on its
+      own workload with no solo cache, so its solo references and its
+      engines all move messages on that leg's transport;
     * ``service`` — the same jobs submitted through
       :class:`SchedulerService` (wave drain) come back done,
       with per-job outputs equal to solo, and a content-identical
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.base import verify_outputs
-from ..core.transport import available_transports
 from ..core.workload import Workload
 from ..faults.plan import FaultPlan
 from ..service.service import SchedulerService
@@ -164,15 +165,8 @@ class DifferentialOracle:
                 (Divergence("build", fingerprint, repr(exc)),),
                 1,
             )
-        transports = [
-            name
-            for name in scenario.transports
-            if name in available_transports()
-        ] or ["reference"]
         if built.faults is None or built.faults.is_null:
-            checks += self._check_fault_free(
-                scenario, built, transports, divergences
-            )
+            checks += self._check_fault_free(scenario, built, divergences)
         else:
             checks += self._check_faulted(scenario, built, divergences)
         return OracleReport(scenario, tuple(divergences), checks)
@@ -183,17 +177,20 @@ class DifferentialOracle:
         self,
         scenario: Scenario,
         built: BuiltScenario,
-        transports: List[str],
         divergences: List[Divergence],
     ) -> int:
         fingerprint = scenario.fingerprint()
         checks = 0
         results: Dict[Tuple[str, str], Any] = {}
+        transports = scenario.transports
         for transport in transports:
+            # No solo cache: it ignores the transport, so a shared one
+            # would hand this leg the previous leg's solo runs.
             workload = Workload(
                 built.network,
                 list(built.algorithms),
                 master_seed=scenario.master_seed,
+                solo_cache=None,
                 transport=transport,
             )
             for name in scenario.schedulers:

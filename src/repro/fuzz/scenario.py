@@ -31,6 +31,7 @@ from .._util import derive_seed, stable_digest
 from ..algorithms.packet_routing import random_packets
 from ..congest.network import Network
 from ..congest.program import Algorithm
+from ..core.transport import resolve_transport
 from ..faults.plan import FaultPlan
 from ..service.specs import (
     SCHEDULER_KINDS,
@@ -38,7 +39,6 @@ from ..service.specs import (
     parse_fault_plan,
     parse_network,
     parse_scheduler,
-    parse_transport,
 )
 
 __all__ = [
@@ -104,7 +104,7 @@ class Scenario:
         if not self.schedulers:
             raise ValueError("scenario has no schedulers")
         for name in self.transports:
-            parse_transport(name)
+            resolve_transport(name)
         if not self.transports:
             raise ValueError("scenario has no transports")
         faults = parse_fault_plan(self.faults) if self.faults else None

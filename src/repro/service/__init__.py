@@ -57,7 +57,6 @@ from .specs import (
     parse_fault_plan,
     parse_network,
     parse_scheduler,
-    parse_transport,
 )
 
 __all__ = [
@@ -87,7 +86,6 @@ __all__ = [
     "parse_fault_plan",
     "parse_network",
     "parse_scheduler",
-    "parse_transport",
     "read_events",
     "read_journal",
     "shard_key",

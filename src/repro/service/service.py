@@ -971,11 +971,10 @@ class SchedulerService:
         instead of re-queueing it — a job that killed the process this
         many times stops sinking its batchmates.
     transport:
-        Message-transport backend (see :mod:`repro.core.transport`)
-        threaded into admission probes, batch workloads, and the
-        scheduler. ``None`` defers to the scheduler's own setting and
-        the ``REPRO_TRANSPORT`` environment default. Backends are
-        bit-identical, so this only affects wall-clock time.
+        Message-transport backend (see :mod:`repro.core.transport`) of
+        the admission probes and the batch workloads, whose engines read
+        it from the workload. ``None`` is the numpy default. Backends
+        are bit-identical, so this only affects wall-clock time.
     """
 
     def __init__(
@@ -1197,8 +1196,6 @@ class SchedulerService:
     def _batch_scheduler(self, for_pickle: bool = False) -> Scheduler:
         scheduler = copy.copy(self.scheduler)
         scheduler.recorder = NULL_RECORDER if for_pickle else self.recorder
-        if self.transport is not None:
-            scheduler.transport = self.transport
         return scheduler
 
     def _run(self, staged: List[Tuple[Shard, str, List[Job], Workload]]) -> List[float]:

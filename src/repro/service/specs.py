@@ -23,7 +23,6 @@ module defines a tiny ``kind:key=value,...`` spec language::
                 faults:seed=1,outages=0-1@2-4,crashes=5@3
     schedulers  sequential  round-robin  eager  random-delay
                 sparse-phase  doubling  private
-    transports  auto  reference  numpy
 
 Specs round-trip: a job spec appended to the service's spool log
 (or a scenario persisted into a fuzz corpus) is parsed back by ``serve``
@@ -60,13 +59,11 @@ __all__ = [
     "ALGORITHM_KINDS",
     "NETWORK_KINDS",
     "SCHEDULER_KINDS",
-    "TRANSPORT_KINDS",
     "format_fault_plan",
     "parse_algorithm",
     "parse_fault_plan",
     "parse_network",
     "parse_scheduler",
-    "parse_transport",
 ]
 
 #: Every network kind :func:`parse_network` accepts.
@@ -110,9 +107,6 @@ SCHEDULER_KINDS = (
     "doubling",
     "private",
 )
-
-#: Transport backend names :func:`parse_transport` accepts.
-TRANSPORT_KINDS = ("auto", "reference", "numpy")
 
 
 def _split(spec: str) -> Tuple[str, str]:
@@ -433,7 +427,7 @@ def format_fault_plan(plan: FaultPlan) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schedulers and transports
+# schedulers
 # ---------------------------------------------------------------------------
 
 
@@ -467,19 +461,3 @@ def parse_scheduler(spec: str):
             f"(expected {'/'.join(SCHEDULER_KINDS)})"
         )
     return factories[name]()
-
-
-def parse_transport(spec: str) -> str:
-    """Validate a transport backend name (returned as the spec string).
-
-    Backends are bit-identical (see :mod:`repro.core.transport`), so
-    the validated *name* is what scenarios persist; engines re-resolve
-    it at run time (the replaying machine may lack numpy).
-    """
-    name = spec.strip().lower()
-    if name not in TRANSPORT_KINDS:
-        raise ValueError(
-            f"unknown transport {spec!r} "
-            f"(expected {'/'.join(TRANSPORT_KINDS)})"
-        )
-    return name

@@ -28,21 +28,18 @@ from repro.congest.program import Algorithm, HostGroup, NodeContext, NodeProgram
 from repro.congest.simulator import Simulator
 from repro.congest.trace import ExecutionTrace
 from repro.core import transport as transport_module
-from repro.core.transport import available_transports, resolve_transport
+from repro.core import transport_numpy
+from repro.core.transport import resolve_transport
+from repro.core.transport_numpy import ArrayTrace
 from repro.errors import BandwidthViolation
 from repro.faults import NULL_INJECTOR, FaultPlan
 
-BACKENDS = available_transports()
+BACKENDS = ("reference", "numpy")
 FAULTS = (None, FaultPlan(seed=4, drop=0.15, duplicate=0.1, delay=0.1))
 
 
 def _transport_modules():
-    modules = [transport_module]
-    if "numpy" in BACKENDS:
-        from repro.core import transport_numpy
-
-        modules.append(transport_numpy)
-    return modules
+    return [transport_module, transport_numpy]
 
 
 def _injector(plan):
@@ -305,15 +302,6 @@ def test_sizer_matches_the_recursive_definition(payload):
 
 # -- the trace's int columns -------------------------------------------------
 
-try:
-    import numpy
-
-    from repro.core.transport_numpy import ArrayTrace
-except ImportError:  # the no-numpy CI leg: the reference half above still runs
-    numpy = ArrayTrace = None
-
-needs_numpy = pytest.mark.skipif(numpy is None, reason="numpy transport unavailable")
-
 _COLUMNS = ("_round_senders", "_round_counts", "_round_receivers")
 
 
@@ -363,7 +351,6 @@ class _OldShapePickle:
         return _blank_array_trace, (), self.state
 
 
-@needs_numpy
 class TestIntColumns:
     def test_pickled_state_is_flat_lists_of_ints(self):
         state = _flood_trace().__getstate__()
@@ -401,7 +388,6 @@ class TestIntColumns:
         assert recorded.__getstate__() == adopted.__getstate__()
 
 
-@needs_numpy
 class TestNothingLeftBehindAPush:
     def test_flood_round_leaves_no_object_per_node(self):
         """Deliver → step → push on an 8×8 torus with the collector off:

@@ -40,15 +40,12 @@ from repro.congest.program import (
 from repro.congest.wave import WaveGroup
 from repro.core import Workload
 from repro.core.phase_engine import run_delayed_phases
-from repro.core.transport import available_transports
 from repro.errors import BandwidthViolation
 from repro.fuzz import ScenarioGenerator
 from repro.service.specs import SCHEDULER_KINDS, parse_scheduler
 from repro.telemetry import InMemoryRecorder
 
-TRANSPORTS = tuple(
-    name for name in ("reference", "numpy") if name in available_transports()
-)
+TRANSPORTS = ("reference", "numpy")
 #: 12 topology kinds × 12 algorithm families; every third one is faulted.
 SCENARIOS = 144
 #: Counters that say *how* the slots were spent; their sum is the number
@@ -85,11 +82,7 @@ def _observe(network, algorithms, master_seed, schedule_seed, faults, name, tran
         solo_cache=None,  # the references must be re-executed, not recalled
         transport=transport,
     )
-    scheduler = (
-        parse_scheduler(name)
-        .with_transport(transport)
-        .with_recorder(InMemoryRecorder())
-    )
+    scheduler = parse_scheduler(name).with_recorder(InMemoryRecorder())
     if faults is not None:
         budget = 8 * workload.params().cost_sum + 50
         scheduler = scheduler.with_faults(faults).with_round_budget(budget)

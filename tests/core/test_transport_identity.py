@@ -7,15 +7,20 @@ struct-of-arrays backend must reproduce it exactly — outputs, trace
 events and every derived index, load histograms, fault fates and
 ``max_message_bits``. These tests pin that contract deterministically
 (the hypothesis sweep lives in ``test_transport_properties.py``) and
-cover backend resolution, including the no-numpy degradation path.
+cover backend resolution. Every scheduled leg builds its workload with
+``solo_cache=None``: the cache ignores the transport, so a shared one
+would hand the numpy leg the reference leg's solo runs.
 """
 
+import inspect
 import pickle
 import random
 
+import numpy
 import pytest
 
 from repro.algorithms import BFS, Flooding, HopBroadcast, LubyMIS, PushGossip
+from repro.clustering.distributed import run_distributed_clustering
 from repro.congest import topology
 from repro.congest.program import Broadcast
 from repro.congest.simulator import Simulator
@@ -24,25 +29,28 @@ from repro.core import (
     PrivateScheduler,
     RandomDelayScheduler,
     RoundRobinScheduler,
+    ScheduleArtifact,
+    Scheduler,
+    SequentialScheduler,
     Workload,
+    execute_with_delays,
+    run_cluster_copies,
+    run_delayed_phases,
 )
 from repro.core import transport as transport_module
 from repro.core.transport import (
     REFERENCE_TRANSPORT,
     ReferenceSoloChannel,
     Transport,
-    available_transports,
     resolve_transport,
 )
-from repro.faults import NULL_INJECTOR, FaultPlan
-
-numpy = pytest.importorskip("numpy")
-
-from repro.core.transport_numpy import (  # noqa: E402 - needs numpy
+from repro.core.transport_numpy import (
     NUMPY_MIN_MESSAGES,
     ArrayTrace,
     NumpySoloChannel,
+    NumpyTransport,
 )
+from repro.faults import NULL_INJECTOR, FaultPlan
 
 BACKENDS = ("reference", "numpy")
 
@@ -132,8 +140,6 @@ class TestSoloIdentity:
         channels = {
             "solo_channel": (injector, "a0"),
             "phase_channel": (3, injector, True),
-            "cluster_load_channel": (),
-            "eager_channel": (),
         }
         assert set(channels) == {name for name in vars(Transport) if name.endswith("_channel")}
         for name, args in channels.items():
@@ -226,20 +232,24 @@ class TestSmallRunsSkipNumpy:
         for name in self.SCHEDULERS:
             workload = Workload(
                 built.network, list(built.algorithms),
-                master_seed=scenario.master_seed, transport="reference",
+                master_seed=scenario.master_seed, solo_cache=None,
+                transport="reference",
             )
-            scheduler = parse_scheduler(name).with_transport("reference")
-            expected[name] = scheduler.run(workload, seed=scenario.schedule_seed)
+            expected[name] = parse_scheduler(name).run(
+                workload, seed=scenario.schedule_seed
+            )
 
         monkeypatch.setattr(numpy, "unique", _refuse)
         monkeypatch.setattr(numpy, "fromiter", _refuse)
         for name in self.SCHEDULERS:
             workload = Workload(
                 built.network, list(built.algorithms),
-                master_seed=scenario.master_seed, transport="numpy",
+                master_seed=scenario.master_seed, solo_cache=None,
+                transport="numpy",
             )
-            scheduler = parse_scheduler(name).with_transport("numpy")
-            result = scheduler.run(workload, seed=scenario.schedule_seed)
+            result = parse_scheduler(name).run(
+                workload, seed=scenario.schedule_seed
+            )
             assert not result.mismatches, name
             assert result.outputs == expected[name].outputs, name
             assert result.report.length_rounds == expected[name].report.length_rounds
@@ -257,10 +267,10 @@ class TestSchedulerIdentity:
         results = {}
         for name in BACKENDS:
             workload = Workload(
-                network, _algorithms(network)[:3], transport=name
+                network, _algorithms(network)[:3], solo_cache=None,
+                transport=name,
             )
-            scheduler = scheduler_cls().with_transport(name)
-            results[name] = scheduler.run(workload, seed=7)
+            results[name] = scheduler_cls().run(workload, seed=7)
         ref, vec = results["reference"], results["numpy"]
         assert not ref.mismatches and not vec.mismatches
         assert vec.outputs == ref.outputs
@@ -272,22 +282,30 @@ class TestSchedulerIdentity:
 
 class TestResolution:
     def test_available_includes_both(self):
-        assert available_transports() == ("reference", "numpy")
+        """numpy is a declared dependency: both backends always resolve,
+        to distinct instances, with no fallback between them."""
+        resolved = {name: resolve_transport(name) for name in BACKENDS}
+        assert {name: t.name for name, t in resolved.items()} == {
+            name: name for name in BACKENDS
+        }
+        assert resolved["reference"] is not resolved["numpy"]
+        assert isinstance(resolved["numpy"], NumpyTransport)
 
     def test_names(self):
         assert resolve_transport("reference") is REFERENCE_TRANSPORT
         assert resolve_transport("numpy").name == "numpy"
         assert resolve_transport("auto").name == "numpy"
+        assert resolve_transport(None).name == "numpy"
 
     def test_instance_passthrough(self):
         instance = resolve_transport("numpy")
         assert resolve_transport(instance) is instance
 
     def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(transport_module.TRANSPORT_ENV, "reference")
-        assert resolve_transport(None) is REFERENCE_TRANSPORT
-        monkeypatch.setenv(transport_module.TRANSPORT_ENV, "numpy")
+        """The environment has no say: only the workload picks."""
+        monkeypatch.setenv("REPRO_TRANSPORT", "reference")
         assert resolve_transport(None).name == "numpy"
+        assert Simulator(topology.grid_graph(2, 2)).transport.name == "numpy"
 
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown transport"):
@@ -295,18 +313,58 @@ class TestResolution:
         with pytest.raises(ValueError, match="transport must be"):
             resolve_transport(42)
 
-    def test_auto_degrades_without_numpy(self, monkeypatch):
-        """No numpy: 'auto' silently falls back, 'numpy' raises."""
-        monkeypatch.setattr(transport_module, "_NUMPY_TRANSPORT", None)
-        monkeypatch.setattr(
-            transport_module, "_NUMPY_ERROR", "No module named 'numpy'"
-        )
-        assert resolve_transport("auto") is REFERENCE_TRANSPORT
-        assert available_transports() == ("reference",)
-        with pytest.raises(ValueError, match="unavailable"):
-            resolve_transport("numpy")
-
     def test_transport_base_is_abstract(self):
         base = Transport()
         with pytest.raises(NotImplementedError):
             base.solo_channel(None, "a0")
+
+
+class TestWorkloadPicksTransport:
+    """``Workload.transport`` is the one holder of the backend choice:
+    no engine or scheduler carries its own, and the workload's backend
+    builds every solo and phase channel of a scheduled run."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [run_delayed_phases, run_cluster_copies, execute_with_delays,
+         ScheduleArtifact.replay, run_distributed_clustering,
+         EagerScheduler],
+        ids=lambda engine: engine.__qualname__,
+    )
+    def test_engines_take_no_transport_argument(self, engine):
+        assert "transport" not in inspect.signature(engine).parameters
+
+    def test_schedulers_carry_no_transport(self):
+        assert not hasattr(Scheduler, "with_transport")
+        for scheduler_cls in (RandomDelayScheduler, RoundRobinScheduler,
+                              PrivateScheduler, EagerScheduler,
+                              SequentialScheduler):
+            assert not hasattr(scheduler_cls(), "transport"), scheduler_cls
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_workload_backend_builds_every_channel(self, backend, monkeypatch):
+        built = []
+        for transport_cls in (transport_module.ReferenceTransport,
+                              NumpyTransport):
+            for method in ("solo_channel", "phase_channel"):
+                original = getattr(transport_cls, method)
+
+                def record(self, *args, _original=original, _method=method):
+                    built.append((self.name, _method))
+                    return _original(self, *args)
+
+                monkeypatch.setattr(transport_cls, method, record)
+
+        network = topology.grid_graph(5, 5)
+        for scheduler_cls in (RandomDelayScheduler, PrivateScheduler,
+                              SequentialScheduler):
+            workload = Workload(
+                network, _algorithms(network)[:3], solo_cache=None,
+                transport=backend,
+            )
+            result = scheduler_cls().run(workload, seed=7)
+            assert not result.mismatches, scheduler_cls
+        assert {method for _, method in built} == {
+            "solo_channel", "phase_channel"
+        }
+        assert {name for name, _ in built} == {backend}

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SequentialScheduler, Workload
+from repro.core.transport_numpy import NumpyPhaseChannel
 from repro.congest import topology
 from repro.fuzz import (
     DifferentialOracle,
@@ -79,6 +80,32 @@ class TestInjectedBugs:
         assert from_env() is None
         monkeypatch.setenv("REPRO_FUZZ_INJECT", "drop-output")
         assert from_env() is not None
+
+
+class TestTransportIdentity:
+    def test_broken_numpy_phase_channel_is_caught(self, monkeypatch):
+        # Each leg must run the phase engine on its own transport: a
+        # numpy channel that overstates the phase load stretches only
+        # the numpy leg's schedule.
+        end_phase = NumpyPhaseChannel.end_phase
+
+        def inflated(self):
+            phase = end_phase(self)
+            self.max_load = max(self.max_load, 1000)
+            return phase
+
+        monkeypatch.setattr(NumpyPhaseChannel, "end_phase", inflated)
+        scenario = Scenario(
+            network="grid:4x4",
+            algorithms=(
+                "bfs:source=0,hops=4",
+                "broadcast:source=15,token=7,hops=4",
+            ),
+            schedulers=("random-delay",),
+            transports=("reference", "numpy"),
+        )
+        report = DifferentialOracle(service=False).check(scenario)
+        assert [d.check for d in report.divergences] == ["transport-identity"]
 
 
 class TestUnsafeSchedulerContract:

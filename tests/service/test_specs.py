@@ -233,10 +233,3 @@ class TestSchedulersAndTransports:
 
         with pytest.raises(ValueError, match="greedy-ilp"):
             parse_scheduler("greedy-ilp")
-
-    def test_transports_validated(self):
-        from repro.service import parse_transport
-
-        assert parse_transport(" Reference ") == "reference"
-        with pytest.raises(ValueError, match="grpc"):
-            parse_transport("grpc")

@@ -17,16 +17,7 @@ import repro
 def _iter_modules():
     yield repro
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
-        try:
-            yield importlib.import_module(info.name)
-        except ImportError as exc:
-            # A module gated on an optional third-party dependency
-            # (e.g. transport_numpy without numpy) is absent from the
-            # API in this environment, not broken. A failure to import
-            # *repro* code is still a real bug.
-            if (getattr(exc, "name", None) or "").startswith("repro"):
-                raise
-            continue
+        yield importlib.import_module(info.name)
 
 
 MODULES = list(_iter_modules())
