@@ -29,7 +29,7 @@ from .delays import (
 from .doubling import DoublingScheduler
 from .eager import EagerScheduler
 from .exact import ExactSchedule, exact_makespan
-from .greedy import GreedyPatternScheduler, GreedySchedule, greedy_schedule
+from .greedy import GreedyPatternScheduler, greedy_schedule
 from .lll_routing import LLLDelays, find_lll_delays, lll_route
 from .pattern_schedule import PatternLoadReport, evaluate_delay_schedule
 from .phase_engine import PhaseExecution, run_delayed_phases
@@ -53,7 +53,6 @@ __all__ = [
     "EagerScheduler",
     "ExactSchedule",
     "GreedyPatternScheduler",
-    "GreedySchedule",
     "LLLDelays",
     "Mismatch",
     "OutputMap",

@@ -46,14 +46,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clustering.layers import Clustering
-from ..congest.wave import StepGroup, WaveGroup
-from ..errors import CoverageError, ReproError, SimulationLimitExceeded
+from ..errors import CoverageError, ReproError
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
-from .transport import ReferenceClusterLoadChannel
+from .phase_engine import Copy, LoopNames, run_copies
+from .transport import Inboxes, LoadWindow, Send
 from .workload import OutputMap, Workload
 
 __all__ = ["ClusterExecution", "run_cluster_copies", "select_output_layers"]
@@ -119,15 +119,125 @@ def select_output_layers(
     return chosen
 
 
-class _Copy(NamedTuple):
-    """One (layer, cluster, algorithm) copy."""
+#: Cluster ticks are logical: crashes are checked at the copy's algorithm
+#: round, so every copy agrees on them.
+CLUSTER_LOOP = LoopNames(
+    "cluster", "big-rounds",
+    ("cluster.round_messages", "cluster.active_copies", "cluster.max_edge_load"),
+    lambda big_round, algo_round: algo_round,
+)
 
-    layer: int
-    aid: int
-    delay: int
-    #: The cluster members' stepper (enforces their truncation limits).
-    group: StepGroup
-    max_limit: int
+
+class _ClusterChannel(LoadWindow):
+    """The copies' message plane: truncation gates, dedup, shared pool.
+
+    Copies read one shared pool, so none waits on its own inbox
+    (:meth:`idle` is always true). The inherited :class:`LoadWindow`
+    counts, per big-round, the messages actually transmitted.
+    """
+
+    __slots__ = ("messages_sent", "messages_deduplicated",
+                 "messages_truncated", "_injector", "_faults", "_dedup",
+                 "_h_prime", "_center", "_pool", "_deferred", "_sent")
+
+    def __init__(
+        self, clustering: Clustering, injector: FaultInjector, dedup: bool
+    ) -> None:
+        super().__init__()
+        self.messages_sent = 0
+        self.messages_deduplicated = 0
+        self.messages_truncated = 0
+        self._injector = injector
+        self._faults = injector.enabled
+        self._dedup = dedup
+        self._h_prime = [layer.h_prime for layer in clustering.layers]
+        self._center = [layer.center for layer in clustering.layers]
+        # Shared message pool: (aid, round) -> node -> {sender: payload}.
+        # A message becomes visible here only once it has finished
+        # traversing its big-round (physical timing fidelity): start
+        # sends at the end of this one, step sends at the end of the
+        # next.
+        self._pool: Dict[Tuple[int, int], Inboxes] = {}
+        # Deposits keyed by the big-round at which they become visible
+        # (fault delays push a message's visibility further out).
+        self._deferred: Dict[int, List[Tuple[int, int, int, int, Any]]] = {}
+        # Dedup registry: (aid, round, sender, receiver) -> payload.
+        self._sent: Dict[Tuple[int, int, int, int], Any] = {}
+
+    def push(
+        self,
+        copy: Copy,
+        sender: int,
+        sends: List[Send],
+        msg_round: int,
+        into_current: bool,
+    ) -> None:
+        """Apply truncation gates + dedup; deposit into the pool.
+
+        ``into_current`` emissions traverse this big-round; step
+        emissions traverse the next one.
+        """
+        h_prime = self._h_prime[copy.layer]
+        if msg_round > h_prime[sender] + 1:
+            self.messages_truncated += len(sends)
+            return
+        aid = copy.aid
+        cluster_of = self._center[copy.layer]
+        sender_cluster = cluster_of[sender]
+        edges = self.current_edges if into_current else self.next_edges
+        visible_at = self.phase if into_current else self.phase + 1
+        sent = self._sent
+        for receiver, payload in sends:
+            if cluster_of[receiver] != sender_cluster:
+                # Boundary nodes may address out-of-cluster neighbours;
+                # copies are confined to their cluster.
+                self.messages_truncated += 1
+                continue
+            key = (aid, msg_round, sender, receiver)
+            previous = sent.get(key, _MISSING)
+            if previous is not _MISSING:
+                if previous != payload and not self._faults:
+                    # Under faults a late copy may legitimately have
+                    # seen a different (delayed/depleted) inbox; the
+                    # first emission wins.
+                    raise ReproError(
+                        "copy-consistency violated: two copies emitted "
+                        f"different payloads for {key}: "
+                        f"{previous!r} vs {payload!r}"
+                    )
+                self.messages_deduplicated += 1
+                if self._dedup:
+                    continue
+            else:
+                sent[key] = payload
+                # Fate is decided once per *logical* message (the tick
+                # is its algorithm round), so all copies agree on it.
+                for offset in self._injector.deliveries(
+                    msg_round, sender, receiver, stream=aid
+                ):
+                    self._deferred.setdefault(visible_at + offset, []).append(
+                        (aid, msg_round, sender, receiver, payload)
+                    )
+            edges.append((sender, receiver))
+            self.messages_sent += 1
+
+    def deliver(self, copy: Copy, algo_round: int) -> Inboxes:
+        """The pooled inboxes of ``copy``'s algorithm for ``algo_round``.
+
+        First, deposits due by now (done traversing, fault delay expired
+        — also within a fast-forwarded span) join the pool, in due order.
+        """
+        deferred, pool = self._deferred, self._pool
+        if deferred and min(deferred) <= self.phase:
+            for due in sorted(r for r in deferred if r <= self.phase):
+                for aid, msg_round, sender, receiver, payload in deferred.pop(due):
+                    pool.setdefault((aid, msg_round), {}).setdefault(
+                        receiver, {}
+                    )[sender] = payload
+        return pool.get((copy.aid, algo_round), _NO_INBOXES)
+
+    def idle(self, copy: Copy) -> bool:
+        return True
 
 
 def run_cluster_copies(
@@ -160,16 +270,13 @@ def run_cluster_copies(
     late copies only), the copy-consistency check downgrades from a hard
     error to first-payload-wins while faults are enabled. ``on_limit``
     as in :func:`~repro.core.phase_engine.run_delayed_phases`. The
+    copies step through :func:`~repro.core.phase_engine.run_copies`. The
     workload's transport runs only the solo references here: the
-    per-big-round load accounting has one implementation
-    (:class:`~repro.core.transport.ReferenceClusterLoadChannel`), and the
-    shared pool and dedup registry *are* scheduling decisions and stay
-    in the engine.
+    copies' channel has one implementation (this module's
+    ``_ClusterChannel``), since its shared pool, dedup registry and
+    truncation gates *are* scheduling decisions.
     """
     network = workload.network
-    if on_limit not in ("raise", "truncate"):
-        raise ValueError(f"on_limit must be 'raise' or 'truncate', got {on_limit!r}")
-    faults = injector.enabled
     solo = workload.solo_runs()
     dilations = [run.rounds for run in solo]
     hard_caps = [
@@ -178,14 +285,13 @@ def run_cluster_copies(
     if output_layers is None:
         output_layers = select_output_layers(workload, clustering)
 
-    # Build copy descriptors grouped by start big-round. Every copy of
+    # One copy per (layer, cluster, algorithm). Every copy of
     # (aid, node) runs the same random tape (the paper's
     # randomness-as-input): the group derives it from the tape id alone,
     # and the copies share the workload's start memo (passing ``limits``
     # opts in), so a member that only waits is built in the copies where
     # it wakes.
-    copy_at: Dict[Tuple[int, int, int], _Copy] = {}
-    starts: Dict[int, List[_Copy]] = {}
+    copy_at: Dict[Tuple[int, int, int], Copy] = {}
     for layer_index, layer in enumerate(clustering.layers):
         h_prime = layer.h_prime
         for center, members in layer.clusters().items():
@@ -204,189 +310,27 @@ def run_cluster_copies(
                     v: hard_cap if h_prime[v] >= dilation else h_prime[v]
                     for v in members
                 }
-                copy = _Copy(
-                    layer_index, aid, delay,
+                copy_at[(layer_index, center, aid)] = Copy(
+                    aid, delay,
                     workload.host_group(aid, members, limits=limits),
-                    max(limits.values(), default=0),
+                    max(limits.values(), default=0), layer_index,
                 )
-                copy_at[(layer_index, center, aid)] = copy
-                starts.setdefault(delay, []).append(copy)
     copies = list(copy_at.values())
 
     if max_big_rounds is None:
-        max_big_rounds = max(starts, default=0) + max(hard_caps, default=1) + 4
-
-    # Shared message pool: (aid, round) -> node -> {sender: payload}.
-    # A message becomes visible here only once it has finished traversing
-    # its big-round: emissions made *during* processing traverse the next
-    # big-round and are therefore deferred (physical timing fidelity).
-    pool: Dict[Tuple[int, int], Dict[int, Dict[int, Any]]] = {}
-    # Deposits keyed by the big-round at which they become visible
-    # (fault delays push a message's visibility further out).
-    deferred: Dict[int, List[Tuple[int, int, int, int, Any]]] = {}
-    # Dedup registry: (aid, round, sender, receiver) -> payload.
-    sent: Dict[Tuple[int, int, int, int], Any] = {}
-
-    # Per-big-round directed-edge load accounting lives in the load
-    # channel; pool/dedup/truncation stay engine-side.
-    channel = ReferenceClusterLoadChannel()
-    messages_sent = 0
-    messages_deduplicated = 0
-    messages_truncated = 0
-    last_active = -1
-
-    h_prime_of = [layer.h_prime for layer in clustering.layers]
-    center_of = [layer.center for layer in clustering.layers]
-    active: List[_Copy] = []
-
-    big_round = -1
-    algo_round = 0
-    remaining = len(copies)
-    skipped_rounds = 0
-    truncated = False
-    crashed = (lambda node: injector.crashed(node, algo_round)) if faults else None
-    while remaining > 0:
-        big_round += 1
-        if not active and channel.next_round_empty() and big_round not in starts:
-            # Silent big-round: no copy is running, nothing is traversing,
-            # and no copy starts now — fast-forward to the next start
-            # (one exists: remaining > 0 with no active copy means some
-            # start is still pending). No copy reads the pool before the
-            # jump target, so the state at the target is identical to the
-            # round-by-round walk. The jump is clamped so the big-round
-            # cap fires at the same point either way.
-            target = min((r for r in starts if r > big_round), default=None)
-            if target is not None:
-                clamped = min(target, max_big_rounds + 1)
-                if clamped > big_round:
-                    skipped_rounds += clamped - big_round
-                    big_round = clamped
-        if big_round > max_big_rounds:
-            if recorder.enabled:
-                recorder.counter("cluster.limit_exceeded")
-                recorder.event(
-                    "limit-exceeded", engine="cluster", cap=max_big_rounds
-                )
-            if on_limit == "truncate":
-                truncated = True
-                break
-            raise SimulationLimitExceeded(
-                f"cluster engine exceeded {max_big_rounds} big-rounds",
-                round=max_big_rounds,
-            )
-        channel.begin_round()
-
-        # Messages that finished traversing (plus any whose fault delay
-        # expires now, or expired in a fast-forwarded span) become
-        # visible this big-round.
-        for due in sorted(r for r in deferred if r <= big_round):
-            for aid_, msg_round_, sender_, receiver_, payload_ in deferred.pop(due):
-                pool.setdefault((aid_, msg_round_), {}).setdefault(
-                    receiver_, {}
-                )[sender_] = payload_
-
-        def transmit(
-            copy: _Copy, sender: int, sends: Any, msg_round: int, deposit_now: bool
-        ) -> None:
-            """Apply truncation gates + dedup; deposit into the pool."""
-            nonlocal messages_sent, messages_deduplicated, messages_truncated
-            h_prime = h_prime_of[copy.layer]
-            if msg_round > h_prime[sender] + 1:
-                messages_truncated += len(sends)
-                return
-            aid = copy.aid
-            cluster_of = center_of[copy.layer]
-            sender_cluster = cluster_of[sender]
-            for receiver, payload in sends:
-                if cluster_of[receiver] != sender_cluster:
-                    # Boundary nodes may address out-of-cluster neighbours;
-                    # copies are confined to their cluster.
-                    messages_truncated += 1
-                    continue
-                key = (aid, msg_round, sender, receiver)
-                previous = sent.get(key, _MISSING)
-                if previous is not _MISSING:
-                    if previous != payload and not faults:
-                        # Under faults a late copy may legitimately have
-                        # seen a different (delayed/depleted) inbox; the
-                        # first emission wins.
-                        raise ReproError(
-                            "copy-consistency violated: two copies emitted "
-                            f"different payloads for {key}: "
-                            f"{previous!r} vs {payload!r}"
-                        )
-                    messages_deduplicated += 1
-                    if dedup:
-                        continue
-                else:
-                    sent[key] = payload
-                    # Fate is decided once per *logical* message (the tick
-                    # is its algorithm round), so all copies agree on it.
-                    if faults:
-                        offsets = injector.deliveries(
-                            msg_round, sender, receiver, stream=aid
-                        )
-                    else:
-                        offsets = (0,)
-                    visible_at = big_round if deposit_now else big_round + 1
-                    for offset in offsets:
-                        if offset == 0 and deposit_now:
-                            pool.setdefault((aid, msg_round), {}).setdefault(
-                                receiver, {}
-                            )[sender] = payload
-                        else:
-                            deferred.setdefault(visible_at + offset, []).append(
-                                (aid, msg_round, sender, receiver, payload)
-                            )
-                # ``deposit_now`` emissions traverse this big-round;
-                # step emissions traverse the next one.
-                channel.count(sender, receiver, deposit_now)
-                messages_sent += 1
-
-        # Copies starting now emit their round-1 messages (traversing this
-        # big-round).
-        for copy in starts.get(big_round, ()):
-            for node, sends in copy.group.start():
-                transmit(copy, node, sends, 1, True)
-            active.append(copy)
-
-        # Active copies process the inbox of their current round and emit
-        # next-round messages (traversing the next big-round).
-        still_active: List[_Copy] = []
-        for copy in active:
-            algo_round = big_round - copy.delay + 1
-            if algo_round > copy.max_limit:
-                remaining -= 1
-                continue
-            group = copy.group
-            inboxes = pool.get((copy.aid, algo_round), _NO_INBOXES)
-            for node, sends in group.step(algo_round, inboxes, crashed):
-                transmit(copy, node, sends, algo_round + 1, False)
-            # Crash-stop is in logical time, so every copy agrees on it.
-            if not group.finished(crashed):
-                still_active.append(copy)
-            else:
-                remaining -= 1
-        active = still_active
-
-        round_messages, round_top = channel.end_round()
-        if round_messages:
-            last_active = big_round
-        if recorder.enabled:
-            recorder.sample("cluster.active_copies", len(active))
-            recorder.sample("cluster.round_messages", round_messages)
-            recorder.sample("cluster.max_edge_load", round_top)
-    # Final emissions that never traversed (all receivers done) still
-    # occupied their big-round.
-    leftover_messages, _ = channel.drain_next()
-    if leftover_messages:
-        last_active = big_round + 1
+        max_big_rounds = max((c.delay for c in copies), default=0) + max(hard_caps, default=1) + 4
+    channel = _ClusterChannel(clustering, injector, dedup)
+    last_active, skipped_rounds, truncated = run_copies(
+        copies, channel, max_big_rounds, CLUSTER_LOOP, recorder, injector,
+        on_limit,
+    )
 
     # Collect outputs from the chosen layers, one node at a time: a slot
     # still dormant is built only if its output is wanted.
     outputs: OutputMap = {}
     for (aid, v), layer_index in output_layers.items():
-        copy = copy_at.get((layer_index, center_of[layer_index][v], aid))
+        center = clustering.layers[layer_index].center[v]
+        copy = copy_at.get((layer_index, center, aid))
         if copy is None:
             raise CoverageError(
                 f"no host for output of algorithm {aid} at node {v} "
@@ -398,30 +342,27 @@ def run_cluster_copies(
         recorder.counter("cluster.big_rounds", last_active + 1)
         if skipped_rounds:
             recorder.counter("cluster.skipped_rounds", skipped_rounds)
-        recorder.counter("cluster.messages_sent", messages_sent)
-        recorder.counter("cluster.messages_deduplicated", messages_deduplicated)
-        recorder.counter("cluster.messages_truncated", messages_truncated)
+        recorder.counter("cluster.messages_sent", channel.messages_sent)
+        recorder.counter(
+            "cluster.messages_deduplicated", channel.messages_deduplicated
+        )
+        recorder.counter("cluster.messages_truncated", channel.messages_truncated)
         recorder.counter("cluster.copies", len(copies))
         recorder.observe("cluster.max_load", channel.max_load)
         groups = [copy.group for copy in copies]
-        recorder.counter("cluster.host_steps", sum(g.host_steps for g in groups))
-        recorder.counter("cluster.idle_skips", sum(g.idle_skips for g in groups))
         recorder.counter("cluster.hosts_built", sum(g.hosts_built for g in groups))
         recorder.counter(
             "cluster.hosts_dormant", sum(g.hosts_dormant for g in groups)
-        )
-        recorder.counter(
-            "cluster.wave_groups", sum(isinstance(g, WaveGroup) for g in groups)
         )
 
     return ClusterExecution(
         outputs=outputs,
         num_big_rounds=last_active + 1,
         max_big_round_load=channel.max_load,
-        load_histogram=channel.histogram(),
-        messages_sent=messages_sent,
-        messages_deduplicated=messages_deduplicated,
-        messages_truncated=messages_truncated,
+        load_histogram=channel.histogram,
+        messages_sent=channel.messages_sent,
+        messages_deduplicated=channel.messages_deduplicated,
+        messages_truncated=channel.messages_truncated,
         num_copies=len(copies),
         truncated=truncated,
     )

@@ -21,34 +21,16 @@ to beat.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..congest.pattern import CommunicationPattern, PatternEvent
 from ..errors import ScheduleError
 from ..metrics.schedule import ScheduleReport
 from .base import ScheduleResult, Scheduler
+from .physical import PhysicalSchedule
 from .workload import Workload
 
-__all__ = ["GreedySchedule", "greedy_schedule", "GreedyPatternScheduler"]
-
-
-@dataclass
-class GreedySchedule:
-    """The result of greedy list scheduling over pattern events."""
-
-    #: ``(aid, event) -> physical round`` at which the message traverses.
-    assignment: Dict[Tuple[int, PatternEvent], int]
-    makespan: int
-
-    def mapping_for(self, aid: int):
-        """The simulation mapping for one algorithm (event retiming)."""
-
-        def mapping(event: PatternEvent) -> PatternEvent:
-            slot = self.assignment[(aid, event)]
-            return (slot, event[1], event[2])
-
-        return mapping
+__all__ = ["greedy_schedule", "GreedyPatternScheduler"]
 
 
 class _AlgoNodeState:
@@ -88,8 +70,12 @@ class _AlgoNodeState:
 def greedy_schedule(
     patterns: Sequence[CommunicationPattern],
     max_rounds: int = 1 << 20,
-) -> GreedySchedule:
-    """List-schedule all pattern events under unit edge capacities."""
+) -> PhysicalSchedule:
+    """List-schedule all pattern events under unit edge capacities.
+
+    The result is a retiming with unit phases: every physical round is
+    one phase.
+    """
     states: Dict[Tuple[int, int], _AlgoNodeState] = {}
 
     def state(aid: int, node: int) -> _AlgoNodeState:
@@ -145,7 +131,10 @@ def greedy_schedule(
         for aid, event in newly_released:
             enqueue(aid, event)
 
-    return GreedySchedule(assignment=assignment, makespan=slot)
+    return PhysicalSchedule(
+        assignment=assignment, makespan=slot, num_phases=slot,
+        stretched_phase_size=1,
+    )
 
 
 class GreedyPatternScheduler(Scheduler):
@@ -156,8 +145,8 @@ class GreedyPatternScheduler(Scheduler):
     outputs equal the solo outputs; the wrapper reports the solo outputs
     together with the measured makespan. ``validate=True`` additionally
     checks the retiming with the quadratic
-    :func:`~repro.congest.pattern.validate_simulation_mapping` — meant
-    for small instances.
+    :func:`~repro.congest.pattern.validate_simulation_mapping` and the
+    one-message-per-edge-per-round capacity — meant for small instances.
     """
 
     name = "greedy-offline"
@@ -173,6 +162,7 @@ class GreedyPatternScheduler(Scheduler):
 
             for aid, pattern in enumerate(patterns):
                 validate_simulation_mapping(pattern, schedule.mapping_for(aid))
+            schedule.validate_capacity()
         report = ScheduleReport(
             scheduler=self.name,
             params=workload.params(),

@@ -1,4 +1,4 @@
-"""The big-round (phase) execution engine.
+"""The big-round loop, and the phase execution engine built on it.
 
 This is the machinery behind every delay-based scheduler (Theorem 1.1,
 the remark after Theorem 3.1, and the per-cluster engine of Section 4
@@ -18,22 +18,195 @@ iff the max per-(edge, phase) load is at most ``phase_size``. The engine
 records the full load profile; reports stretch phases to the observed
 maximum when it exceeds the target (see
 :func:`repro.metrics.schedule.phase_schedule_length`).
+
+The same mechanism runs Lemma 4.4's per-cluster copies (Theorem 1.1 is
+the case of one cluster spanning the whole network), so both engines
+step their :class:`Copy` units through one loop, :func:`run_copies`;
+each engine is the setup and epilogue around it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..congest.wave import WaveGroup
+from ..congest.wave import StepGroup, WaveGroup
 from ..errors import SimulationLimitExceeded
 from ..faults import NULL_INJECTOR, FaultInjector
 from ..telemetry import NULL_RECORDER, Recorder
 from .transport import resolve_transport
 from .workload import OutputMap, Workload, group_outputs
 
-__all__ = ["PhaseExecution", "run_delayed_phases"]
+__all__ = ["Copy", "PhaseExecution", "run_copies", "run_delayed_phases"]
+
+
+class Copy(NamedTuple):
+    """One copy of an algorithm under a big-round delay.
+
+    It waits ``delay`` whole big-rounds, then steps algorithm round
+    ``t - delay + 1`` in big-round ``t``, until it finishes or passes
+    ``limit``.
+    """
+
+    aid: int
+    delay: int
+    group: StepGroup
+    #: Last algorithm round the copy steps (a cluster copy's truncation
+    #: horizon: the largest limit among its members).
+    limit: float = math.inf
+    #: The clustering layer of a cluster copy.
+    layer: int = 0
+
+
+class LoopNames(NamedTuple):
+    """What tells the engines driving :func:`run_copies` apart."""
+
+    #: Telemetry prefix and the ``limit-exceeded`` event's engine.
+    engine: str
+    #: What the big-round cap counts (the limit error's wording).
+    unit: str
+    #: Per-big-round sample names: messages, active copies, top load.
+    samples: Tuple[str, str, str]
+    #: ``(big-round, algorithm round) -> injector tick`` for crash checks.
+    crash_tick: Callable[[int, int], int]
+
+
+#: Phase ticks are physical: crashes are checked at the 1-based phase.
+PHASE_LOOP = LoopNames(
+    "phase", "phases",
+    ("phase.messages", "phase.active_algorithms", "phase.max_edge_load"),
+    lambda big_round, algo_round: big_round + 1,
+)
+
+
+def run_copies(
+    copies: Sequence[Copy],
+    channel: Any,
+    cap: int,
+    names: LoopNames,
+    recorder: Recorder = NULL_RECORDER,
+    injector: FaultInjector = NULL_INJECTOR,
+    on_limit: str = "raise",
+    fast_forward: bool = True,
+) -> Tuple[int, int, bool]:
+    """Step ``copies`` big-round by big-round until every one finishes.
+
+    Returns ``(last active big-round, big-rounds skipped, truncated)``;
+    with ``recorder`` enabled, the per-big-round samples, the limit
+    counter and event, and the copies' stepping counters go to it.
+    The loop makes only the scheduling decisions — who starts when, who
+    is done, when the cap or the run's end is reached — and ``channel``
+    moves the messages. A channel implements ``begin_phase(t)``,
+    ``push(copy, sender, sends, msg_round, into_current)`` (start sends
+    traverse big-round ``t``, step sends ``t + 1``),
+    ``deliver(copy, algo_round)``, ``idle(copy)`` (nothing of the copy's
+    is buffered or in flight), ``next_phase_empty()`` and ``end_phase()
+    -> (messages, top load)``.
+
+    Past ``cap`` big-rounds the loop raises
+    :class:`~repro.errors.SimulationLimitExceeded` (``on_limit="raise"``)
+    or stops with ``truncated`` set (``"truncate"``). ``fast_forward``
+    jumps silent big-rounds — nothing running, nothing in flight,
+    nothing starting — to the next start; results are identical either
+    way.
+    """
+    if on_limit not in ("raise", "truncate"):
+        raise ValueError(f"on_limit must be 'raise' or 'truncate', got {on_limit!r}")
+    starts: Dict[int, List[Copy]] = {}
+    for copy in copies:
+        starts.setdefault(copy.delay, []).append(copy)
+    crash_tick = names.crash_tick
+    crashed = (
+        lambda node: injector.crashed(node, crash_tick(big_round, algo_round))
+    ) if injector.enabled else None
+
+    push, deliver = channel.push, channel.deliver
+    # Started-but-not-done copies: each big-round costs O(active).
+    active: List[Copy] = []
+    remaining = len(copies)
+    last_active = -1
+    skipped = 0
+    truncated = False
+    big_round = -1
+    while remaining > 0:
+        big_round += 1
+        if (
+            fast_forward
+            and not active
+            and channel.next_phase_empty()
+            and big_round not in starts
+        ):
+            # Silent big-round. Jump to the next start (one exists:
+            # remaining > 0 with no active copy means some start is
+            # still pending), clamped so the cap still fires at exactly
+            # the same point as the round-by-round walk.
+            jump = min(min(r for r in starts if r > big_round), cap + 1) - big_round
+            big_round += jump
+            skipped += jump
+        if big_round > cap:
+            if recorder.enabled:
+                recorder.counter(f"{names.engine}.limit_exceeded")
+                recorder.event("limit-exceeded", engine=names.engine, cap=cap)
+            if on_limit == "truncate":
+                truncated = True
+                break
+            raise SimulationLimitExceeded(
+                f"{names.engine} engine exceeded {cap} {names.unit}", round=cap
+            )
+
+        channel.begin_phase(big_round)
+
+        # Copies starting now emit their round-1 messages, which traverse
+        # this big-round and are delivered at its end.
+        for copy in starts.get(big_round, ()):
+            for node, sends in copy.group.start():
+                push(copy, node, sends, 1, True)
+            active.append(copy)
+
+        # Every running copy processes the inbox of its current round
+        # (delivered during this big-round) and emits next round's
+        # messages, which traverse the next one.
+        still_active: List[Copy] = []
+        for copy in active:
+            algo_round = big_round - copy.delay + 1
+            if algo_round > copy.limit:
+                remaining -= 1
+                continue
+            group = copy.group
+            for node, sends in group.step(
+                algo_round, deliver(copy, algo_round), crashed
+            ):
+                push(copy, node, sends, algo_round + 1, False)
+            # (crash-stop counts as terminated for scheduling)
+            if group.finished(crashed) and channel.idle(copy):
+                remaining -= 1
+            else:
+                still_active.append(copy)
+        active = still_active
+
+        messages, top = channel.end_phase()
+        if messages:
+            last_active = big_round
+        if recorder.enabled:
+            for name, value in zip(names.samples, (messages, len(active), top)):
+                recorder.sample(name, value)
+    else:
+        # Final sends whose receivers had all finished never traversed,
+        # but they still occupied the next big-round.
+        channel.begin_phase(big_round + 1)
+        if channel.end_phase()[0]:
+            last_active = big_round + 1
+    if recorder.enabled:
+        groups = [copy.group for copy in copies]
+        engine = names.engine
+        recorder.counter(f"{engine}.host_steps", sum(g.host_steps for g in groups))
+        recorder.counter(f"{engine}.idle_skips", sum(g.idle_skips for g in groups))
+        recorder.counter(
+            f"{engine}.wave_groups", sum(isinstance(g, WaveGroup) for g in groups)
+        )
+    return last_active, skipped, truncated
 
 
 @dataclass
@@ -63,7 +236,6 @@ def run_delayed_phases(
     workload: Workload,
     delays: Sequence[int],
     max_phases: Optional[int] = None,
-    collect_histogram: bool = True,
     recorder: Recorder = NULL_RECORDER,
     injector: FaultInjector = NULL_INJECTOR,
     on_limit: str = "raise",
@@ -84,8 +256,6 @@ def run_delayed_phases(
         before starting.
     max_phases:
         Safety cap (defaults to a generous bound from the workload).
-    collect_histogram:
-        Disable to save memory on very large runs (max load still kept).
     recorder:
         Telemetry sink; when enabled, per-phase message counts, active
         algorithm counts, and max loads are sampled.
@@ -95,20 +265,14 @@ def run_delayed_phases(
         1-based phase index; each algorithm is an independent fault
         stream (its ``aid``), so two algorithms' messages over the same
         edge fault independently.
-    on_limit:
-        ``"raise"`` (default) raises
-        :class:`~repro.errors.SimulationLimitExceeded` past
-        ``max_phases``; ``"truncate"`` returns the partial execution
-        with ``truncated=True``.
-    fast_forward:
-        Skip *silent* phases — nothing running, nothing in flight, no
-        algorithm starting — in one jump to the next start phase
-        (delay-staggered schedules make most early phases silent).
-        Results are identical either way (``benchmarks/
-        bench_e18_hot_path.py`` asserts it); ``False`` forces the
-        phase-by-phase walk, which also restores the per-silent-phase
-        zero telemetry samples. Skipped phases are reported in the
-        ``phase.skipped_phases`` counter.
+    on_limit, fast_forward:
+        As in :func:`run_copies`, with ``max_phases`` as the cap.
+        Delay-staggered schedules make most early phases silent; the
+        fast-forward skips them (``benchmarks/bench_e18_hot_path.py``
+        asserts identical results), reported in the
+        ``phase.skipped_phases`` counter. ``fast_forward=False`` forces
+        the phase-by-phase walk, which also restores the
+        per-silent-phase zero telemetry samples.
     """
     network = workload.network
     k = workload.num_algorithms
@@ -116,114 +280,25 @@ def run_delayed_phases(
         raise ValueError(f"need {k} delays, got {len(delays)}")
     if any(d < 0 for d in delays):
         raise ValueError("delays must be non-negative")
-    if on_limit not in ("raise", "truncate"):
-        raise ValueError(f"on_limit must be 'raise' or 'truncate', got {on_limit!r}")
-    faults = injector.enabled
 
     if max_phases is None:
         max_phases = (
             max(delays) + max(a.max_rounds(network) for a in workload.algorithms) + 4
         )
 
-    # One host group per algorithm; its hosts are built when it starts, so
+    # One copy per algorithm; its hosts are built when it starts, so
     # memory stays proportional to the algorithms started so far. Program
-    # stepping (who is live, who may be skipped) lives in the group, all
-    # message buffering, fault routing and load accounting in the
-    # transport channel; the loop below keeps only the scheduling
-    # decisions (who starts when, when the run is complete).
-    groups = [workload.host_group(aid) for aid in range(k)]
-    channel = resolve_transport(workload.transport).phase_channel(
-        k, injector, collect_histogram
+    # stepping lives in the group, message buffering, fault routing and
+    # load accounting in the transport channel.
+    copies = [
+        Copy(aid, delay, workload.host_group(aid))
+        for aid, delay in enumerate(delays)
+    ]
+    channel = resolve_transport(workload.transport).phase_channel(k, injector)
+    last_active_phase, skipped_phases, truncated = run_copies(
+        copies, channel, max_phases, PHASE_LOOP, recorder, injector,
+        on_limit, fast_forward,
     )
-
-    last_active_phase = -1
-
-    start_at: Dict[int, List[int]] = {}
-    for aid, delay in enumerate(delays):
-        start_at.setdefault(delay, []).append(aid)
-
-    # Active set: started-but-not-done algorithms, ascending aid (the
-    # processing order of the naive full scan). Each phase costs
-    # O(active) instead of O(k).
-    active_aids: List[int] = []
-    remaining = k
-    skipped_phases = 0
-
-    phase = -1
-    truncated = False
-    crashed = (lambda node: injector.crashed(node, phase + 1)) if faults else None
-    while remaining > 0:
-        phase += 1
-        if (
-            fast_forward
-            and not active_aids
-            and channel.next_phase_empty()
-            and phase not in start_at
-        ):
-            # Silent phase: nothing running, nothing in flight, nothing
-            # starting. Jump to the next start phase (one exists —
-            # remaining > 0 with no active algorithm means some start is
-            # still pending), clamped so the phase cap still fires at
-            # exactly the same point as the phase-by-phase walk.
-            target = min((p for p in start_at if p > phase), default=None)
-            if target is not None:
-                jump = min(target, max_phases + 1) - phase
-                if jump > 0:
-                    phase += jump
-                    skipped_phases += jump
-        if phase > max_phases:
-            if recorder.enabled:
-                recorder.counter("phase.limit_exceeded")
-                recorder.event("limit-exceeded", engine="phase", cap=max_phases)
-            if on_limit == "truncate":
-                truncated = True
-                break
-            raise SimulationLimitExceeded(
-                f"phase engine exceeded {max_phases} phases",
-                round=max_phases,
-            )
-
-        # Messages traversing during this phase: last phase's step sends
-        # (the channel rolls its load window accordingly) ...
-        channel.begin_phase()
-        push = channel.push
-
-        # ... plus round-1 sends of algorithms starting this phase, which
-        # traverse during this phase and are delivered at its end.
-        starting = start_at.get(phase)
-        if starting:
-            for aid in starting:
-                for node, outbox in groups[aid].start():
-                    push(aid, node, outbox, phase, True)
-            active_aids.extend(starting)
-            active_aids.sort()
-
-        # Every running algorithm processes the inbox of its current round
-        # (delivered during this phase) and emits next round's messages,
-        # which traverse during the next phase.
-        next_phase = phase + 1
-        still_active: List[int] = []
-        for aid in active_aids:
-            group = groups[aid]
-            deliveries = channel.deliver(aid, phase)
-            for node, outbox in group.step(
-                phase - delays[aid] + 1, deliveries, crashed
-            ):
-                push(aid, node, outbox, next_phase, False)
-            # (crash-stop counts as terminated for scheduling)
-            if group.finished(crashed) and channel.idle(aid):
-                remaining -= 1
-            else:
-                still_active.append(aid)
-        active_aids = still_active
-
-        phase_messages, phase_top = channel.end_phase()
-        if phase_messages:
-            last_active_phase = phase
-        if recorder.enabled:
-            recorder.sample("phase.messages", phase_messages)
-            recorder.sample("phase.active_algorithms", len(active_aids))
-            recorder.sample("phase.max_edge_load", phase_top)
 
     if recorder.enabled:
         recorder.counter("phase.phases", last_active_phase + 1)
@@ -231,18 +306,13 @@ def run_delayed_phases(
         if skipped_phases:
             recorder.counter("phase.skipped_phases", skipped_phases)
         recorder.observe("phase.max_load", channel.max_load)
-        recorder.counter("phase.host_steps", sum(g.host_steps for g in groups))
-        recorder.counter("phase.idle_skips", sum(g.idle_skips for g in groups))
-        recorder.counter(
-            "phase.wave_groups", sum(isinstance(g, WaveGroup) for g in groups)
-        )
 
     return PhaseExecution(
         # (an algorithm truncated before its start phase reports None)
-        outputs=group_outputs(groups),
+        outputs=group_outputs([copy.group for copy in copies]),
         num_phases=last_active_phase + 1,
         max_phase_load=channel.max_load,
-        load_histogram=channel.histogram(),
+        load_histogram=channel.histogram,
         messages=channel.messages,
         truncated=truncated,
     )

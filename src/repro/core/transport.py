@@ -22,10 +22,14 @@ every decision.  Two implementations exist:
   struct-of-arrays backend batching per-round edge/load columns and
   delivery buffers.  The default.
 
-The cluster engine's load accounting
-(:class:`ReferenceClusterLoadChannel`) and the eager scheduler's edge
-queues (:class:`ReferenceEagerChannel`) have one implementation each;
-their engines build them directly.
+The phase channels serve the one big-round loop,
+:func:`~repro.core.phase_engine.run_copies`, as does the cluster
+engine's channel (its shared pool, dedup registry and truncation gates
+are Lemma 4.4's scheduling decisions, so it lives in
+:mod:`repro.core.cluster_engine` with one implementation).  All three
+account per-edge loads in :class:`LoadWindow`.  The eager scheduler's
+edge queues (:class:`ReferenceEagerChannel`) have one implementation;
+its engine builds them directly.
 
 Backend selection
 -----------------
@@ -48,10 +52,13 @@ fault fates or telemetry values — only how fast the messages move.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Deque, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Tuple
 
 from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
+
+if TYPE_CHECKING:
+    from .phase_engine import Copy
 
 __all__ = [
     "ReferenceTransport",
@@ -88,7 +95,7 @@ class Transport:
         raise NotImplementedError
 
     def phase_channel(
-        self, k: int, injector: FaultInjector, collect_histogram: bool
+        self, k: int, injector: FaultInjector
     ) -> "ReferencePhaseChannel":
         """Channel for :func:`~repro.core.phase_engine.run_delayed_phases`."""
         raise NotImplementedError
@@ -192,180 +199,121 @@ class ReferenceSoloChannel:
         return self.trace
 
 
-class ReferencePhaseChannel:
-    """Object-per-message transport for the big-round phase engine.
+class LoadWindow:
+    """Per-(directed edge, big-round) load accounting of one channel.
 
-    Owns per-algorithm pending/delayed inboxes and the per-phase
-    directed-edge load accounting (current phase vs. next phase, swapped
-    by :meth:`begin_phase`).  A dropped or delayed message still occupies
-    its traversal phase in the load profile.
+    A big-round's sends land in one of two windows, one edge key per
+    message: start sends traverse the big-round being walked
+    (``current_edges``), step sends the next one (``next_edges``).
+    :meth:`end_phase` folds the current window into the max / histogram
+    with one ``Counter``; :meth:`begin_phase` rolls the next one in.
     """
 
-    __slots__ = ("messages", "max_load", "_injector", "_faults",
-                 "_collect_histogram", "_histogram", "_pending", "_delayed",
-                 "_current_loads", "_next_loads")
+    __slots__ = ("phase", "max_load", "histogram", "current_edges",
+                 "next_edges")
 
-    def __init__(
-        self, k: int, injector: FaultInjector, collect_histogram: bool
-    ):
-        self.messages = 0
+    def __init__(self) -> None:
+        #: The big-round being walked (set by :meth:`begin_phase`).
+        self.phase = -1
         self.max_load = 0
+        #: Load value -> number of (directed edge, big-round) pairs.
+        self.histogram: Counter = Counter()
+        self.current_edges: List[Any] = []
+        self.next_edges: List[Any] = []
+
+    def begin_phase(self, phase: int) -> None:
+        """Roll the load window: next big-round's traffic becomes current."""
+        self.phase = phase
+        self.current_edges, self.next_edges = self.next_edges, []
+
+    def next_phase_empty(self) -> bool:
+        """True when nothing traverses the next big-round (fast-forward)."""
+        return not self.next_edges
+
+    def end_phase(self) -> Tuple[int, int]:
+        """Close the current big-round; returns ``(messages, top load)``.
+
+        A ``(0, 0)`` return means the big-round was silent.
+        """
+        edges = self.current_edges
+        if not edges:
+            return 0, 0
+        loads = Counter(edges).values()
+        top = max(loads)
+        if top > self.max_load:
+            self.max_load = top
+        self.histogram.update(loads)
+        return len(edges), top
+
+
+class ReferencePhaseChannel(LoadWindow):
+    """Object-per-message transport for the phase engine's copies.
+
+    Owns per-algorithm pending/delayed inboxes; the inherited
+    :class:`LoadWindow` accounts the per-phase directed-edge loads.  A
+    dropped or delayed message still occupies its traversal phase in the
+    load profile.
+    """
+
+    __slots__ = ("messages", "_injector", "_pending", "_delayed")
+
+    def __init__(self, k: int, injector: FaultInjector):
+        super().__init__()
+        self.messages = 0
         self._injector = injector
-        self._faults = injector.enabled
-        self._collect_histogram = collect_histogram
-        self._histogram: Counter = Counter()
         # Inboxes waiting to be processed: _pending[aid][node] = {sender: payload}.
         self._pending: List[Inboxes] = [dict() for _ in range(k)]
         # Fault-delayed: _delayed[aid][phase][node] = {sender: payload}.
         self._delayed: List[Dict[int, Inboxes]] = [dict() for _ in range(k)]
-        # Loads of messages traversing during the current / next phase.
-        self._current_loads: Counter = Counter()
-        self._next_loads: Counter = Counter()
-
-    def begin_phase(self) -> None:
-        """Roll the load window: next phase's traffic becomes current."""
-        self._current_loads, self._next_loads = self._next_loads, Counter()
 
     def push(
         self,
-        aid: int,
+        copy: "Copy",
         sender: int,
         sends: List[Send],
-        traverse: int,
+        msg_round: int,
         into_current: bool,
     ) -> None:
-        """Buffer ``sends`` of algorithm ``aid`` traversing phase ``traverse``.
+        """Buffer ``sends`` of ``copy``'s algorithm.
 
-        ``into_current`` selects the load window: start-of-phase sends
-        traverse the current phase, step sends the next one.
+        ``into_current`` selects the traversal phase: start-of-phase
+        sends traverse the current phase, step sends the next one.
         """
-        loads = self._current_loads if into_current else self._next_loads
-        box = self._pending[aid]
-        messages = self.messages
-        if self._faults:
-            injector = self._injector
-            delayed = self._delayed[aid]
-            for receiver, payload in sends:
-                offsets = injector.deliveries(
-                    traverse + 1, sender, receiver, stream=aid
-                )
-                for offset in offsets:
-                    if offset == 0:
-                        box.setdefault(receiver, {})[sender] = payload
-                    else:
-                        delayed.setdefault(
-                            traverse + offset, {}
-                        ).setdefault(receiver, {})[sender] = payload
-                loads[(sender, receiver)] += 1
-                messages += 1
+        if into_current:
+            edges, traverse = self.current_edges, self.phase
         else:
-            for receiver, payload in sends:
-                box.setdefault(receiver, {})[sender] = payload
-                loads[(sender, receiver)] += 1
-                messages += 1
-        self.messages = messages
+            edges, traverse = self.next_edges, self.phase + 1
+        aid = copy.aid
+        box = self._pending[aid]
+        delayed = self._delayed[aid]
+        deliveries = self._injector.deliveries
+        for receiver, payload in sends:
+            for offset in deliveries(traverse + 1, sender, receiver, stream=aid):
+                if offset == 0:
+                    box.setdefault(receiver, {})[sender] = payload
+                else:
+                    delayed.setdefault(
+                        traverse + offset, {}
+                    ).setdefault(receiver, {})[sender] = payload
+            edges.append((sender, receiver))
+        self.messages += len(sends)
 
-    def deliver(self, aid: int, phase: int) -> Inboxes:
-        """Pop algorithm ``aid``'s inboxes delivered during ``phase``."""
+    def deliver(self, copy: "Copy", algo_round: int) -> Inboxes:
+        """Pop ``copy``'s inboxes delivered during the current phase."""
+        aid = copy.aid
         deliveries, self._pending[aid] = self._pending[aid], {}
         delayed = self._delayed[aid]
-        if self._faults and delayed:
+        if delayed:
             # Late duplicates lose to any fresher same-sender message.
-            for receiver, stale in delayed.pop(phase, {}).items():
+            for receiver, stale in delayed.pop(self.phase, {}).items():
                 box = deliveries.setdefault(receiver, {})
                 for sender, payload in stale.items():
                     box.setdefault(sender, payload)
         return deliveries
 
-    def idle(self, aid: int) -> bool:
-        """True when algorithm ``aid`` has nothing buffered or in flight."""
-        return not self._pending[aid] and not self._delayed[aid]
-
-    def next_phase_empty(self) -> bool:
-        """True when nothing traverses during the next phase (fast-forward)."""
-        return not self._next_loads
-
-    def end_phase(self) -> Tuple[int, int]:
-        """Close the current phase; returns ``(messages, top load)``.
-
-        Folds the phase's load profile into the histogram/max tracking.
-        A ``(0, 0)`` return means the phase was silent.
-        """
-        loads = self._current_loads
-        if not loads:
-            return 0, 0
-        top = max(loads.values())
-        if top > self.max_load:
-            self.max_load = top
-        if self._collect_histogram:
-            self._histogram.update(loads.values())
-        return sum(loads.values()), top
-
-    def histogram(self) -> Counter:
-        """Load value -> number of (directed edge, phase) pairs."""
-        return self._histogram
-
-
-class ReferenceClusterLoadChannel:
-    """Directed-edge load accounting for the cluster-copies engine.
-
-    The engine keeps the shared pool, dedup registry and truncation
-    gates (they encode Lemma 4.4's scheduling decisions); the channel
-    counts, per big-round, the messages actually transmitted.
-    """
-
-    __slots__ = ("max_load", "_histogram", "_current", "_next")
-
-    def __init__(self) -> None:
-        self.max_load = 0
-        self._histogram: Counter = Counter()
-        self._current: Counter = Counter()
-        self._next: Counter = Counter()
-
-    def begin_round(self) -> None:
-        """Roll the load window: next big-round's traffic becomes current."""
-        self._current, self._next = self._next, Counter()
-
-    def count(self, sender: int, receiver: int, into_current: bool) -> None:
-        """Account one transmitted message on ``sender -> receiver``."""
-        if into_current:
-            self._current[(sender, receiver)] += 1
-        else:
-            self._next[(sender, receiver)] += 1
-
-    def next_round_empty(self) -> bool:
-        """True when nothing traverses the next big-round (fast-forward)."""
-        return not self._next
-
-    def end_round(self) -> Tuple[int, int]:
-        """Close the current big-round; returns ``(messages, top load)``."""
-        loads = self._current
-        if not loads:
-            return 0, 0
-        top = max(loads.values())
-        if top > self.max_load:
-            self.max_load = top
-        self._histogram.update(loads.values())
-        return sum(loads.values()), top
-
-    def drain_next(self) -> Tuple[int, int]:
-        """Account final emissions that never traversed; ``(messages, top)``.
-
-        Mirrors the engine's closing ``if carried:`` block: sends emitted
-        in the last big-round still occupied the following one.
-        """
-        carried = self._next
-        if not carried:
-            return 0, 0
-        top = max(carried.values())
-        if top > self.max_load:
-            self.max_load = top
-        self._histogram.update(carried.values())
-        return sum(carried.values()), top
-
-    def histogram(self) -> Counter:
-        """Load value -> number of (directed edge, big-round) pairs."""
-        return self._histogram
+    def idle(self, copy: "Copy") -> bool:
+        """True when ``copy``'s algorithm has nothing buffered or in flight."""
+        return not self._pending[copy.aid] and not self._delayed[copy.aid]
 
 
 class ReferenceEagerChannel:
@@ -425,9 +373,9 @@ class ReferenceTransport(Transport):
         return ReferenceSoloChannel(injector, stream)
 
     def phase_channel(
-        self, k: int, injector: FaultInjector, collect_histogram: bool
+        self, k: int, injector: FaultInjector
     ) -> ReferencePhaseChannel:
-        return ReferencePhaseChannel(k, injector, collect_histogram)
+        return ReferencePhaseChannel(k, injector)
 
 
 #: Shared stateless instance (channels carry all state).

@@ -28,11 +28,12 @@ payload: the sending ``NodeContext`` does, once per ``send`` /
   exception: a trace of fewer than :data:`NUMPY_MIN_MESSAGES` messages
   counts them by a Python walk of its columns, where numpy's fixed cost
   per call outweighs the walk;
-* per-phase edge loads are packed ``sender << 32 | receiver`` int keys,
-  one flat list per phase, folded with one ``Counter`` per phase
-  instead of one Counter update per message. The cluster engine's
-  per-big-round load accounting is the reference channel's: it is
-  called once per message either way, and its folds hold a few keys.
+* per-phase edge loads go into the shared
+  :class:`~repro.core.transport.LoadWindow` as packed
+  ``sender << 32 | receiver`` int keys, a broadcast's from a per-sender
+  cache (the reference channels append ``(sender, receiver)`` tuples).
+  The cluster engine's channel has one implementation: its pushes are
+  gated message by message either way.
 
 Bit-identity
 ------------
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, repeat
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -73,10 +74,14 @@ from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
 from .transport import (
     Inboxes,
+    LoadWindow,
     ReferencePhaseChannel,
     ReferenceSoloChannel,
     Transport,
 )
+
+if TYPE_CHECKING:
+    from .phase_engine import Copy
 
 __all__ = ["ArrayTrace", "NumpyTransport"]
 
@@ -445,57 +450,46 @@ class NumpySoloChannel:
         return self.trace
 
 
-class NumpyPhaseChannel:
+class NumpyPhaseChannel(LoadWindow):
     """Columnar phase-engine channel (fault-free runs only).
 
     Pending sends are per-algorithm columns, as in
-    :class:`NumpySoloChannel`; per-phase directed-edge loads are packed
-    int key lists folded with one ``Counter`` at :meth:`end_phase`
-    instead of a Counter update per message.
+    :class:`NumpySoloChannel`; the :class:`LoadWindow` holds packed
+    ``sender << 32 | receiver`` int keys, and a broadcast's keys come
+    from a per-sender cache.
     """
 
-    __slots__ = ("messages", "max_load", "_collect_histogram", "_histogram",
-                 "_senders", "_outboxes", "_current_keys", "_next_keys",
-                 "_key_cache")
+    __slots__ = ("messages", "_senders", "_outboxes", "_key_cache")
 
-    def __init__(self, k: int, collect_histogram: bool) -> None:
+    def __init__(self, k: int) -> None:
+        super().__init__()
         self.messages = 0
-        self.max_load = 0
-        self._collect_histogram = collect_histogram
-        self._histogram: Counter = Counter()
         # Per algorithm, the senders and their drained outboxes awaiting
         # delivery: two parallel lists, push order.
         self._senders: List[List[int]] = [[] for _ in range(k)]
         self._outboxes: List[List[Outbox]] = [[] for _ in range(k)]
-        # Packed (sender << 32 | receiver) keys, one entry per message
-        # traversing during the current / next phase.
-        self._current_keys: List[int] = []
-        self._next_keys: List[int] = []
         # sender -> packed keys of its full neighbour set (broadcasts
         # always cover exactly the neighbours, so this is stable).
         self._key_cache: Dict[int, List[int]] = {}
 
-    def begin_phase(self) -> None:
-        """Roll the load window: next phase's traffic becomes current."""
-        self._current_keys, self._next_keys = self._next_keys, []
-
     def push(
         self,
-        aid: int,
+        copy: Copy,
         sender: int,
         sends: Outbox,
-        traverse: int,
+        msg_round: int,
         into_current: bool,
     ) -> None:
-        """Buffer ``sends`` of algorithm ``aid`` traversing ``traverse``.
+        """Buffer ``sends`` of ``copy``'s algorithm; see :class:`LoadWindow`.
 
         ``sends`` is non-empty: the engine pushes what
         :meth:`~repro.congest.program.HostGroup.start` / ``step`` yield,
         and they yield only outboxes that hold a message.
         """
+        aid = copy.aid
         self._senders[aid].append(sender)
         self._outboxes[aid].append(sends)
-        keys = self._current_keys if into_current else self._next_keys
+        keys = self.current_edges if into_current else self.next_edges
         if type(sends) is Broadcast:
             cached = self._key_cache.get(sender)
             if cached is None:
@@ -510,8 +504,9 @@ class NumpyPhaseChannel:
         keys.extend([base | receiver for receiver, _payload in sends])
         self.messages += len(sends)
 
-    def deliver(self, aid: int, phase: int) -> Inboxes:
-        """Pop algorithm ``aid``'s inboxes delivered during ``phase``."""
+    def deliver(self, copy: Copy, algo_round: int) -> Inboxes:
+        """Pop ``copy``'s inboxes delivered during the current phase."""
+        aid = copy.aid
         senders = self._senders[aid]
         deliveries: Inboxes = {}
         if not senders:
@@ -538,30 +533,9 @@ class NumpyPhaseChannel:
                     box[sender] = payload
         return deliveries
 
-    def idle(self, aid: int) -> bool:
-        """True when algorithm ``aid`` has nothing buffered or in flight."""
-        return not self._senders[aid]
-
-    def next_phase_empty(self) -> bool:
-        """True when nothing traverses during the next phase."""
-        return not self._next_keys
-
-    def end_phase(self) -> Tuple[int, int]:
-        """Close the current phase; returns ``(messages, top load)``."""
-        keys = self._current_keys
-        if not keys:
-            return 0, 0
-        loads = Counter(keys).values()
-        top = max(loads)
-        if top > self.max_load:
-            self.max_load = top
-        if self._collect_histogram:
-            self._histogram.update(loads)
-        return len(keys), top
-
-    def histogram(self) -> Counter:
-        """Load value -> number of (directed edge, phase) pairs."""
-        return self._histogram
+    def idle(self, copy: Copy) -> bool:
+        """True when ``copy``'s algorithm has nothing buffered or in flight."""
+        return not self._senders[copy.aid]
 
 
 class NumpyTransport(Transport):
@@ -578,12 +552,10 @@ class NumpyTransport(Transport):
             return ReferenceSoloChannel(injector, stream)
         return NumpySoloChannel()
 
-    def phase_channel(
-        self, k: int, injector: FaultInjector, collect_histogram: bool
-    ):
+    def phase_channel(self, k: int, injector: FaultInjector):
         if injector.enabled:
-            return ReferencePhaseChannel(k, injector, collect_histogram)
-        return NumpyPhaseChannel(k, collect_histogram)
+            return ReferencePhaseChannel(k, injector)
+        return NumpyPhaseChannel(k)
 
 
 #: Shared stateless instance (channels carry all state).

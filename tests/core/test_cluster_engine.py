@@ -134,3 +134,17 @@ class TestEngineAccounting:
         work, clustering = setup
         execution = run_cluster_copies(work, clustering, lambda l, c, a: 5)
         assert execution.num_big_rounds >= 5
+
+    def test_truncated_run_reports_the_big_rounds_it_walked(self, grid6):
+        # Cut at cap C, the run walked big-rounds 0..C: C + 1 of them, as
+        # the phase engine reports. Sends emitted in round C never
+        # traverse, so they occupy no further big-round.
+        work = Workload(grid6, [BFS(0), BFS(35), HopBroadcast(5, "x", 4)])
+        clustering = build_clustering(grid6, 12, 3, seed=1)
+        for cap in (0, 2, 5):
+            execution = run_cluster_copies(
+                work, clustering, lambda l, c, a: a,
+                max_big_rounds=cap, on_limit="truncate",
+            )
+            assert execution.truncated
+            assert execution.num_big_rounds == cap + 1

@@ -1,20 +1,32 @@
 """Fast-forwarding silent phases/big-rounds must not change results.
 
-The phase engine (and the cluster engine) skip *silent* stretches —
-nothing running, nothing in flight, nothing starting — in one jump.
-Delay-staggered schedules make most early phases silent, so this is a
-large win; but the contract is strict bit-identity with the naive
-phase-by-phase walk. ``run_delayed_phases`` keeps a ``fast_forward=False``
-escape hatch precisely so these tests (and ``bench_e18``) can compare
-the two walks on the same workload.
+Both engines step their copies through one big-round loop,
+:func:`repro.core.phase_engine.run_copies`, which skips *silent*
+stretches — nothing running, nothing in flight, nothing starting — in
+one jump. Delay-staggered schedules make most early phases silent, so
+this is a large win; but the contract is strict bit-identity with the
+naive phase-by-phase walk. ``run_delayed_phases`` keeps a
+``fast_forward=False`` escape hatch precisely so these tests (and
+``bench_e18``) can compare the two walks on the same workload; the
+cluster engine's naive walk is reached by patching the loop's default.
 """
+
+import functools
 
 import pytest
 
 from repro.algorithms import BFS, HopBroadcast, PathToken
-from repro.core import Workload, run_delayed_phases, verify_outputs
+from repro.clustering import build_clustering
+from repro.core import (
+    Workload,
+    cluster_engine,
+    phase_engine,
+    run_cluster_copies,
+    run_delayed_phases,
+    verify_outputs,
+)
 from repro.errors import SimulationLimitExceeded
-from repro.faults import FaultPlan
+from repro.faults import NULL_INJECTOR, FaultPlan, NodeCrash
 from repro.telemetry import InMemoryRecorder
 
 
@@ -140,3 +152,45 @@ class TestClusterEngineStaggeredDelays:
         assert verify_outputs(work, execution.outputs) == []
         # The delay-staggered starts leave silent big-rounds to skip.
         assert recorder.metrics.counters.get("cluster.skipped_rounds", 0) > 0
+
+
+class TestClusterEngineIdentity:
+    """The cluster engine's fast-forward against its naive walk."""
+
+    @pytest.mark.parametrize(
+        "plan, cap",
+        [
+            (None, None),
+            (
+                FaultPlan(seed=3, drop=0.1, delay=0.15, duplicate=0.1,
+                          max_extra_delay=2, crashes=(NodeCrash(14, 3),)),
+                None,
+            ),
+            (None, 45),
+        ],
+        ids=["fault-free", "faults", "binding-cap"],
+    )
+    def test_fast_forward_matches_naive_walk(self, grid6, monkeypatch, plan, cap):
+        work = _workload(grid6)
+        clustering = build_clustering(grid6, 12, 3, seed=1)
+
+        def run(recorder):
+            return run_cluster_copies(
+                work, clustering, lambda layer, center, aid: 30 * aid,
+                max_big_rounds=cap, recorder=recorder,
+                injector=plan.injector() if plan else NULL_INJECTOR,
+                on_limit="truncate",
+            )
+
+        recorder = InMemoryRecorder()
+        fast = run(recorder)
+        assert recorder.metrics.counters["cluster.skipped_rounds"] > 0
+        monkeypatch.setattr(
+            cluster_engine, "run_copies",
+            functools.partial(phase_engine.run_copies, fast_forward=False),
+        )
+        recorder = InMemoryRecorder()
+        naive = run(recorder)
+        assert "cluster.skipped_rounds" not in recorder.metrics.counters
+        assert fast == naive
+        assert fast.truncated == (cap is not None)

@@ -139,7 +139,7 @@ class TestSoloIdentity:
         assert injector.enabled
         channels = {
             "solo_channel": (injector, "a0"),
-            "phase_channel": (3, injector, True),
+            "phase_channel": (3, injector),
         }
         assert set(channels) == {name for name in vars(Transport) if name.endswith("_channel")}
         for name, args in channels.items():

@@ -157,6 +157,7 @@ def test_greedy_schedule_always_valid(seed, k, length, density):
         assert 1 <= slot <= schedule.makespan
         usage[(event[1], event[2], slot)] += 1
     assert not usage or max(usage.values()) == 1
+    schedule.validate_capacity()
 
     # causal order preserved within each algorithm
     for aid, pattern in enumerate(patterns):
