@@ -27,7 +27,7 @@ The package provides:
   ``docs/ROBUSTNESS.md`` and ``python -m repro chaos``);
 * :mod:`repro.parallel` — process-pool execution for sweeps
   (``REPRO_WORKERS``) and the content-addressed solo-run cache
-  (``REPRO_SOLO_CACHE`` / ``REPRO_CACHE_DIR``; see
+  (``REPRO_SOLO_CACHE``; see
   ``docs/PERFORMANCE.md`` and ``python -m repro sweep``);
 * :mod:`repro.service` — a batch scheduling service: a job queue with
   admission control, batching of compatible jobs into single scheduled

@@ -526,7 +526,6 @@ def _serve_cli(args) -> int:
     # Records already journaled by a crashed serve belong to recovery,
     # not resubmission; everything else unsettled is submitted fresh.
     settled.update(service.journaled_spools())
-    spool_of = {}
     # One Network per spec string for the life of the serve: the
     # topology is immutable, so every job naming it can share it.
     networks = {}
@@ -558,28 +557,29 @@ def _serve_cli(args) -> int:
             except Exception as exc:  # one bad record must not end the serve
                 rejections[line.key] = str(exc) or type(exc).__name__
                 continue
-            job = service.submit(
+            service.submit(
                 network,
                 algorithm,
                 master_seed=record.get("seed", 0),
                 spec=record,
             )
-            spool_of[job.job_id] = record
             submitted += 1
         return submitted
 
     def spool_record(job):
-        """The spool record ``job`` came from; ``None`` if it has none."""
-        record = spool_of.get(job.job_id)
-        if record is None and job.meta.get("spool") is not None:
-            # Recovered from the journal, which keeps the spec strings.
-            record = {
-                "id": job.meta["spool"],
-                "net": job.meta.get("net", "?"),
-                "algo": job.meta.get("algo", "?"),
-                "seed": job.master_seed,
-            }
-        return record
+        """The spool record ``job`` came from; ``None`` if it has none.
+
+        ``submit(spec=record)`` keeps the record's id and spec strings in
+        ``job.meta``, and recovery restores them from the journal.
+        """
+        if job.meta.get("spool") is None:
+            return None
+        return {
+            "id": job.meta["spool"],
+            "net": job.meta.get("net", "?"),
+            "algo": job.meta.get("algo", "?"),
+            "seed": job.master_seed,
+        }
 
     def sync_state() -> None:
         for job in service.jobs():

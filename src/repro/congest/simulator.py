@@ -17,7 +17,7 @@ Two semantics worth calling out explicitly (both were historically
 buggy and are pinned by regression tests):
 
 * :func:`solo_run` forwards **all** execution controls to
-  :meth:`Simulator.run` — in particular ``on_limit`` and the fault
+  :meth:`Simulator.run` — in particular the round budget and the fault
   ``injector`` — so the convenience wrapper behaves exactly like the
   long form.
 * completion waits for **in-flight fault-delayed messages**: the
@@ -72,7 +72,7 @@ class SoloRun:
         set, this records how much of it was used).
     truncated:
         Whether the run was cut off at its round cap instead of halting
-        (only possible with ``on_limit="truncate"``).
+        (only possible when the caller passed ``max_rounds``).
     """
 
     algorithm: Algorithm
@@ -153,31 +153,29 @@ class Simulator:
         seed: int = 0,
         algorithm_id: Any = None,
         max_rounds: Optional[int] = None,
-        on_limit: str = "raise",
     ) -> SoloRun:
         """Execute ``algorithm`` alone until all node programs halt.
 
         ``seed`` is the master seed; each node's random tape is derived
         from ``(seed, algorithm_id, node)`` so re-running with the same
         arguments is fully deterministic. ``algorithm_id`` defaults to the
-        algorithm's name. ``on_limit`` selects what happens past
-        ``max_rounds``: ``"raise"`` (the default)
-        :class:`~repro.errors.SimulationLimitExceeded`, or ``"truncate"``
-        to return the partial run with ``truncated=True`` — the graceful
+        algorithm's name. ``max_rounds`` is a budget: past it the run
+        returns the partial result with ``truncated=True`` — the graceful
         option for fault-injected executions that may never converge.
+        Without it the algorithm's own bound applies, and passing that
+        raises :class:`~repro.errors.SimulationLimitExceeded`.
         """
         if algorithm_id is None:
             algorithm_id = algorithm.name
+        truncate = max_rounds is not None
         if max_rounds is None:
             max_rounds = algorithm.max_rounds(self.network)
-        if on_limit not in ("raise", "truncate"):
-            raise ValueError(f"on_limit must be 'raise' or 'truncate', got {on_limit!r}")
 
         recorder = self.recorder
         with recorder.span(
             f"solo:{algorithm.name}", category="simulator", algorithm_id=algorithm_id
         ):
-            return self._run_traced(algorithm, seed, algorithm_id, max_rounds, on_limit)
+            return self._run_traced(algorithm, seed, algorithm_id, max_rounds, truncate)
 
     def _run_traced(
         self,
@@ -185,7 +183,7 @@ class Simulator:
         seed: int,
         algorithm_id: Any,
         max_rounds: int,
-        on_limit: str = "raise",
+        truncate: bool,
     ) -> SoloRun:
         recorder = self.recorder
         network = self.network
@@ -245,7 +243,7 @@ class Simulator:
                         algorithm=algorithm.name,
                         max_rounds=max_rounds,
                     )
-                if on_limit == "truncate":
+                if truncate:
                     truncated = True
                     completion_round = round_index
                     break
@@ -294,13 +292,12 @@ def solo_run(
     message_bits: Optional[int] = -1,
     recorder: Recorder = NULL_RECORDER,
     injector: FaultInjector = NULL_INJECTOR,
-    on_limit: str = "raise",
     transport: Any = None,
 ) -> SoloRun:
     """Convenience wrapper: ``Simulator(network).run(algorithm, ...)``.
 
-    Forwards *every* execution control — including ``injector`` and
-    ``on_limit``, which an earlier version silently dropped — so this is
+    Forwards *every* execution control — including ``injector`` and the
+    round budget, which an earlier version silently dropped — so this is
     behaviourally identical to building the :class:`Simulator` yourself.
     """
     sim = Simulator(
@@ -315,5 +312,4 @@ def solo_run(
         seed=seed,
         algorithm_id=algorithm_id,
         max_rounds=max_rounds,
-        on_limit=on_limit,
     )

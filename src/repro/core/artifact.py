@@ -19,8 +19,9 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..errors import ScheduleError
-from ..metrics.schedule import ScheduleReport, phase_schedule_length
+from ..metrics.schedule import phase_schedule_length
 from .base import ScheduleResult, verify_outputs
+from .delays import phase_report
 from .phase_engine import run_delayed_phases
 from .workload import Workload
 
@@ -117,29 +118,20 @@ class ScheduleArtifact:
                 f"n={self.network_nodes} vs {workload.network.num_nodes})"
             )
         execution = run_delayed_phases(workload, self.delays)
-        length = phase_schedule_length(
-            execution.num_phases, self.phase_size, execution.max_phase_load
+        report = phase_report(
+            f"replay[{self.scheduler}]", workload, execution, self.delays,
+            self.phase_size, notes={"artifact": True},
         )
         if strict and self.expected_length is not None:
             if (
-                length != self.expected_length
-                or execution.max_phase_load != self.expected_max_load
+                report.length_rounds != self.expected_length
+                or report.max_phase_load != self.expected_max_load
             ):
                 raise ScheduleError(
                     "replay deviated from the recorded schedule: "
-                    f"length {length} vs {self.expected_length}, "
-                    f"load {execution.max_phase_load} vs {self.expected_max_load}"
+                    f"length {report.length_rounds} vs {self.expected_length}, "
+                    f"load {report.max_phase_load} vs {self.expected_max_load}"
                 )
-        report = ScheduleReport(
-            scheduler=f"replay[{self.scheduler}]",
-            params=workload.params(),
-            length_rounds=length,
-            num_phases=execution.num_phases,
-            phase_size=self.phase_size,
-            max_phase_load=execution.max_phase_load,
-            messages_sent=execution.messages,
-            notes={"artifact": True, "delays": list(self.delays)},
-        )
         mismatches = verify_outputs(workload, execution.outputs)
         report.correct = not mismatches
         return ScheduleResult(
@@ -168,7 +160,11 @@ def capture_delay_schedule(
         num_algorithms=workload.num_algorithms,
         network_nodes=workload.network.num_nodes,
         network_edges=workload.network.num_edges,
-        expected_length=report.length_rounds,
+        # What replay recomputes: a doubling schedule's length also
+        # charges its rejected guesses, which replay does not run.
+        expected_length=phase_schedule_length(
+            report.num_phases, report.phase_size, report.max_phase_load
+        ),
         expected_max_load=report.max_phase_load,
         network_json=workload.network.to_json(),
     )

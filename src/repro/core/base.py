@@ -175,11 +175,11 @@ class Scheduler(ABC):
     #: :meth:`with_faults` to perturb the schedule deterministically.
     injector: FaultInjector = NULL_INJECTOR
 
-    #: Optional cap on the engine's native ticks (phases / big-rounds /
-    #: rounds). ``None`` keeps each engine's own generous default. Set it
-    #: via :meth:`with_round_budget` when a faulted run may fail to
-    #: converge: combined with :meth:`run_resilient` the budget turns a
-    #: would-be hang into a structured partial failure.
+    #: Optional budget on the engine's native ticks (phases / big-rounds
+    #: / rounds): past it the run stops, partial, with
+    #: ``report.notes["truncated"]`` set. ``None`` keeps each engine's own
+    #: generous bound, which raises when passed. Set it via
+    #: :meth:`with_round_budget` when a faulted run may fail to converge.
     round_budget: Optional[int] = None
 
     def with_recorder(self, recorder: Recorder) -> "Scheduler":

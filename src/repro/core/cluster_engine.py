@@ -79,7 +79,7 @@ class ClusterExecution:
     messages_truncated: int
     num_copies: int
     #: Whether the execution was cut off at its big-round cap instead of
-    #: running to completion (only possible with ``on_limit="truncate"``).
+    #: running to completion (only under a ``max_big_rounds`` budget).
     truncated: bool = False
 
 
@@ -249,7 +249,6 @@ def run_cluster_copies(
     max_big_rounds: Optional[int] = None,
     recorder: Recorder = NULL_RECORDER,
     injector: FaultInjector = NULL_INJECTOR,
-    on_limit: str = "raise",
 ) -> ClusterExecution:
     """Execute every (layer, cluster, algorithm) copy under big-round delays.
 
@@ -268,8 +267,9 @@ def run_cluster_copies(
     and the copies stay mutually consistent. Because faulted copies can
     still observe genuinely different inboxes (a delayed message reaches
     late copies only), the copy-consistency check downgrades from a hard
-    error to first-payload-wins while faults are enabled. ``on_limit``
-    as in :func:`~repro.core.phase_engine.run_delayed_phases`. The
+    error to first-payload-wins while faults are enabled.
+    ``max_big_rounds`` is a budget, as ``max_phases`` is in
+    :func:`~repro.core.phase_engine.run_delayed_phases`. The
     copies step through :func:`~repro.core.phase_engine.run_copies`. The
     workload's transport runs only the solo references here: the
     copies' channel has one implementation (this module's
@@ -317,12 +317,13 @@ def run_cluster_copies(
                 )
     copies = list(copy_at.values())
 
+    truncate = max_big_rounds is not None
     if max_big_rounds is None:
         max_big_rounds = max((c.delay for c in copies), default=0) + max(hard_caps, default=1) + 4
     channel = _ClusterChannel(clustering, injector, dedup)
     last_active, skipped_rounds, truncated = run_copies(
         copies, channel, max_big_rounds, CLUSTER_LOOP, recorder, injector,
-        on_limit,
+        truncate,
     )
 
     # Collect outputs from the chosen layers, one node at a time: a slot

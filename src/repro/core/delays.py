@@ -1,8 +1,10 @@
 """Shared machinery for delay-based schedulers.
 
 Every scheduler in the random-delays family does the same three things:
-sample per-algorithm phase delays, execute via the phase engine, and
-account the result into a :class:`~repro.metrics.schedule.ScheduleReport`.
+sample per-algorithm phase delays, execute via the phase engine
+(:func:`execute_with_delays`), and account the result into a
+:class:`~repro.metrics.schedule.ScheduleReport` (:func:`phase_report`,
+which a replayed artifact shares).
 """
 
 from __future__ import annotations
@@ -11,18 +13,17 @@ import math
 from typing import Dict, Optional, Sequence
 
 
-from ..faults import NULL_INJECTOR, FaultInjector
 from ..metrics.schedule import (
     ScheduleReport,
     phase_completion_rounds,
     phase_schedule_length,
 )
-from ..telemetry import NULL_RECORDER, Recorder
 from .base import Scheduler
-from .phase_engine import run_delayed_phases
+from .phase_engine import PhaseExecution, run_delayed_phases
 from .workload import Workload
 
-__all__ = ["phase_size_log", "phase_size_log_over_loglog", "execute_with_delays"]
+__all__ = ["phase_size_log", "phase_size_log_over_loglog", "execute_with_delays",
+           "phase_report"]
 
 
 def phase_size_log(num_nodes: int, constant: float = 1.0) -> int:
@@ -37,44 +38,53 @@ def phase_size_log_over_loglog(num_nodes: int, constant: float = 1.0) -> int:
 
 
 def execute_with_delays(
-    scheduler_name: str,
+    scheduler: Scheduler,
     workload: Workload,
     delays: Sequence[int],
     phase_size: int,
-    precomputation_rounds: int = 0,
     notes: Optional[Dict] = None,
-    recorder: Recorder = NULL_RECORDER,
-    injector: FaultInjector = NULL_INJECTOR,
-    max_phases: Optional[int] = None,
-    on_limit: str = "raise",
 ) -> tuple:
-    """Run the phase engine and build the report (not yet verified).
+    """Run the phase engine under ``scheduler``'s ``name``, ``recorder``,
+    ``injector`` and ``round_budget`` (a phase budget), and report.
 
-    Returns ``(outputs, report)``; the caller passes them through
-    :meth:`Scheduler._finish` for verification. ``max_phases`` lets a
-    scheduler's round budget cap the execution; combined with
-    ``on_limit="truncate"`` the cap yields a partial result (flagged in
-    ``report.notes["truncated"]``) instead of an exception.
+    Returns ``(outputs, report)``, not yet verified; the caller passes
+    them through :meth:`Scheduler._finish`.
     """
-    with recorder.span(
-        "phase-execution", category="scheduler", scheduler=scheduler_name
+    with scheduler.recorder.span(
+        "phase-execution", category="scheduler", scheduler=scheduler.name
     ):
         execution = run_delayed_phases(
             workload,
             delays,
-            max_phases=max_phases,
-            recorder=recorder,
-            injector=injector,
-            on_limit=on_limit,
+            max_phases=scheduler.round_budget,
+            recorder=scheduler.recorder,
+            injector=scheduler.injector,
         )
-    params = workload.params()
+    report = phase_report(
+        scheduler.name, workload, execution, delays, phase_size, notes
+    )
+    return execution.outputs, report
+
+
+def phase_report(
+    name: str,
+    workload: Workload,
+    execution: PhaseExecution,
+    delays: Sequence[int],
+    phase_size: int,
+    notes: Optional[Dict] = None,
+) -> ScheduleReport:
+    """The :class:`ScheduleReport` of a delayed-phases execution.
+
+    The one place a ``PhaseExecution`` becomes a report: every delay
+    schedule, doubling's accepted guess and a replayed artifact.
+    """
     report = ScheduleReport(
-        scheduler=scheduler_name,
-        params=params,
+        scheduler=name,
+        params=workload.params(),
         length_rounds=phase_schedule_length(
             execution.num_phases, phase_size, execution.max_phase_load
         ),
-        precomputation_rounds=precomputation_rounds,
         num_phases=execution.num_phases,
         phase_size=phase_size,
         max_phase_load=execution.max_phase_load,
@@ -86,9 +96,8 @@ def execute_with_delays(
             phase_size,
             execution.max_phase_load,
         ),
-        notes=dict(notes or {}),
+        notes={**(notes or {}), "delays": list(delays)},
     )
-    report.notes.setdefault("delays", list(delays))
     if execution.truncated:
         report.notes["truncated"] = True
-    return execution.outputs, report
+    return report

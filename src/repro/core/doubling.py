@@ -19,14 +19,8 @@ import random
 
 
 from .._util import derive_seed
-from ..metrics.schedule import (
-    ScheduleReport,
-    phase_completion_rounds,
-    phase_schedule_length,
-)
 from .base import ScheduleResult, Scheduler
-from .delays import phase_size_log
-from .phase_engine import run_delayed_phases
+from .delays import execute_with_delays, phase_size_log
 from .workload import Workload
 
 __all__ = ["DoublingScheduler"]
@@ -70,49 +64,24 @@ class DoublingScheduler(Scheduler):
                 raise RuntimeError("doubling failed to converge")
             delay_range = max(1, math.ceil(guess / phase_size))
             delays = [rng.randrange(delay_range) for _ in workload.aids]
-            execution = run_delayed_phases(
-                workload,
-                delays,
-                max_phases=self.round_budget,
-                recorder=self.recorder,
-                injector=self.injector,
-                on_limit="truncate" if self.round_budget is not None else "raise",
+            outputs, report = execute_with_delays(
+                self, workload, delays, phase_size
             )
-            planned = execution.num_phases * phase_size
-            if execution.max_phase_load <= capacity:
+            if report.max_phase_load <= capacity:
                 break
             # Validation failed: the schedule would have overflowed.
-            wasted_rounds += planned
+            wasted_rounds += report.num_phases * phase_size
             guess *= 2
 
-        params = workload.params()
-        report = ScheduleReport(
-            scheduler=self.name,
-            params=params,
-            length_rounds=phase_schedule_length(
-                execution.num_phases, phase_size, execution.max_phase_load
-            )
-            + wasted_rounds,
-            num_phases=execution.num_phases,
-            phase_size=phase_size,
-            max_phase_load=execution.max_phase_load,
-            messages_sent=execution.messages,
-            load_histogram=execution.load_histogram,
-            completion_rounds=phase_completion_rounds(
-                delays,
-                [run.rounds for run in workload.solo_runs()],
-                phase_size,
-                execution.max_phase_load,
-                offset=wasted_rounds,
-            ),
-            notes={
-                "delays": delays,
-                "final_guess": guess,
-                "attempts": attempts,
-                "wasted_rounds": wasted_rounds,
-                "true_congestion": params.congestion,
-            },
+        # The rejected guesses ran first: charge their planned rounds.
+        report.length_rounds += wasted_rounds
+        report.completion_rounds = [
+            wasted_rounds + rounds for rounds in report.completion_rounds
+        ]
+        report.notes.update(
+            final_guess=guess,
+            attempts=attempts,
+            wasted_rounds=wasted_rounds,
+            true_congestion=report.params.congestion,
         )
-        if execution.truncated:
-            report.notes["truncated"] = True
-        return self._finish(workload, execution.outputs, report)
+        return self._finish(workload, outputs, report)

@@ -88,7 +88,7 @@ def run_copies(
     names: LoopNames,
     recorder: Recorder = NULL_RECORDER,
     injector: FaultInjector = NULL_INJECTOR,
-    on_limit: str = "raise",
+    truncate: bool = False,
     fast_forward: bool = True,
 ) -> Tuple[int, int, bool]:
     """Step ``copies`` big-round by big-round until every one finishes.
@@ -105,15 +105,13 @@ def run_copies(
     is buffered or in flight), ``next_phase_empty()`` and ``end_phase()
     -> (messages, top load)``.
 
-    Past ``cap`` big-rounds the loop raises
-    :class:`~repro.errors.SimulationLimitExceeded` (``on_limit="raise"``)
-    or stops with ``truncated`` set (``"truncate"``). ``fast_forward``
-    jumps silent big-rounds — nothing running, nothing in flight,
-    nothing starting — to the next start; results are identical either
-    way.
+    Past ``cap`` big-rounds the loop stops with ``truncated`` set if
+    ``truncate`` (the caller passed the cap as a budget) and raises
+    :class:`~repro.errors.SimulationLimitExceeded` otherwise.
+    ``fast_forward`` jumps silent big-rounds — nothing running, nothing
+    in flight, nothing starting — to the next start; results are
+    identical either way (the tests compare the two walks).
     """
-    if on_limit not in ("raise", "truncate"):
-        raise ValueError(f"on_limit must be 'raise' or 'truncate', got {on_limit!r}")
     starts: Dict[int, List[Copy]] = {}
     for copy in copies:
         starts.setdefault(copy.delay, []).append(copy)
@@ -149,7 +147,7 @@ def run_copies(
             if recorder.enabled:
                 recorder.counter(f"{names.engine}.limit_exceeded")
                 recorder.event("limit-exceeded", engine=names.engine, cap=cap)
-            if on_limit == "truncate":
+            if truncate:
                 truncated = True
                 break
             raise SimulationLimitExceeded(
@@ -224,7 +222,7 @@ class PhaseExecution:
     #: Total messages sent.
     messages: int
     #: Whether the execution was cut off at its phase cap instead of
-    #: running to completion (only possible with ``on_limit="truncate"``).
+    #: running to completion (only possible when ``max_phases`` is given).
     truncated: bool = False
 
     def required_phase_size(self) -> int:
@@ -238,8 +236,6 @@ def run_delayed_phases(
     max_phases: Optional[int] = None,
     recorder: Recorder = NULL_RECORDER,
     injector: FaultInjector = NULL_INJECTOR,
-    on_limit: str = "raise",
-    fast_forward: bool = True,
 ) -> PhaseExecution:
     """Execute all algorithms with per-algorithm phase delays.
 
@@ -255,7 +251,9 @@ def run_delayed_phases(
         ``delays[i]`` = number of whole phases algorithm ``i`` waits
         before starting.
     max_phases:
-        Safety cap (defaults to a generous bound from the workload).
+        A phase budget: past it the execution stops with ``truncated``
+        set. Without it a generous bound from the workload applies, and
+        passing that raises ``SimulationLimitExceeded``.
     recorder:
         Telemetry sink; when enabled, per-phase message counts, active
         algorithm counts, and max loads are sampled.
@@ -265,14 +263,11 @@ def run_delayed_phases(
         1-based phase index; each algorithm is an independent fault
         stream (its ``aid``), so two algorithms' messages over the same
         edge fault independently.
-    on_limit, fast_forward:
-        As in :func:`run_copies`, with ``max_phases`` as the cap.
-        Delay-staggered schedules make most early phases silent; the
-        fast-forward skips them (``benchmarks/bench_e18_hot_path.py``
-        asserts identical results), reported in the
-        ``phase.skipped_phases`` counter. ``fast_forward=False`` forces
-        the phase-by-phase walk, which also restores the
-        per-silent-phase zero telemetry samples.
+
+    Delay-staggered schedules make most early phases silent;
+    :func:`run_copies` fast-forwards over them
+    (``benchmarks/bench_e18_hot_path.py`` asserts identical results),
+    reported in the ``phase.skipped_phases`` counter.
     """
     network = workload.network
     k = workload.num_algorithms
@@ -281,6 +276,7 @@ def run_delayed_phases(
     if any(d < 0 for d in delays):
         raise ValueError("delays must be non-negative")
 
+    truncate = max_phases is not None
     if max_phases is None:
         max_phases = (
             max(delays) + max(a.max_rounds(network) for a in workload.algorithms) + 4
@@ -296,8 +292,7 @@ def run_delayed_phases(
     ]
     channel = resolve_transport(workload.transport).phase_channel(k, injector)
     last_active_phase, skipped_phases, truncated = run_copies(
-        copies, channel, max_phases, PHASE_LOOP, recorder, injector,
-        on_limit, fast_forward,
+        copies, channel, max_phases, PHASE_LOOP, recorder, injector, truncate
     )
 
     if recorder.enabled:

@@ -208,7 +208,6 @@ class PrivateScheduler(Scheduler):
                 max_big_rounds=self.round_budget,
                 recorder=recorder,
                 injector=self.injector,
-                on_limit="truncate" if self.round_budget is not None else "raise",
             )
 
         phase_size = phase_size_log(n, self.phase_constant)

@@ -117,14 +117,6 @@ class RandomDelayScheduler(Scheduler):
         if bits is not None:
             notes["shared_seed_bits"] = bits
         outputs, report = execute_with_delays(
-            self.name,
-            workload,
-            delays,
-            phase_size,
-            notes=notes,
-            recorder=recorder,
-            injector=self.injector,
-            max_phases=self.round_budget,
-            on_limit="truncate" if self.round_budget is not None else "raise",
+            self, workload, delays, phase_size, notes=notes
         )
         return self._finish(workload, outputs, report)

@@ -28,15 +28,5 @@ class RoundRobinScheduler(Scheduler):
 
     def run(self, workload: Workload, seed: int = 0) -> ScheduleResult:
         k = workload.num_algorithms
-        delays = [0] * k
-        outputs, report = execute_with_delays(
-            self.name,
-            workload,
-            delays,
-            phase_size=k,
-            recorder=self.recorder,
-            injector=self.injector,
-            max_phases=self.round_budget,
-            on_limit="truncate" if self.round_budget is not None else "raise",
-        )
+        outputs, report = execute_with_delays(self, workload, [0] * k, k)
         return self._finish(workload, outputs, report)

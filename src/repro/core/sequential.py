@@ -40,7 +40,6 @@ class SequentialScheduler(Scheduler):
                     seed=workload.master_seed,
                     algorithm_id=workload.tape_id(aid),
                     max_rounds=self.round_budget,
-                    on_limit="truncate" if self.round_budget is not None else "raise",
                 )
                 for aid, algorithm in enumerate(workload.algorithms)
             ]

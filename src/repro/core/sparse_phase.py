@@ -54,14 +54,6 @@ class SparsePhaseScheduler(Scheduler):
         rng = random.Random(derive_seed(seed, "sparse-delays"))
         delays = [rng.randrange(delay_range) for _ in workload.aids]
         outputs, report = execute_with_delays(
-            self.name,
-            workload,
-            delays,
-            phase_size,
-            notes={"delay_range": delay_range},
-            recorder=self.recorder,
-            injector=self.injector,
-            max_phases=self.round_budget,
-            on_limit="truncate" if self.round_budget is not None else "raise",
+            self, workload, delays, phase_size, notes={"delay_range": delay_range}
         )
         return self._finish(workload, outputs, report)

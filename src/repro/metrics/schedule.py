@@ -79,18 +79,17 @@ def phase_completion_rounds(
     solo_rounds: Sequence[int],
     phase_size: int,
     max_phase_load: int,
-    offset: int = 0,
 ) -> List[int]:
     """Physical round by which each algorithm of a phase schedule finished.
 
     Algorithm ``i`` sends its last round in phase ``δ_i + D_i - 1``
     (0-based), so it is done after ``δ_i + D_i`` phases, each stretched
     to ``max(phase_size, max_phase_load)`` rounds like the schedule
-    length; ``offset`` adds rounds spent before this schedule started.
+    length.
     """
     width = max(phase_size, max_phase_load)
     return [
-        offset + (delay + rounds) * width
+        (delay + rounds) * width
         for delay, rounds in zip(delays, solo_rounds)
     ]
 

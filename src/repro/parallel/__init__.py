@@ -8,9 +8,8 @@ Two cooperating pieces (see ``docs/PERFORMANCE.md``):
   randomness from explicit seeds;
 * :class:`~repro.parallel.cache.SoloRunCache` — a content-addressed
   cache of solo reference runs keyed by ``(network fingerprint,
-  algorithm fingerprint, algorithm id, seed, message_bits)``, with an
-  in-memory tier and an optional on-disk tier (``REPRO_CACHE_DIR``,
-  conventionally ``.repro_cache/``).
+  algorithm fingerprint, algorithm id, seed, message_bits)``, held in
+  memory.
 
 :func:`~repro.parallel.cache.default_cache` supplies the process-wide
 cache every :class:`~repro.core.workload.Workload` consults unless told
@@ -18,9 +17,7 @@ otherwise; ``REPRO_SOLO_CACHE=0`` switches it off.
 """
 
 from .cache import (
-    CACHE_DIR_ENV,
     CACHE_ENV,
-    DEFAULT_CACHE_DIR,
     SoloRunCache,
     algorithm_fingerprint,
     default_cache,
@@ -31,9 +28,7 @@ from .cache import (
 from .runner import WORKERS_ENV, ParallelRunner, resolve_workers
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CACHE_ENV",
-    "DEFAULT_CACHE_DIR",
     "ParallelRunner",
     "SoloRunCache",
     "WORKERS_ENV",

@@ -11,18 +11,17 @@ configuration. Those runs are pure functions of
 — the node random tapes are derived from exactly that tuple — so they can
 be cached content-addressed with no effect on results.
 
-:class:`ContentStore` is the two-tier store, shared with the service's
+:class:`ContentStore` is the two-tier store behind the service's
 :class:`~repro.service.registry.RunRegistry`:
 
 * an **in-memory tier** (bounded FIFO dict) shared by every user in
   the process, and
-* an optional **on-disk tier** (one pickle per key under a directory,
-  ``.repro_cache/`` by convention for solo runs) that persists across
-  processes — warm-starting repeated benchmark invocations and letting
-  the worker processes of :class:`~repro.parallel.runner.ParallelRunner`
-  share solo runs.
+* an optional **on-disk tier** (one pickle per key under a directory)
+  that persists across processes.
 
-:class:`SoloRunCache` is that store holding solo runs.
+:class:`SoloRunCache` is that store holding solo runs, in memory only:
+a solo run is cheap to recompute, and a disk tier would unpickle
+whatever its directory holds.
 
 Keys are hex digests of :func:`network_fingerprint` and
 :func:`algorithm_fingerprint` plus the scalar parameters. Fingerprints
@@ -33,16 +32,12 @@ interpreter restarts. An algorithm whose state cannot be rendered
 stably (e.g. it holds a lambda) is simply never cached — correctness
 over hit rate.
 
-The process-wide default cache is controlled by environment variables:
-
-* ``REPRO_SOLO_CACHE=0`` disables caching entirely;
-* ``REPRO_CACHE_DIR=<path>`` adds the disk tier (``1`` selects the
-  conventional ``.repro_cache/``).
+``REPRO_SOLO_CACHE=0`` disables the process-wide default cache.
 
 Cache activity is observable through the usual telemetry pattern:
 attach a :class:`~repro.telemetry.Recorder` and the cache emits
-``cache.hit`` / ``cache.miss`` / ``cache.disk_hit`` counters; the plain
-integer :meth:`SoloRunCache.stats` are always maintained.
+``cache.hit`` / ``cache.miss`` counters; the plain integer
+:meth:`SoloRunCache.stats` are always maintained.
 """
 
 from __future__ import annotations
@@ -61,10 +56,8 @@ from ..congest.simulator import Simulator, SoloRun
 from ..telemetry import NULL_RECORDER, Recorder
 
 __all__ = [
-    "CACHE_DIR_ENV",
     "CACHE_ENV",
     "ContentStore",
-    "DEFAULT_CACHE_DIR",
     "SoloRunCache",
     "algorithm_fingerprint",
     "default_cache",
@@ -75,12 +68,6 @@ __all__ = [
 
 #: Environment variable disabling the default cache when set to ``0``.
 CACHE_ENV = "REPRO_SOLO_CACHE"
-
-#: Environment variable enabling the disk tier (a path, or ``1``).
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Conventional on-disk cache location (relative to the working dir).
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 
 class _UnstableFingerprint(Exception):
@@ -285,15 +272,19 @@ class ContentStore:
 
 
 class SoloRunCache(ContentStore):
-    """A :class:`ContentStore` of solo reference runs.
+    """A memory-only :class:`ContentStore` of solo reference runs.
 
-    Takes the store's parameters. Lookups through :meth:`get_or_run`
-    emit ``cache.hit`` / ``cache.miss`` counters on the recorder, and
-    disk-tier loads ``cache.disk_hit``.
+    Lookups through :meth:`get_or_run` emit ``cache.hit`` /
+    ``cache.miss`` counters on the recorder.
     """
 
     value_type = SoloRun
-    counters = ("hits", "misses", "disk_hits")
+    counters = ("hits", "misses")
+
+    def __init__(
+        self, recorder: Recorder = NULL_RECORDER, max_memory_entries: int = 1024
+    ):
+        super().__init__(None, recorder, max_memory_entries)
 
     # ------------------------------------------------------------------
     # keys
@@ -329,14 +320,6 @@ class SoloRunCache(ContentStore):
             seed,
             message_bits,
         ).hex()
-
-    def _load(self, key: str) -> Optional[SoloRun]:
-        run = super()._load(key)
-        if run is not None:
-            self.disk_hits += 1
-            if self.recorder.enabled:
-                self.recorder.counter("cache.disk_hit")
-        return run
 
     # ------------------------------------------------------------------
     # the main entry point
@@ -400,8 +383,7 @@ def default_cache() -> Optional[SoloRunCache]:
 
     Configured from the environment on first use (and reconfigured when
     the environment changes): ``REPRO_SOLO_CACHE=0`` yields ``None``
-    (caching off), ``REPRO_CACHE_DIR`` adds the disk tier. The default
-    is an enabled, memory-only cache.
+    (caching off); the default is an enabled cache.
     """
     global _default_cache, _default_config
     if _default_config is not None and _default_config[0] == "override":
@@ -412,13 +394,9 @@ def default_cache() -> Optional[SoloRunCache]:
         "false",
         "",
     )
-    directory = os.environ.get(CACHE_DIR_ENV, "").strip() or None
-    if directory in ("1", "true"):
-        directory = DEFAULT_CACHE_DIR
-    config = (enabled, directory)
-    if config != _default_config:
-        _default_cache = SoloRunCache(directory=directory) if enabled else None
-        _default_config = config
+    if (enabled,) != _default_config:
+        _default_cache = SoloRunCache() if enabled else None
+        _default_config = (enabled,)
     return _default_cache
 
 

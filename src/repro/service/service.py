@@ -84,14 +84,14 @@ from typing import (
 from ..congest.message import default_message_bits
 from ..congest.network import Network
 from ..congest.program import Algorithm
-from ..congest.simulator import Simulator, SoloRun
+from ..congest.simulator import SoloRun
 from ..core.base import ScheduleResult, Scheduler
 from ..core.random_delay import RandomDelayScheduler
 from ..core.workload import Workload
 from ..faults.crashpoints import crash_point
 from ..metrics.congestion import measure_params
 from ..metrics.schedule import ENGINE_COUNTERS, ScheduleReport
-from ..parallel.cache import SoloRunCache, default_cache, network_fingerprint
+from ..parallel.cache import network_fingerprint
 from ..parallel.runner import ParallelRunner
 from ..telemetry import NULL_RECORDER, Recorder
 from .admission import AdmissionPolicy
@@ -1136,22 +1136,7 @@ class SchedulerService:
         lookups (same key) are hits — admission costs no extra
         simulation in the steady state.
         """
-        cache = default_cache() if self.solo_cache == "default" else self.solo_cache
-        if isinstance(cache, SoloRunCache):
-            return cache.get_or_run(
-                job.network,
-                job.algorithm,
-                algorithm_id=job.tape_id,
-                seed=job.master_seed,
-                message_bits=job.message_bits,
-                transport=self.transport,
-            )
-        sim = Simulator(
-            job.network, message_bits=job.message_bits, transport=self.transport
-        )
-        return sim.run(
-            job.algorithm, seed=job.master_seed, algorithm_id=job.tape_id
-        )
+        return self._workload([job]).solo_runs()[0]
 
     def release_parked(self, cause: Optional[str] = None) -> List[Job]:
         """Re-queue parked jobs (e.g. after raising the budget).

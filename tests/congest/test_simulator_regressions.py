@@ -1,8 +1,10 @@
 """Regression tests for two historically-buggy simulator semantics.
 
-1. :func:`repro.congest.solo_run` used to silently drop its ``on_limit``
-   and ``injector`` arguments, so callers asking for truncation or fault
-   injection through the convenience wrapper got default behaviour.
+1. :func:`repro.congest.solo_run` used to silently drop its truncation
+   mode and ``injector`` arguments, so callers asking for truncation or
+   fault injection through the convenience wrapper got default
+   behaviour. Truncation is now the round budget itself: a passed
+   ``max_rounds``.
 2. The engine's halt check used to declare completion while
    fault-*delayed* deliveries were still in flight, leaving
    ``completion_round`` earlier than the last delivery the execution
@@ -34,17 +36,17 @@ class _NeverHaltsAlgorithm(Algorithm):
 class TestSoloRunForwardsEverything:
     """The wrapper must behave exactly like Simulator(...).run(...)."""
 
-    def test_on_limit_truncate_is_forwarded(self):
+    def test_round_budget_is_forwarded(self):
         net = topology.path_graph(4)
-        # pre-fix this raised: the wrapper ignored on_limit="truncate"
-        run = solo_run(net, _NeverHaltsAlgorithm(), on_limit="truncate")
+        # pre-fix this raised: the wrapper ignored the truncation request
+        run = solo_run(net, _NeverHaltsAlgorithm(), max_rounds=5)
         assert run.truncated
-        assert run.completion_round == _NeverHaltsAlgorithm().max_rounds(net)
+        assert run.completion_round == 5
 
-    def test_on_limit_raise_still_raises(self):
+    def test_default_bound_still_raises(self):
         net = topology.path_graph(4)
         with pytest.raises(SimulationLimitExceeded):
-            solo_run(net, _NeverHaltsAlgorithm(), on_limit="raise")
+            solo_run(net, _NeverHaltsAlgorithm())
 
     def test_injector_is_forwarded(self):
         net = topology.grid_graph(4, 4)

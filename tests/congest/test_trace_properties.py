@@ -166,6 +166,5 @@ class TestSimulatedTraces:
             seed=seed,
             injector=plan.injector(),
             max_rounds=60,
-            on_limit="truncate",
         )
         assert_indices_match_naive(run.trace)

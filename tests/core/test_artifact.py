@@ -141,3 +141,24 @@ class TestArtifactMaterialization:
         )
         schedule.validate_capacity()
         assert schedule.makespan == artifact.expected_length
+
+
+class TestDoublingReplay:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rejected_guesses_do_not_break_replay(self, grid6, seed):
+        """A doubling report charges its rejected guesses' rounds, which
+        replay does not run: the artifact records the accepted guess's
+        own length, so the strict replay passes."""
+        from repro.algorithms import BFS, HopBroadcast
+        from repro.core import DoublingScheduler
+
+        algorithms = [BFS(0)] + [HopBroadcast(0, f"t{i}", 5) for i in range(30)]
+        work = Workload(grid6, algorithms)
+        result = DoublingScheduler().run(work, seed=seed)
+        assert result.report.notes["wasted_rounds"] > 0
+        replayed = capture_delay_schedule(work, result).replay(work)
+        assert replayed.correct
+        assert replayed.outputs == result.outputs
+        assert replayed.report.length_rounds == (
+            result.report.length_rounds - result.report.notes["wasted_rounds"]
+        )

@@ -144,7 +144,7 @@ class TestEngineAccounting:
         for cap in (0, 2, 5):
             execution = run_cluster_copies(
                 work, clustering, lambda l, c, a: a,
-                max_big_rounds=cap, on_limit="truncate",
+                max_big_rounds=cap,
             )
             assert execution.truncated
             assert execution.num_big_rounds == cap + 1

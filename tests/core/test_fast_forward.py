@@ -5,10 +5,10 @@ Both engines step their copies through one big-round loop,
 stretches — nothing running, nothing in flight, nothing starting — in
 one jump. Delay-staggered schedules make most early phases silent, so
 this is a large win; but the contract is strict bit-identity with the
-naive phase-by-phase walk. ``run_delayed_phases`` keeps a
-``fast_forward=False`` escape hatch precisely so these tests (and
-``bench_e18``) can compare the two walks on the same workload; the
-cluster engine's naive walk is reached by patching the loop's default.
+naive phase-by-phase walk. The loop keeps a ``fast_forward=False``
+switch precisely so these tests (and ``bench_e18``) can compare the two
+walks on the same workload; the engines do not expose it, so the naive
+walk is reached by patching their ``run_copies`` (:func:`naive_walk`).
 """
 
 import functools
@@ -25,7 +25,6 @@ from repro.core import (
     run_delayed_phases,
     verify_outputs,
 )
-from repro.errors import SimulationLimitExceeded
 from repro.faults import NULL_INJECTOR, FaultPlan, NodeCrash
 from repro.telemetry import InMemoryRecorder
 
@@ -37,6 +36,13 @@ def assert_executions_identical(a, b):
     assert a.load_histogram == b.load_histogram
     assert a.messages == b.messages
     assert a.truncated == b.truncated
+
+
+def naive_walk(monkeypatch):
+    """Make both engines walk every big-round (no fast-forward)."""
+    walk = functools.partial(phase_engine.run_copies, fast_forward=False)
+    for engine in (phase_engine, cluster_engine):
+        monkeypatch.setattr(engine, "run_copies", walk)
 
 
 def _workload(net):
@@ -55,26 +61,27 @@ class TestPhaseEngineIdentity:
             [100, 3, 57],       # first algorithm starts last
         ],
     )
-    def test_fast_forward_matches_naive_walk(self, grid6, delays):
+    def test_fast_forward_matches_naive_walk(self, grid6, monkeypatch, delays):
         work = _workload(grid6)
-        fast = run_delayed_phases(work, delays, fast_forward=True)
-        naive = run_delayed_phases(work, delays, fast_forward=False)
+        fast = run_delayed_phases(work, delays)
+        naive_walk(monkeypatch)
+        naive = run_delayed_phases(work, delays)
         assert_executions_identical(fast, naive)
         assert verify_outputs(work, fast.outputs) == []
 
-    def test_identity_under_faults(self, grid4):
+    def test_identity_under_faults(self, grid4, monkeypatch):
         work = Workload(grid4, [BFS(0), HopBroadcast(15, "y", 3)])
         plan = FaultPlan(seed=11, drop=0.1, delay=0.15, duplicate=0.1,
                          max_extra_delay=2)
-        fast = run_delayed_phases(
-            work, [0, 35], injector=plan.injector(), fast_forward=True,
-            max_phases=200, on_limit="truncate",
-        )
-        naive = run_delayed_phases(
-            work, [0, 35], injector=plan.injector(), fast_forward=False,
-            max_phases=200, on_limit="truncate",
-        )
-        assert_executions_identical(fast, naive)
+
+        def run():
+            return run_delayed_phases(
+                work, [0, 35], injector=plan.injector(), max_phases=200
+            )
+
+        fast = run()
+        naive_walk(monkeypatch)
+        assert_executions_identical(fast, run())
 
     def test_identity_with_recorder_attached(self, grid4):
         # The recorder must observe, not perturb.
@@ -85,20 +92,14 @@ class TestPhaseEngineIdentity:
         )
         assert_executions_identical(plain, recorded)
 
-    def test_max_phases_still_enforced(self, grid4):
+    def test_max_phases_still_enforced(self, grid4, monkeypatch):
         # The jump is clamped to max_phases + 1, so the cap fires at the
         # same point as the naive walk even when the next start phase
         # lies far beyond it.
         work = Workload(grid4, [BFS(0)])
-        with pytest.raises(SimulationLimitExceeded):
-            run_delayed_phases(work, [50], max_phases=10)
-        fast = run_delayed_phases(
-            work, [50], max_phases=10, on_limit="truncate"
-        )
-        naive = run_delayed_phases(
-            work, [50], max_phases=10, on_limit="truncate",
-            fast_forward=False,
-        )
+        fast = run_delayed_phases(work, [50], max_phases=10)
+        naive_walk(monkeypatch)
+        naive = run_delayed_phases(work, [50], max_phases=10)
         assert_executions_identical(fast, naive)
         assert fast.truncated
 
@@ -122,12 +123,11 @@ class TestSkipTelemetry:
         run_delayed_phases(work, [0, 0], recorder=recorder)
         assert "phase.skipped_phases" not in recorder.metrics.counters
 
-    def test_naive_walk_never_skips(self, grid4):
+    def test_naive_walk_never_skips(self, grid4, monkeypatch):
         work = Workload(grid4, [BFS(0), BFS(15)])
         recorder = InMemoryRecorder()
-        run_delayed_phases(
-            work, [0, 40], recorder=recorder, fast_forward=False
-        )
+        naive_walk(monkeypatch)
+        run_delayed_phases(work, [0, 40], recorder=recorder)
         assert "phase.skipped_phases" not in recorder.metrics.counters
 
 
@@ -179,16 +179,12 @@ class TestClusterEngineIdentity:
                 work, clustering, lambda layer, center, aid: 30 * aid,
                 max_big_rounds=cap, recorder=recorder,
                 injector=plan.injector() if plan else NULL_INJECTOR,
-                on_limit="truncate",
             )
 
         recorder = InMemoryRecorder()
         fast = run(recorder)
         assert recorder.metrics.counters["cluster.skipped_rounds"] > 0
-        monkeypatch.setattr(
-            cluster_engine, "run_copies",
-            functools.partial(phase_engine.run_copies, fast_forward=False),
-        )
+        naive_walk(monkeypatch)
         recorder = InMemoryRecorder()
         naive = run(recorder)
         assert "cluster.skipped_rounds" not in recorder.metrics.counters

@@ -334,6 +334,20 @@ class TestWorkloadPicksTransport:
     def test_engines_take_no_transport_argument(self, engine):
         assert "transport" not in inspect.signature(engine).parameters
 
+    def test_a_budget_is_the_only_run_control(self):
+        # Past a passed cap the run truncates; without one the engine's
+        # own bound raises. No engine takes a mode for it, and the
+        # naive walk lives only in ``run_copies(fast_forward=False)``.
+        from repro.congest.simulator import solo_run
+
+        for engine in (Simulator.run, solo_run, run_delayed_phases,
+                       run_cluster_copies, execute_with_delays):
+            parameters = inspect.signature(engine).parameters
+            assert "on_limit" not in parameters, engine.__qualname__
+        assert "fast_forward" not in inspect.signature(
+            run_delayed_phases
+        ).parameters
+
     def test_schedulers_carry_no_transport(self):
         assert not hasattr(Scheduler, "with_transport")
         for scheduler_cls in (RandomDelayScheduler, RoundRobinScheduler,

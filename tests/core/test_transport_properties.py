@@ -108,8 +108,11 @@ def test_solo_runs_bit_identical(network, kinds, plan, seed):
         kwargs = {"transport": name}
         if plan is not None:
             kwargs["injector"] = plan.injector()
+        # The algorithm's own bound, passed as a budget: a faulted run
+        # that never halts is cut there instead of raising.
         runs[name] = solo_run(
-            network, algorithm, seed=seed, on_limit="truncate", **kwargs
+            network, algorithm, seed=seed,
+            max_rounds=algorithm.max_rounds(network), **kwargs
         )
     ref, vec = runs["reference"], runs["numpy"]
     assert vec.outputs == ref.outputs

@@ -3,12 +3,26 @@
 import pytest
 
 from repro.algorithms import BFS, HopBroadcast
+from repro.congest.program import Algorithm, NodeProgram
 from repro.congest.simulator import Simulator, solo_run
 from repro.core import Workload, run_delayed_phases
 from repro.core.base import verify_outputs
 from repro.errors import SimulationLimitExceeded
 from repro.faults import FaultPlan
 from repro.faults.injector import SeededInjector
+
+
+class _Idle(NodeProgram):
+    def on_round(self, ctx, inbox):
+        pass
+
+
+class _NeverHalts(Algorithm):
+    def make_program(self, node, ctx):
+        return _Idle()
+
+    def max_rounds(self, network):
+        return 6
 
 
 def _workload(net, k=2):
@@ -81,19 +95,17 @@ class TestSoloSimulator:
         assert run.outputs == reference.outputs
         assert inj.snapshot()["faults.duplicates"] > 0
 
-    def test_on_limit_truncate_returns_partial(self, grid4):
-        run = Simulator(grid4).run(BFS(0), seed=0, max_rounds=1, on_limit="truncate")
+    def test_round_budget_returns_partial(self, grid4):
+        run = Simulator(grid4).run(BFS(0), seed=0, max_rounds=1)
         assert run.truncated
         assert run.completion_round == 1
 
-    def test_on_limit_raise_carries_context(self, grid4):
+    def test_default_bound_raise_carries_context(self, grid4):
+        never = _NeverHalts()
         with pytest.raises(SimulationLimitExceeded) as exc:
-            Simulator(grid4).run(BFS(0), seed=0, max_rounds=1)
-        assert exc.value.context["round"] == 1
-
-    def test_on_limit_validated(self, grid4):
-        with pytest.raises(ValueError, match="on_limit"):
-            Simulator(grid4).run(BFS(0), on_limit="explode")
+            Simulator(grid4).run(never, seed=0)
+        assert exc.value.context["round"] == never.max_rounds(grid4)
+        assert exc.value.context["algorithm"] == never.name
 
 
 class TestPhaseEngine:
@@ -121,18 +133,16 @@ class TestPhaseEngine:
         execution = run_delayed_phases(work, [0, 1], injector=plan.injector())
         assert not execution.truncated  # crashed nodes count as halted
 
-    def test_truncate_at_phase_cap(self, grid4):
+    def test_truncate_at_phase_budget(self, grid4):
         work = _workload(grid4)
-        execution = run_delayed_phases(
-            work, [0, 2], max_phases=1, on_limit="truncate"
-        )
+        execution = run_delayed_phases(work, [0, 2], max_phases=1)
         assert execution.truncated
         assert verify_outputs(work, execution.outputs)
 
-    def test_raise_at_phase_cap(self, grid4):
-        work = _workload(grid4)
+    def test_raise_at_default_phase_cap(self, grid4):
+        work = Workload(grid4, [_NeverHalts()])
         with pytest.raises(SimulationLimitExceeded):
-            run_delayed_phases(work, [0, 2], max_phases=1)
+            run_delayed_phases(work, [0])
 
     def test_delayed_messages_arrive_late_but_arrive(self, grid4):
         work = _workload(grid4, k=1)

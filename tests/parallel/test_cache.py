@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.algorithms import BFS, HopBroadcast, PathToken
+from repro.algorithms import BFS, HopBroadcast
 from repro.congest import solo_run, topology
 from repro.core import Workload
 from repro.experiments import mixed_workload
@@ -92,27 +92,6 @@ class TestSoloRunCache:
         assert run.outputs
         assert len(cache) == 0 and cache.misses == 1
 
-    def test_disk_tier_round_trip(self, net, tmp_path):
-        writer = SoloRunCache(directory=tmp_path)
-        run = writer.get_or_run(net, PathToken([0, 1, 2], token="x"), seed=4)
-        reader = SoloRunCache(directory=tmp_path)  # fresh memory tier
-        cached = reader.get_or_run(net, PathToken([0, 1, 2], token="x"), seed=4)
-        assert _runs_equal(run, cached)
-        assert reader.hits == 1 and reader.disk_hits == 1 and reader.misses == 0
-
-    def test_corrupt_disk_entry_is_a_miss(self, net, tmp_path):
-        writer = SoloRunCache(directory=tmp_path)
-        writer.get_or_run(net, BFS(0, hops=2), seed=0)
-        for path in tmp_path.glob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        reader = SoloRunCache(directory=tmp_path)
-        run = reader.get_or_run(net, BFS(0, hops=2), seed=0)
-        assert run.outputs and reader.misses == 1
-        # the rewrite repaired the entry
-        repaired = SoloRunCache(directory=tmp_path)
-        repaired.get_or_run(net, BFS(0, hops=2), seed=0)
-        assert repaired.disk_hits == 1
-
     def test_memory_tier_eviction(self, net):
         cache = SoloRunCache(max_memory_entries=2)
         for aid in range(4):
@@ -128,11 +107,11 @@ class TestSoloRunCache:
         assert snap["counters"]["cache.miss"] == 1
         assert snap["counters"]["cache.hit"] == 1
 
-    def test_clear(self, net, tmp_path):
-        cache = SoloRunCache(directory=tmp_path)
+    def test_clear(self, net):
+        cache = SoloRunCache()
         cache.get_or_run(net, BFS(0, hops=2), seed=0)
-        cache.clear(disk=True)
-        assert len(cache) == 0 and not list(tmp_path.glob("*.pkl"))
+        cache.clear()
+        assert len(cache) == 0 and cache.misses == 0
 
 
 class TestWorkloadIntegration:
@@ -157,15 +136,6 @@ class TestWorkloadIntegration:
             _runs_equal(a, b) for a, b in zip(cached.solo_runs(), raw.solo_runs())
         )
 
-    def test_disk_backed_workload_matches(self, net, tmp_path):
-        a = mixed_workload(net, 3, seed=9)
-        a.solo_cache = SoloRunCache(directory=tmp_path)
-        reference = a.reference_outputs()
-        b = mixed_workload(net, 3, seed=9)
-        b.solo_cache = SoloRunCache(directory=tmp_path)
-        assert b.reference_outputs() == reference
-        assert b.solo_cache.disk_hits == 3
-
     def test_pickled_workload_drops_cache_but_keeps_runs(self, net):
         work = Workload(net, [BFS(0, hops=3)], solo_cache=SoloRunCache())
         work.solo_runs()
@@ -182,13 +152,6 @@ class TestDefaultCache:
         assert default_cache() is None
         monkeypatch.setenv("REPRO_SOLO_CACHE", "1")
         assert default_cache() is not None
-        reset_default_cache()
-
-    def test_env_disk_dir(self, monkeypatch, tmp_path):
-        reset_default_cache()
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "solo"))
-        cache = default_cache()
-        assert cache is not None and cache.directory == tmp_path / "solo"
         reset_default_cache()
 
     def test_set_default_cache_override(self, net):

@@ -2,9 +2,8 @@
 
 A bit-rotted or truncated ``<key>.pkl`` must never crash a lookup:
 :class:`~repro.parallel.cache.ContentStore` counts any failure to load
-an entry as a miss, and the next store rewrites it. Checked for both
-stores built on it, the service's :class:`RunRegistry` and the
-:class:`SoloRunCache`.
+an entry as a miss, and the next store rewrites it. Checked on the
+store that keeps a disk tier, the service's :class:`RunRegistry`.
 """
 
 import tempfile
@@ -14,12 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import BFS
-from repro.congest import SoloRun, default_message_bits, topology
-from repro.parallel import SoloRunCache
 from repro.service import RunArtifact, RunRegistry
-
-NET = topology.grid_graph(3, 3)
 
 ARTIFACT = RunArtifact(
     fingerprint="f" * 8,
@@ -33,8 +27,6 @@ ARTIFACT = RunArtifact(
 
 class _Registry:
     store, value_type = RunRegistry, RunArtifact
-    #: ``put`` writes whatever the lookup found.
-    always_writes = True
 
     @staticmethod
     def fill(registry):
@@ -46,28 +38,8 @@ class _Registry:
         return a == b
 
 
-class _Cache:
-    store, value_type = SoloRunCache, SoloRun
-    #: ``get_or_run`` re-simulates (and writes) only on a miss.
-    always_writes = False
-
-    @staticmethod
-    def fill(cache):
-        run = cache.get_or_run(NET, BFS(0, hops=3), seed=5)
-        bits = default_message_bits(NET.num_nodes)
-        return cache.key_for(NET, BFS(0, hops=3), seed=5, message_bits=bits), run
-
-    @staticmethod
-    def same(a, b):
-        return (
-            a.outputs == b.outputs
-            and a.rounds == b.rounds
-            and list(a.trace.events()) == list(b.trace.events())
-        )
-
-
 @pytest.fixture(
-    scope="module", params=[_Registry, _Cache], ids=["registry", "cache"]
+    scope="module", params=[_Registry], ids=["registry"]
 )
 def entry(request, tmp_path_factory):
     """A store kind with the key, bytes and value of one untouched entry."""
@@ -105,6 +77,5 @@ def test_damaged_entry_is_a_miss_and_rewritten(entry, damage):
         found = store.get(key)
         assert found is None or isinstance(found, case.value_type)
         case.fill(store)
-        if found is None or case.always_writes:
-            assert path.read_bytes() == pristine
-            assert case.same(case.store(directory).get(key), value)
+        assert path.read_bytes() == pristine
+        assert case.same(case.store(directory).get(key), value)
