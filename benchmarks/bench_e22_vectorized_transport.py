@@ -206,13 +206,20 @@ def _assert_bit_identical_small():
 
 
 def _phase_engine_leg():
-    """RandomDelayScheduler across backends; returns (speedup, row)."""
+    """RandomDelayScheduler across backends; returns (speedup, row).
+
+    Each leg's workload has ``solo_cache=None``: the solo cache ignores
+    the transport, so a shared one would hand the numpy leg the solo
+    runs the reference leg computed and time only its phase engine.
+    """
     network = topology.torus_graph(32, 32)
     algorithms = [Multicast(3, 12), Multicast(5, 12), Multicast(9, 12)]
     times = {}
     results = {}
     for transport in ("reference", "numpy"):
-        workload = Workload(network, list(algorithms), transport=transport)
+        workload = Workload(
+            network, list(algorithms), transport=transport, solo_cache=None
+        )
         gc.collect()
         gc.disable()
         try:

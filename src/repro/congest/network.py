@@ -36,11 +36,12 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 from ..errors import NetworkError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["BfsStats", "Network", "Edge", "DirectedEdge"]
 
@@ -423,6 +424,8 @@ class Network:
 
     def to_networkx(self) -> nx.Graph:
         """Export as a networkx graph (nodes ``0..n-1``)."""
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(self.nodes)
         g.add_edges_from(self._edges)

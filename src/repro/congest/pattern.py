@@ -19,13 +19,14 @@ scheduler is allowed to do to an algorithm.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from ..errors import ScheduleError
 from .network import Edge, Network
 from .trace import ExecutionTrace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "PatternEvent",
@@ -186,6 +187,8 @@ def time_expanded_graph(network: Network, span: int) -> nx.DiGraph:
     """
     if span < 0:
         raise ValueError("span must be non-negative")
+    import networkx as nx
+
     graph = nx.DiGraph()
     for i in range(span + 1):
         for v in network.nodes:

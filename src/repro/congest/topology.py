@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from typing import List, Tuple
 
-import networkx as nx
-
 from ..errors import NetworkError
 from .network import Network
 
@@ -118,6 +116,8 @@ def random_regular(n: int, degree: int, seed: int = 0) -> Network:
         raise NetworkError("use degree >= 3 to guarantee likely connectivity")
     if n <= degree:
         raise NetworkError("need n > degree")
+    import networkx as nx
+
     for attempt in range(64):
         g = nx.random_regular_graph(degree, n, seed=seed + attempt)
         if nx.is_connected(g):
@@ -131,6 +131,8 @@ def gnp_connected(n: int, p: float, seed: int = 0) -> Network:
     """A connected Erdős–Rényi ``G(n, p)`` sample (resampled until connected)."""
     if not 0 < p <= 1:
         raise NetworkError("p must be in (0, 1]")
+    import networkx as nx
+
     for attempt in range(256):
         g = nx.gnp_random_graph(n, p, seed=seed + attempt)
         if nx.is_connected(g):

@@ -67,8 +67,6 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..congest.program import Broadcast, Outbox
 from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
@@ -81,6 +79,8 @@ from .transport import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .phase_engine import Copy
 
 __all__ = ["ArrayTrace", "NumpyTransport"]
@@ -94,7 +94,8 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 #: two tie between 512 and 600 messages on the box measured in
 #: ``docs/PERFORMANCE.md`` ("Fixed per-run costs"): the walk is ~4×
 #: faster at 18 messages, where numpy's fixed cost per call dominates,
-#: and ~2× slower at 5 000.
+#: and ~2× slower at 5 000. numpy itself is imported only by the kernels,
+#: so a process whose traces all stay below this never loads it.
 NUMPY_MIN_MESSAGES = 512
 
 
@@ -227,6 +228,8 @@ class ArrayTrace(ExecutionTrace):
 
     def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All messages as (senders, receivers, rounds) int64 arrays."""
+        import numpy as np
+
         flat = chain.from_iterable
         run_senders = np.fromiter(flat(self._round_senders), np.int64)
         run_counts = np.fromiter(flat(self._round_counts), np.int64)
@@ -242,6 +245,8 @@ class ArrayTrace(ExecutionTrace):
     def directed_loads(self) -> Counter:
         """Message count per directed edge."""
         if self._loads_cache is None:
+            import numpy as np
+
             senders, receivers, _ = self._columns()
             keys = (senders << _KEY_BITS) | receivers
             unique, counts = np.unique(keys, return_counts=True)
@@ -251,6 +256,8 @@ class ArrayTrace(ExecutionTrace):
     def _edge_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
         """Distinct ``(undirected edge key, round)`` pairs, edge-sorted."""
         if self._edge_pairs_cache is None:
+            import numpy as np
+
             senders, receivers, rounds = self._columns()
             lo = np.minimum(senders, receivers)
             hi = np.maximum(senders, receivers)
@@ -277,6 +284,8 @@ class ArrayTrace(ExecutionTrace):
             keys, rounds = self._edge_pairs()
             result: Dict[Tuple[int, int], Set[int]] = {}
             if len(keys):
+                import numpy as np
+
                 boundaries = np.flatnonzero(keys[1:] != keys[:-1]) + 1
                 starts = [0, *boundaries.tolist(), len(keys)]
                 key_list = keys.tolist()
@@ -305,6 +314,8 @@ class ArrayTrace(ExecutionTrace):
                     })
                 top = max(counts.values(), default=0)
             else:
+                import numpy as np
+
                 keys, _ = self._edge_pairs()
                 unique, runs = np.unique(keys, return_counts=True)
                 counts = _pack_counter(unique, runs)
@@ -332,13 +343,6 @@ class ArrayTrace(ExecutionTrace):
         }
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        state = dict(state)
-        # Pickles written before the int columns (disk-tier solo-run
-        # cache entries) hold each round as a list of (sender, count).
-        old_runs = state.pop("_round_sender_runs", None)
-        if old_runs is not None:
-            state["_round_senders"] = [[s for s, _ in runs] for runs in old_runs]
-            state["_round_counts"] = [[c for _, c in runs] for runs in old_runs]
         self.__dict__.update(state)
         self._invalidate()
 

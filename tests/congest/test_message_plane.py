@@ -9,7 +9,7 @@ buffers a round as two parallel lists and :class:`ArrayTrace` stores a
 round's run-length senders as two int columns. These tests pin the
 counts (sizings per send, surviving objects per node-round), the values
 (``max_message_bits`` across transports, faults and budgets) and the
-pickled shape, old and new.
+pickled shape.
 """
 
 import gc
@@ -324,33 +324,6 @@ def _assert_same_queries(trace, expected):
         assert trace.events_at(round_index) == expected.events_at(round_index)
 
 
-def _blank_array_trace():
-    return ArrayTrace.__new__(ArrayTrace)
-
-
-class _OldShapePickle:
-    """Unpickles as an :class:`ArrayTrace` written before the int
-    columns: a blank instance handed (``__setstate__``) a state whose
-    ``_round_sender_runs`` holds each round as ``[(sender, count), ...]``."""
-
-    def __init__(self, trace):
-        state = trace.__getstate__()
-        self.state = {
-            "_round_sender_runs": [
-                list(zip(senders, counts))
-                for senders, counts in zip(
-                    state["_round_senders"], state["_round_counts"]
-                )
-            ],
-            "_round_receivers": state["_round_receivers"],
-            "_num_messages": state["_num_messages"],
-            "_last_round": state["_last_round"],
-        }
-
-    def __reduce__(self):
-        return _blank_array_trace, (), self.state
-
-
 class TestIntColumns:
     def test_pickled_state_is_flat_lists_of_ints(self):
         state = _flood_trace().__getstate__()
@@ -364,17 +337,6 @@ class TestIntColumns:
     def test_pickle_round_trip(self):
         trace = _flood_trace()
         _assert_same_queries(pickle.loads(pickle.dumps(trace)), trace)
-
-    def test_old_shape_pickle_loads(self):
-        trace = _flood_trace()
-        old = _OldShapePickle(trace)
-        assert all(
-            type(run) is tuple for runs in old.state["_round_sender_runs"] for run in runs
-        )
-        loaded = pickle.loads(pickle.dumps(old, protocol=pickle.HIGHEST_PROTOCOL))
-        assert type(loaded) is ArrayTrace
-        _assert_same_queries(loaded, trace)
-        assert set(loaded.__getstate__()) == set(trace.__getstate__())
 
     def test_recorded_equals_adopted_equals_reference(self):
         adopted = _flood_trace()

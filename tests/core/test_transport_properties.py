@@ -12,15 +12,11 @@ load indices, bit accounting, schedule reports) is a bug by definition.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from repro.algorithms import BFS, Flooding, HopBroadcast, LubyMIS, PushGossip
 from repro.congest import topology
 from repro.congest.simulator import solo_run
 from repro.core import RandomDelayScheduler, Workload
 from repro.faults import FaultPlan
-
-pytest.importorskip("numpy")
 
 # ---------------------------------------------------------------------------
 # strategies
