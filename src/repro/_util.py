@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import os
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Tuple, Union
 
 __all__ = [
     "atomic_write_text",
     "derive_seed",
+    "derive_seed_after",
     "stable_digest",
+    "stable_hasher",
     "ceil_log2",
 ]
 
@@ -38,11 +40,20 @@ def stable_digest(*parts: Any) -> bytes:
     Parts are rendered with ``repr`` so that ints, strings and tuples of
     them hash identically across processes (unlike built-in ``hash``).
     """
-    h = hashlib.sha256()
+    return _fed(hashlib.sha256(), parts).digest()
+
+
+def stable_hasher(*parts: Any) -> "hashlib._Hash":
+    """The running hash :func:`stable_digest` finishes, fed ``parts``:
+    a prefix for :func:`derive_seed_after`."""
+    return _fed(hashlib.sha256(), parts)
+
+
+def _fed(h: "hashlib._Hash", parts: Tuple[Any, ...]) -> "hashlib._Hash":
     for part in parts:
         h.update(repr(part).encode("utf8"))
         h.update(b"\x00")
-    return h.digest()
+    return h
 
 
 def derive_seed(master_seed: int, *parts: Any) -> int:
@@ -54,6 +65,14 @@ def derive_seed(master_seed: int, *parts: Any) -> int:
     copies of the same algorithm behave identically.
     """
     return int.from_bytes(stable_digest(master_seed, *parts)[:8], "big")
+
+
+def derive_seed_after(prefix: "hashlib._Hash", *parts: Any) -> int:
+    """:func:`derive_seed` from a prefix hashed once:
+    ``derive_seed_after(stable_hasher(master_seed, *head), *parts)`` is
+    ``derive_seed(master_seed, *head, *parts)``, and ``prefix`` is left
+    as it was."""
+    return int.from_bytes(_fed(prefix.copy(), parts).digest()[:8], "big")
 
 
 def ceil_log2(x: int) -> int:

@@ -23,17 +23,19 @@ caller does not want to pay simulated pre-computation time.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .._util import derive_seed
+from .._util import derive_seed_after, stable_hasher
 from ..congest.network import Network
 from ..randomness.distributions import TruncatedExponential
 
 __all__ = [
     "ClusterLayer",
+    "carve_draw",
     "carve_layer",
     "draw_radii_and_labels",
     "draw_radii_and_labels_from",
@@ -137,11 +139,36 @@ def draw_radii_and_labels_from(
     every layer it carves."""
     radii: List[int] = []
     labels: List[int] = []
+    prefix = stable_hasher(seed, "carve", layer)
+    rng = random.Random()
     for u in network.nodes:
-        rng = random.Random(derive_seed(seed, "carve", layer, u))
-        radii.append(distribution.sample(rng))
-        labels.append((rng.getrandbits(label_bits) << 32) | u)
+        radius, label = carve_draw(prefix, u, distribution, label_bits, rng)
+        radii.append(radius)
+        labels.append(label)
     return radii, labels
+
+
+def carve_draw(
+    prefix: "hashlib._Hash",
+    node: int,
+    distribution: TruncatedExponential,
+    label_bits: int,
+    rng: Optional[random.Random] = None,
+) -> Tuple[int, int]:
+    """``node``'s radius and label in the layer ``prefix`` names.
+
+    ``prefix`` is ``stable_hasher(seed, "carve", layer)``; the node's
+    private generator is seeded with ``derive_seed(seed, "carve", layer,
+    node)`` and draws the radius, then the label (the node id appended).
+    ``rng``, when given, is reseeded instead of building a new one: the
+    oracle reuses one over a whole layer.
+    """
+    seed = derive_seed_after(prefix, node)
+    if rng is None:
+        rng = random.Random(seed)
+    else:
+        rng.seed(seed)
+    return distribution.sample(rng), (rng.getrandbits(label_bits) << 32) | node
 
 
 def carve_layer(

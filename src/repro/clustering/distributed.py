@@ -46,18 +46,17 @@ of Theorem 1.3.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from .._util import derive_seed
+from .._util import stable_hasher
 from ..congest.network import Network
 from ..congest.program import Algorithm, NodeContext, NodeProgram
 from ..congest.simulator import Simulator
 from ..errors import ReproError
 from ..randomness.distributions import TruncatedExponential
 from ..telemetry import NULL_RECORDER, Recorder
-from .carving import ClusterLayer, draw_radii_and_labels
+from .carving import ClusterLayer, carve_draw, draw_radii_and_labels
 from .layers import (
     Clustering,
     carving_horizon,
@@ -100,9 +99,10 @@ class _CarvingProgram(NodeProgram):
         self._chunk_bits = p.chunk_bits
 
         # Private draws, identical to the centralized oracle's derivation.
-        rng = random.Random(derive_seed(p.seed, "carve", p.layer, node))
-        self._radius = p.radius_distribution.sample(rng)
-        self._label = (rng.getrandbits(p.label_bits) << 32) | node
+        self._radius, self._label = carve_draw(
+            stable_hasher(p.seed, "carve", p.layer), node,
+            p.radius_distribution, p.label_bits,
+        )
 
         # Carving state: best (label, center, hop) candidates. The node's
         # own message starts with the fake initial hop-count H - r.

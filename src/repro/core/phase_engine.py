@@ -53,11 +53,9 @@ class Copy(NamedTuple):
     aid: int
     delay: int
     group: StepGroup
-    #: Last algorithm round the copy steps (a cluster copy's truncation
-    #: horizon: the largest limit among its members).
+    #: Last algorithm round the copy steps (a cluster step group's
+    #: truncation horizon: the largest limit among its members).
     limit: float = math.inf
-    #: The clustering layer of a cluster copy.
-    layer: int = 0
 
 
 class LoopNames(NamedTuple):

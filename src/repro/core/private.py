@@ -227,6 +227,7 @@ class PrivateScheduler(Scheduler):
             notes={
                 "num_layers": clustering.num_layers,
                 "num_copies": execution.num_copies,
+                "step_groups": execution.step_groups,
                 "messages_truncated": execution.messages_truncated,
                 "delay_support": distribution.support_size,
                 "kwise_independence": sampler.independence,

@@ -1,12 +1,12 @@
 """Memo erasure: the cluster copies' start memo may only ever save work.
 
-``run_cluster_copies`` starts one host per (copy, member), and every copy
-of (algorithm, node) reads the same tape, so an ``on_start`` that sent
-nothing, did not halt and promised ``idle_until(T)`` does so in every
-copy. :class:`~repro.congest.program.HostGroup` remembers such starts in
-the workload's start memo and later copies put a dormant placeholder in
-the slot, building the host only when it is stepped or its output is
-read. In the shape of ``test_hint_erasure.py``, this module runs the
+``run_cluster_copies`` starts one host per (step group, member), and
+every copy of (algorithm, node) reads the same tape, so an ``on_start``
+that sent nothing, did not halt and promised ``idle_until(T)`` does so in
+every group. :class:`~repro.congest.program.HostGroup` remembers such
+starts in the workload's start memo and later groups put a dormant
+placeholder in the slot, building the host only when it is stepped or
+its output is read. In the shape of ``test_hint_erasure.py``, this module runs the
 same generated scenarios through :class:`~repro.core.PrivateScheduler`
 twice — as shipped, and with :meth:`Workload.start_memo` erased, so
 every host of every copy is built and started as before the memo
@@ -119,7 +119,7 @@ def test_generated_scenarios_survive_memo_erasure(index):
     )
 
 
-def _grid_counters(erase):
+def _grid_report(erase):
     # The ``private_grid`` shape of the performance ledger.
     net = topology.grid_graph(12, 12)
     algorithms = [
@@ -130,20 +130,25 @@ def _grid_counters(erase):
     scheduler = PrivateScheduler().with_recorder(InMemoryRecorder())
     if erase:
         with _erased():
-            return scheduler.run(workload, seed=11).report.engine_counters()
-    return scheduler.run(workload, seed=11).report.engine_counters()
+            return scheduler.run(workload, seed=11).report
+    return scheduler.run(workload, seed=11).report
 
 
 def test_the_memo_does_skip_something(object_path):
     # Guards the guard: if erasure changed nothing, the tests above would
     # pass vacuously. Also the counting claim: on the ledger's
-    # ``private_grid`` shape at most 40 % of the member slots are built.
+    # ``private_grid`` shape at most 40 % of Lemma 4.4's member slots —
+    # one per (copy, member): every layer partitions the nodes, so
+    # layers × nodes × algorithms — are built, and the memo leaves most
+    # of the slots the step groups start dormant.
     # (On the object path: a wave group builds no host to remember.)
-    shipped, erased = _grid_counters(False), _grid_counters(True)
-    members = erased["cluster.hosts_built"]
+    shipped_report, erased_report = _grid_report(False), _grid_report(True)
+    shipped = shipped_report.engine_counters()
+    erased = erased_report.engine_counters()
+    slots = shipped_report.notes["num_layers"] * 144 * 16
     assert erased["cluster.hosts_dormant"] == 0
-    assert shipped["cluster.hosts_dormant"] > 0.8 * members
-    assert shipped["cluster.hosts_built"] <= 0.4 * members
+    assert shipped["cluster.hosts_dormant"] > 0.8 * erased["cluster.hosts_built"]
+    assert shipped["cluster.hosts_built"] <= 0.4 * slots
     for name in ("cluster.host_steps", "cluster.idle_skips"):
         assert shipped[name] == erased[name] > 0
 

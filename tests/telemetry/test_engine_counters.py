@@ -159,6 +159,6 @@ class TestWaveGroupCounters:
         scheduler = scheduler_factory().with_recorder(InMemoryRecorder())
         report = scheduler.run(workload, seed=1).report
         engines = report.engine_counters()
-        copies = report.notes.get("num_copies", workload.num_algorithms)
-        assert engines[f"{engine}.wave_groups"] == copies
+        groups = report.notes.get("step_groups", workload.num_algorithms)
+        assert engines[f"{engine}.wave_groups"] == groups
         assert engines["cluster.hosts_built"] == 0

@@ -95,7 +95,7 @@ class TestSchedulerSpans:
         assert counters["scheduler.mismatches"] == 0
         sample_names = {name for name, _, _ in recorder.samples}
         assert "cluster.round_messages" in sample_names
-        assert "cluster.active_copies" in sample_names
+        assert "cluster.active_groups" in sample_names
 
     def test_distributed_clustering_spans(self, grid4):
         work = Workload(grid4, [BFS(0, hops=3), HopBroadcast(15, "x", 3)])

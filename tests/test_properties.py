@@ -25,6 +25,7 @@ from repro.core import (
     verify_outputs,
 )
 from repro.core.pattern_schedule import evaluate_delay_schedule
+from tests.core.test_cluster_engine import assert_matches_per_copy, run_per_copy
 
 NETS = [
     topology.grid_graph(4, 4),
@@ -100,7 +101,8 @@ def test_engine_matches_pattern_evaluator(net_index, k, seed, delay_data):
 )
 def test_cluster_copies_any_delays(seed, k, dedup, delay_data):
     """The cluster engine is correct for arbitrary per-cluster delays —
-    including adversarially inconsistent ones across clusters."""
+    including adversarially inconsistent ones across clusters — and
+    equals stepping every copy on its own."""
     net = topology.grid_graph(4, 4)
     work = _random_workload(net, k, seed)
     clustering = build_clustering(
@@ -130,6 +132,9 @@ def test_cluster_copies_any_delays(seed, k, dedup, delay_data):
     else:
         execution = run_cluster_copies(work, clustering, delay_of, dedup=dedup)
     assert verify_outputs(work, execution.outputs) == []
+    assert_matches_per_copy(
+        execution, run_per_copy(work, clustering, delay_of, dedup=dedup)
+    )
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
