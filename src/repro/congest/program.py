@@ -50,10 +50,7 @@ wakes the program; the default (``0``) steps every round, so unannotated,
 wrapped and third-party programs behave as ever. A wrong promise changes
 outputs: ``tests/core/test_hint_erasure.py`` runs every scheduler with the
 hints erased and demands identical results, and is how a new annotation
-is checked. Groups that copy one algorithm many times (the cluster
-copies) also share a *start memo*, so that a node whose ``on_start`` only
-made such a promise costs a copy nothing until it first acts — see
-:class:`HostGroup`.
+is checked.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Mapping
 from typing import Optional, Sequence, Tuple, Union
 
-from ..errors import BandwidthViolation, ReproError
+from ..errors import BandwidthViolation
 from .._util import derive_seed
 from .message import check_payload
 from .network import Network
@@ -294,9 +291,6 @@ class NodeProgram(ABC):
         promise — must be a function of the node, its network view
         (``ctx.neighbors``, ``ctx.num_nodes``), its tape (``ctx.rng``) and
         the message budget only: the paper's randomness-as-input (§4).
-        Every copy of (algorithm, node) then starts identically, which is
-        what lets :class:`HostGroup` remember a start that did nothing
-        and replay it only when the node first acts (its start memo).
         """
 
     @abstractmethod
@@ -376,7 +370,6 @@ def make_group(
     message_bits: Optional[int] = None,
     limits: Optional[Mapping[int, int]] = None,
     on_error: Optional[Callable[[int, Exception], None]] = None,
-    start_memo: Optional[Dict[int, int]] = None,
 ) -> "StepGroup":
     """The stepper of one copy of ``algorithm`` on ``nodes`` (arguments
     as in :class:`HostGroup`): a wave group when the algorithm is a
@@ -387,19 +380,8 @@ def make_group(
         return wave.group(nodes, network, message_bits, limits)
     return HostGroup(
         algorithm, nodes, network, master_seed, tape_id, message_bits,
-        limits, on_error, start_memo,
+        limits, on_error,
     )
-
-
-class _Promised:
-    """What a dormant host knows of its program: it has not halted and
-    promised :meth:`NodeProgram.idle_until` this round."""
-
-    __slots__ = ("_idle_until",)
-    _halted = False
-
-    def __init__(self, idle_until: int):
-        self._idle_until = idle_until
 
 
 class ProgramHost:
@@ -411,12 +393,6 @@ class ProgramHost:
     algorithm-round — to every participating node, so an algorithm sees
     the same protocol however it is scheduled. ``seed`` as in
     :class:`NodeContext`.
-
-    A host made by :meth:`dormant` is a placeholder for one whose
-    ``on_start`` is known to do nothing but promise
-    :meth:`~NodeProgram.idle_until`: it has no context (``ctx is None``)
-    and its ``program`` carries only that promise, until its
-    :class:`HostGroup` builds it in place.
     """
 
     __slots__ = ("node", "ctx", "program", "_started")
@@ -438,17 +414,6 @@ class ProgramHost:
     def seed_for(cls, master_seed: int, algorithm_id: Any, node: int) -> int:
         """The canonical per-(algorithm, node) seed derivation."""
         return derive_seed(master_seed, "node-program", algorithm_id, node)
-
-    @classmethod
-    def dormant(cls, node: int, promise: int) -> "ProgramHost":
-        """The placeholder of a host whose ``on_start`` only promises
-        ``idle_until(promise)``."""
-        host = cls.__new__(cls)
-        host.node = node
-        host.ctx = None
-        host.program = _Promised(promise)
-        host._started = False
-        return host
 
     def start(self) -> Outbox:
         """Run ``on_start``; return sends to be delivered in round 1."""
@@ -499,18 +464,6 @@ class HostGroup:
     algorithm-round it steps. ``on_error(node, exc)`` makes a raising
     ``on_round`` non-fatal: the round's sends stay undrained and the pass
     continues (the eager baseline's "confused program" semantics).
-
-    ``start_memo`` (``node -> idle promise``, shared by the groups that
-    copy one algorithm under one tape id) spares the copies a host they
-    never step. A group records there every node whose ``on_start`` sent
-    nothing, did not halt and promised ``idle_until(T)`` with ``T > 1``;
-    a later group starts such a node as a :meth:`ProgramHost.dormant`
-    placeholder — a live slot like any other, skipped by the same
-    promise — and builds the host only when the slot is stepped (mail,
-    or the promise comes due) or its output is read. ``on_start`` runs
-    then, and must do what the memo says (the contract in
-    :meth:`NodeProgram.on_start`): anything else raises
-    :class:`~repro.errors.ReproError`.
     """
 
     def __init__(
@@ -523,23 +476,20 @@ class HostGroup:
         message_bits: Optional[int] = None,
         limits: Optional[Mapping[int, int]] = None,
         on_error: Optional[Callable[[int, Exception], None]] = None,
-        start_memo: Optional[Dict[int, int]] = None,
     ):
         self.algorithm = algorithm
         self.nodes = nodes
         #: Hosts that may still act, in ``nodes`` order: started, not
-        #: halted, not past their limit. Crashed, idle and dormant hosts
-        #: stay.
+        #: halted, not past their limit. Crashed and idle hosts stay.
         self.live: List[ProgramHost] = []
         #: Live-host × round slots that ran ``on_round`` / that were
         #: skipped (idle promise or crash-stop).
         self.host_steps = self.idle_skips = 0
-        #: Hosts constructed so far / slots that started dormant.
-        self.hosts_built = self.hosts_dormant = 0
+        #: Hosts constructed (all of them, at :meth:`start`).
+        self.hosts_built = 0
         self._host_args = (network, (master_seed, tape_id), message_bits)
         self._limits = limits
         self._on_error = on_error
-        self._start_memo = start_memo
         self._hosts: Optional[List[ProgramHost]] = None
         self._position: Dict[int, int] = {}
 
@@ -550,34 +500,15 @@ class HostGroup:
         if self._hosts is not None:
             raise RuntimeError("HostGroup.start called twice")
         self._position = dict(zip(self.nodes, range(len(self.nodes))))
-        memo = self._start_memo
-        if memo is None:
-            hosts = self._hosts = [
-                ProgramHost(self.algorithm, node, *self._host_args)
-                for node in self.nodes
-            ]
-            for host in hosts:
-                outbox = host.start()
-                if outbox:
-                    yield host.node, outbox
-        else:
-            hosts = self._hosts = [
-                ProgramHost.dormant(node, memo[node])
-                if node in memo
-                else ProgramHost(self.algorithm, node, *self._host_args)
-                for node in self.nodes
-            ]
-            for host in hosts:
-                if host.ctx is None:
-                    self.hosts_dormant += 1
-                    continue
-                outbox = host.start()
-                program = host.program
-                if outbox:
-                    yield host.node, outbox
-                elif not program._halted and program._idle_until > 1:
-                    memo[host.node] = program._idle_until
-        self.hosts_built = len(hosts) - self.hosts_dormant
+        hosts = self._hosts = [
+            ProgramHost(self.algorithm, node, *self._host_args)
+            for node in self.nodes
+        ]
+        self.hosts_built = len(hosts)
+        for host in hosts:
+            outbox = host.start()
+            if outbox:
+                yield host.node, outbox
         limits = self._limits
         self.live = [
             host
@@ -585,25 +516,6 @@ class HostGroup:
             if not host.program._halted
             and (limits is None or limits[host.node] >= 1)
         ]
-
-    def _wake(self, host: ProgramHost) -> None:
-        """Build dormant ``host`` and check that its ``on_start`` did what
-        the start memo remembers of it."""
-        promise = host.program._idle_until
-        host.__init__(self.algorithm, host.node, *self._host_args)
-        outbox = host.start()
-        self.hosts_built += 1
-        program = host.program
-        if outbox or program._halted or program._idle_until != promise:
-            tape_id = self._host_args[1][1]
-            raise ReproError(
-                f"on_start of algorithm {tape_id!r} at node {host.node} sent "
-                f"nothing, did not halt and promised idle_until({promise}) in "
-                "one copy but not in another: it must be a function of the "
-                "node, its network view, its tape and the message budget only",
-                algorithm=tape_id,
-                node=host.node,
-            )
 
     def step(
         self,
@@ -642,9 +554,6 @@ class HostGroup:
                 continue
             steps += 1
             ctx = host.ctx
-            if ctx is None:
-                self._wake(host)
-                program, ctx = host.program, host.ctx
             ctx.round = algo_round
             outbox: Outbox = _NO_SENDS
             try:
@@ -672,28 +581,17 @@ class HostGroup:
         )
 
     def max_bits(self) -> int:
-        """Size in bits of the largest payload sent so far (0 for none; a
-        dormant slot never sent)."""
-        contexts = (host.ctx for host in self._hosts or ())
-        return max((c.max_bits for c in contexts if c is not None), default=0)
+        """Size in bits of the largest payload sent so far (0 for none)."""
+        return max((host.ctx.max_bits for host in self._hosts or ()), default=0)
 
     def output(self, node: int) -> Any:
-        """The output of ``node`` alone (``None`` before :meth:`start`);
-        a dormant slot is built first, the others stay as they are."""
+        """The output of ``node`` alone (``None`` before :meth:`start`)."""
         if self._hosts is None:
             return None
-        host = self._hosts[self._position[node]]
-        if host.ctx is None:
-            self._wake(host)
-        return host.program.output()
+        return self._hosts[self._position[node]].program.output()
 
     def outputs(self) -> Dict[int, Any]:
-        """``node -> output`` for every node (``None`` before :meth:`start`);
-        dormant slots are built first."""
+        """``node -> output`` for every node (``None`` before :meth:`start`)."""
         if self._hosts is None:
             return dict.fromkeys(self.nodes)
-        if self.hosts_dormant:
-            for host in self._hosts:
-                if host.ctx is None:
-                    self._wake(host)
         return {host.node: host.program.output() for host in self._hosts}

@@ -85,11 +85,11 @@ class WaveGroup:
     plus one pass over the live nodes at the deadline.
 
     ``host_steps`` / ``idle_skips`` count live-node × round slots exactly
-    as the object path does. ``hosts_built`` / ``hosts_dormant`` count
-    ``ProgramHost`` objects, so they stay 0 here.
+    as the object path does. ``hosts_built`` counts ``ProgramHost``
+    objects, so it stays 0 here.
     """
 
-    hosts_built = hosts_dormant = 0
+    hosts_built = 0
 
     def __init__(
         self,

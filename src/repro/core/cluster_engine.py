@@ -405,10 +405,7 @@ def run_cluster_copies(
         fanout.setdefault((aid, delay), {}).setdefault(layer_index, {})[center] = rank
 
     # Every copy of (aid, node) runs the same random tape (the paper's
-    # randomness-as-input): the group derives it from the tape id alone,
-    # and the groups share the workload's start memo (passing ``limits``
-    # opts in), so a member that only waits is built in the groups where
-    # it wakes.
+    # randomness-as-input): the group derives it from the tape id alone.
     groups = {
         (aid, delay): Copy(
             aid, delay,
@@ -434,8 +431,7 @@ def run_cluster_copies(
         truncate,
     )
 
-    # Collect outputs from the chosen layers, one node at a time: a slot
-    # still dormant is built only if its output is wanted.
+    # Collect each output from the group of its chosen layer's copy.
     outputs: OutputMap = {}
     for (aid, v), layer_index in output_layers.items():
         center = clustering.layers[layer_index].center[v]
@@ -459,10 +455,8 @@ def run_cluster_copies(
         recorder.counter("cluster.copies", len(delay_at))
         recorder.counter("cluster.step_groups", len(steppers))
         recorder.observe("cluster.max_load", channel.max_load)
-        stepped = [g.group for g in steppers]
-        recorder.counter("cluster.hosts_built", sum(g.hosts_built for g in stepped))
         recorder.counter(
-            "cluster.hosts_dormant", sum(g.hosts_dormant for g in stepped)
+            "cluster.hosts_built", sum(g.group.hosts_built for g in steppers)
         )
 
     return ClusterExecution(

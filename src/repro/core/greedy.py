@@ -143,31 +143,18 @@ class GreedyPatternScheduler(Scheduler):
     The schedule is a valid simulation of every algorithm by
     construction (causal precedence is enforced as readiness), so the
     outputs equal the solo outputs; the wrapper reports the solo outputs
-    together with the measured makespan. ``validate=True`` additionally
-    checks the retiming with the quadratic
-    :func:`~repro.congest.pattern.validate_simulation_mapping` and the
-    one-message-per-edge-per-round capacity — meant for small instances.
+    together with the measured makespan.
     """
 
     name = "greedy-offline"
 
-    def __init__(self, validate: bool = False):
-        self.validate = validate
-
     def run(self, workload: Workload, seed: int = 0) -> ScheduleResult:
-        patterns = workload.patterns()
-        schedule = greedy_schedule(patterns)
-        if self.validate:
-            from ..congest.pattern import validate_simulation_mapping
-
-            for aid, pattern in enumerate(patterns):
-                validate_simulation_mapping(pattern, schedule.mapping_for(aid))
-            schedule.validate_capacity()
+        schedule = greedy_schedule(workload.patterns())
         report = ScheduleReport(
             scheduler=self.name,
             params=workload.params(),
             length_rounds=schedule.makespan,
             messages_sent=len(schedule.assignment),
-            notes={"pattern_level": True, "validated": self.validate},
+            notes={"pattern_level": True},
         )
         return self._finish(workload, workload.reference_outputs(), report)

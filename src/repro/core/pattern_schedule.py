@@ -47,7 +47,6 @@ class PatternLoadReport:
 def evaluate_delay_schedule(
     patterns: Sequence[CommunicationPattern],
     delays: Sequence[int],
-    collect_histogram: bool = True,
 ) -> PatternLoadReport:
     """Compute per-(directed edge, phase) loads for given phase delays."""
     if len(patterns) != len(delays):
@@ -63,10 +62,9 @@ def evaluate_delay_schedule(
             total += 1
         num_phases = max(num_phases, delay + pattern.length)
     max_load = max(loads.values()) if loads else 0
-    histogram = Counter(loads.values()) if collect_histogram else Counter()
     return PatternLoadReport(
         num_phases=num_phases,
         max_phase_load=max_load,
-        load_histogram=histogram,
+        load_histogram=Counter(loads.values()),
         total_messages=total,
     )

@@ -109,7 +109,6 @@ class Workload:
         )
         self._solo_runs: Optional[List[SoloRun]] = None
         self._params: Optional[WorkloadParams] = None
-        self._start_memos: Dict[int, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
 
@@ -133,14 +132,6 @@ class Workload:
         """
         return self.algorithm_ids[aid] if self.algorithm_ids is not None else aid
 
-    def start_memo(self, aid: int) -> Dict[int, int]:
-        """Algorithm ``aid``'s start memo, ``node -> idle promise``: what
-        :class:`~repro.congest.program.HostGroup` has seen ``on_start`` do
-        at the nodes where it did nothing else. Network, tape id, master
-        seed and message budget are fixed per workload, so every copy of
-        ``(aid, node)`` starts the same way and the copies share it."""
-        return self._start_memos.setdefault(aid, {})
-
     def host_group(
         self,
         aid: int,
@@ -156,11 +147,6 @@ class Workload:
         :class:`~repro.congest.wave.WaveGroup` for a BFS or broadcast
         (no per-node objects, no tapes, ``hosts_built`` 0) unless
         ``on_error`` is given, a ``HostGroup`` otherwise.
-
-        ``limits`` marks the group as one of the many truncated cluster
-        copies of ``aid`` (Lemma 4.4), and only those share
-        :meth:`start_memo`: an engine that starts each ``(aid, node)``
-        once would fill a memo nobody reads.
         """
         return make_group(
             self.algorithms[aid],
@@ -171,7 +157,6 @@ class Workload:
             self.message_bits,
             limits,
             on_error,
-            None if limits is None else self.start_memo(aid),
         )
 
     def _resolve_cache(self) -> Optional[SoloRunCache]:

@@ -165,7 +165,7 @@ def empirical_min_schedule(
         )
 
     for delays in candidates:
-        report = evaluate_delay_schedule(patterns, list(delays), collect_histogram=False)
+        report = evaluate_delay_schedule(patterns, list(delays))
         length = report.num_phases * max(1, report.max_phase_load)
         lengths.append(length)
         if best_length is None or length < best_length:

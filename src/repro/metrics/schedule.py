@@ -52,11 +52,9 @@ ENGINE_COUNTERS = (
     "phase.idle_skips",
     "cluster.host_steps",
     "cluster.idle_skips",
-    # Materialisation (HostGroup's start memo, cluster copies only): of
-    # the copies' member slots, how many hosts were ever constructed and
-    # how many slots started as dormant placeholders.
+    # Materialisation (cluster copies only): how many program hosts the
+    # step groups constructed.
     "cluster.hosts_built",
-    "cluster.hosts_dormant",
     # Stepper (see repro.congest.wave): how many algorithm copies each
     # engine ran on a WaveGroup rather than on ProgramHosts.
     "sim.wave_groups",

@@ -38,7 +38,8 @@ build a different job).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from importlib import import_module
+from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.aggregation import MAX, MIN, SUM, Aggregation
 from ..algorithms.bfs import BFS
@@ -97,16 +98,21 @@ ALGORITHM_KINDS = (
     "tokenbroadcast",
 )
 
+#: Every scheduler :func:`parse_scheduler` builds: ``name -> (module of
+#: repro.core, class)``, imported on first use so that naming a
+#: scheduler loads only its engine.
+_SCHEDULERS: Dict[str, Tuple[str, str]] = {
+    "sequential": ("sequential", "SequentialScheduler"),
+    "round-robin": ("round_robin", "RoundRobinScheduler"),
+    "eager": ("eager", "EagerScheduler"),
+    "random-delay": ("random_delay", "RandomDelayScheduler"),
+    "sparse-phase": ("sparse_phase", "SparsePhaseScheduler"),
+    "doubling": ("doubling", "DoublingScheduler"),
+    "private": ("private", "PrivateScheduler"),
+}
+
 #: Scheduler names :func:`parse_scheduler` accepts.
-SCHEDULER_KINDS = (
-    "sequential",
-    "round-robin",
-    "eager",
-    "random-delay",
-    "sparse-phase",
-    "doubling",
-    "private",
-)
+SCHEDULER_KINDS = tuple(_SCHEDULERS)
 
 
 def _split(spec: str) -> Tuple[str, str]:
@@ -431,33 +437,13 @@ def format_fault_plan(plan: FaultPlan) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scheduler_factories() -> Dict[str, Callable[[], Any]]:
-    from ..core.doubling import DoublingScheduler
-    from ..core.eager import EagerScheduler
-    from ..core.private import PrivateScheduler
-    from ..core.random_delay import RandomDelayScheduler
-    from ..core.round_robin import RoundRobinScheduler
-    from ..core.sequential import SequentialScheduler
-    from ..core.sparse_phase import SparsePhaseScheduler
-
-    return {
-        "sequential": SequentialScheduler,
-        "round-robin": RoundRobinScheduler,
-        "eager": EagerScheduler,
-        "random-delay": RandomDelayScheduler,
-        "sparse-phase": SparsePhaseScheduler,
-        "doubling": DoublingScheduler,
-        "private": PrivateScheduler,
-    }
-
-
 def parse_scheduler(spec: str):
     """Build a fresh :class:`~repro.core.base.Scheduler` from its name."""
     name = spec.strip().lower()
-    factories = _scheduler_factories()
-    if name not in factories:
+    if name not in _SCHEDULERS:
         raise ValueError(
             f"unknown scheduler {spec!r} "
             f"(expected {'/'.join(SCHEDULER_KINDS)})"
         )
-    return factories[name]()
+    module, cls = _SCHEDULERS[name]
+    return getattr(import_module(f"..core.{module}", __package__), cls)()

@@ -13,7 +13,7 @@ from repro.congest.program import (
     NodeProgram,
     ProgramHost,
 )
-from repro.errors import BandwidthViolation, ReproError
+from repro.errors import BandwidthViolation
 
 
 class _Waiter(NodeProgram):
@@ -81,8 +81,12 @@ class TestLifecycle:
     def test_outputs_before_and_after_start(self, path4):
         group = _group(path4, _Waiters())
         assert group.outputs() == {0: None, 1: None, 2: None, 3: None}
+        assert group.output(2) is None
         list(group.start())
-        assert group.outputs() == {0: 0, 1: 0, 2: 0, 3: 0}
+        list(group.step(1, {1: {0: "ping"}}))
+        assert group.outputs() == {0: 0, 1: 1, 2: 0, 3: 0}
+        assert [group.output(node) for node in path4.nodes] == [0, 1, 0, 0]
+        assert group.hosts_built == 4
 
     def test_halted_hosts_leave_live(self, path4):
         algorithm = _Waiters(deadline=2)
@@ -203,163 +207,6 @@ class TestLimitsCrashesErrors:
         assert list(group.step(1, {})) == []
         assert errors == [0, 1, 2, 3]
         assert len(group.live) == 4
-
-
-def _second_copy(net, algorithm, **kwargs):
-    """A group whose start memo an earlier copy of ``algorithm`` filled."""
-    memo = {}
-    list(_group(net, algorithm, start_memo=memo, **kwargs).start())
-    algorithm.programs.clear()  # from here on: the programs this copy built
-    return _group(net, algorithm, start_memo=memo, **kwargs), memo
-
-
-class TestStartMemo:
-    def test_memo_records_silent_unhalted_idle_starts_only(self, path4):
-        for algorithm, expected in [
-            (_Waiters(deadline=4), {1: 4, 2: 4, 3: 4}),  # node 0 sends and halts
-            (_Waiters(deadline=1), {}),  # round 1 is stepped anyway
-            (_Waiters(declare=False), {}),
-        ]:
-            memo = {}
-            group = _group(path4, algorithm, start_memo=memo)
-            list(group.start())
-            assert memo == expected
-            assert (group.hosts_built, group.hosts_dormant) == (4, 0)
-
-    def test_memoised_nodes_start_dormant(self, path4):
-        algorithm = _Waiters()
-        group, memo = _second_copy(path4, algorithm)
-        started = list(group.start())
-        assert [node for node, _ in started] == [0]
-        assert list(algorithm.programs) == [0]
-        # dormant slots are live slots
-        assert [host.node for host in group.live] == [1, 2, 3]
-        assert all(host.ctx is None for host in group.live)
-        assert (group.hosts_built, group.hosts_dormant) == (1, 3)
-        assert memo == {1: 4, 2: 4, 3: 4}
-
-    def test_mail_wakes_a_dormant_slot(self, path4):
-        algorithm = _Waiters()
-        group, _ = _second_copy(path4, algorithm)
-        list(group.start())
-        sent = list(group.step(1, {1: {0: "ping"}}))
-        assert [(node, list(outbox)) for node, outbox in sent] == [
-            (1, [(0, "pong"), (2, "pong")])
-        ]
-        assert algorithm.programs[1].calls == [(1, {0: "ping"})]
-        assert sorted(algorithm.programs) == [0, 1]
-        assert (group.host_steps, group.idle_skips) == (1, 2)
-        assert (group.hosts_built, group.hosts_dormant) == (2, 3)
-
-    def test_its_promise_wakes_a_dormant_slot(self, path4):
-        algorithm = _Waiters(deadline=3)
-        group, _ = _second_copy(path4, algorithm)
-        list(group.start())
-        list(group.step(1, {}))
-        list(group.step(2, {}))
-        assert group.hosts_built == 1
-        list(group.step(3, {}))
-        assert [algorithm.programs[node].calls for node in (1, 2, 3)] == [[(3, {})]] * 3
-        assert group.live == []
-        assert (group.host_steps, group.idle_skips) == (3, 6)
-        assert (group.hosts_built, group.hosts_dormant) == (4, 3)
-
-    def test_a_dormant_slot_leaves_at_its_limit_unbuilt(self, path4):
-        algorithm = _Waiters(deadline=9)
-        limits = {0: 9, 1: 0, 2: 1, 3: 2}
-        group, _ = _second_copy(path4, algorithm, limits=limits)
-        list(group.start())
-        assert [host.node for host in group.live] == [2, 3]
-        list(group.step(1, {}))
-        assert [host.node for host in group.live] == [3]
-        list(group.step(2, {}))
-        assert group.live == []
-        assert list(algorithm.programs) == [0]
-
-    def test_a_crashed_dormant_slot_stays_put(self, path4):
-        algorithm = _Waiters(deadline=2)
-        group, _ = _second_copy(path4, algorithm)
-        list(group.start())
-        for algo_round in (1, 2, 3):
-            list(group.step(algo_round, {2: {1: "x"}}, crashed=lambda node: node == 2))
-        assert [host.node for host in group.live] == [2]
-        assert group.live[0].ctx is None
-        assert 2 not in algorithm.programs
-        assert group.finished(crashed=lambda node: node == 2)
-
-    @pytest.mark.parametrize("limits", [None, {0: 9, 1: 2, 2: 9, 3: 3}])
-    def test_a_second_copy_is_indistinguishable(self, path4, limits):
-        # the same inbox script through a memo-less group and a second
-        # copy: same yields in the same order, same live sets, same slots
-        script = [
-            {3: {2: "c"}, 1: {0: "a"}},
-            {2: {1: "b", 3: "d"}},
-            {},
-            {1: {2: "e"}},
-            {},
-        ]
-        plain = _group(path4, _Waiters(deadline=4), limits=limits)
-        second, _ = _second_copy(path4, _Waiters(deadline=4), limits=limits)
-        trace = []
-        for group in (plain, second):
-            seen = [[(node, list(outbox)) for node, outbox in group.start()]]
-            for algo_round, inboxes in enumerate(script, start=1):
-                sent = group.step(algo_round, inboxes)
-                seen.append([(node, list(outbox)) for node, outbox in sent])
-                seen.append([host.node for host in group.live])
-            seen.append((group.host_steps, group.idle_skips, group.outputs()))
-            trace.append(seen)
-        assert trace[0] == trace[1]
-        assert trace[0][1] == [(1, [(0, "pong"), (2, "pong")]), (3, [(2, "pong")])]
-        assert second.hosts_dormant == 3
-
-    def test_output_builds_the_one_slot_and_outputs_the_rest(self, path4):
-        algorithm = _Waiters()
-        group, _ = _second_copy(path4, algorithm)
-        assert group.output(2) is None  # not started
-        list(group.start())
-        list(group.step(1, {1: {0: "ping"}}))
-        assert group.output(1) == 1  # built when it was stepped
-        assert group.hosts_built == 2
-        assert group.output(2) == 0
-        assert sorted(algorithm.programs) == [0, 1, 2]
-        assert group.output(2) == 0 and group.hosts_built == 3
-        assert group.outputs() == {0: 0, 1: 1, 2: 0, 3: 0}
-        assert (group.hosts_built, group.hosts_dormant) == (4, 3)
-
-    @pytest.mark.parametrize("change", ["send", "halt", "promise"])
-    def test_a_start_that_differs_from_the_memo_raises(self, path4, change):
-        class Fickle(NodeProgram):
-            def __init__(self, copy):
-                super().__init__()
-                self.copy = copy
-
-            def on_start(self, ctx):
-                self.idle_until(5)
-                if self.copy and change == "send":
-                    ctx.send_all("surprise")
-                elif self.copy and change == "halt":
-                    self.halt()
-                elif self.copy:
-                    self.idle_until(6)
-
-            def on_round(self, ctx, inbox):
-                pass
-
-        class Factory(Algorithm):
-            copies = {}
-
-            def make_program(self, node, ctx):
-                self.copies[node] = self.copies.get(node, -1) + 1
-                return Fickle(self.copies[node])
-
-        memo = {}
-        list(HostGroup(Factory(), path4.nodes, path4, 0, "job-7", start_memo=memo).start())
-        group = HostGroup(Factory(), path4.nodes, path4, 0, "job-7", start_memo=memo)
-        list(group.start())
-        with pytest.raises(ReproError, match="on_start of algorithm 'job-7' at node 2") as info:
-            list(group.step(1, {2: {1: "x"}}))
-        assert info.value.context == {"algorithm": "job-7", "node": 2}
 
 
 class TestLazyTapes:

@@ -3,8 +3,7 @@
 The cluster engine runs ``k·n·Θ(log n)`` host slots (one copy of every
 algorithm in every cluster of every layer, Lemma 4.4) and the other
 engines ``k·n``; a deterministic workload must not pay a seed derivation
-and a Mersenne-Twister state for each. A slot the start memo left dormant
-has no context at all, hence no tape.
+and a Mersenne-Twister state for each.
 """
 
 import pytest

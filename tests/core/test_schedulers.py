@@ -129,10 +129,18 @@ class TestDoubling:
 
 class TestGreedy:
     def test_validated_mapping(self, grid6):
+        from repro.congest.pattern import validate_simulation_mapping
+        from repro.core import greedy_schedule
+
         work = mixed_workload(grid6, 5, seed=3)
-        result = GreedyPatternScheduler(validate=True).run(work)
+        patterns = work.patterns()
+        schedule = greedy_schedule(patterns)
+        for aid, pattern in enumerate(patterns):
+            validate_simulation_mapping(pattern, schedule.mapping_for(aid))
+        schedule.validate_capacity()
+        result = GreedyPatternScheduler().run(work)
         assert result.correct
-        assert result.report.notes["validated"]
+        assert result.report.length_rounds == schedule.makespan
 
     def test_greedy_beats_sequential(self, workload):
         greedy = GreedyPatternScheduler().run(workload)

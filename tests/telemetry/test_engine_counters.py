@@ -5,13 +5,10 @@ the well-known engine counters — ``sim.late_deliveries``,
 ``sim.skipped_rounds``, ``phase.skipped_phases``,
 ``cluster.skipped_rounds``, the stepping pair
 ``<engine>.host_steps`` / ``<engine>.idle_skips``, the cluster copies'
-materialisation pair ``cluster.hosts_built`` / ``cluster.hosts_dormant``
-and the stepper count ``<engine>.wave_groups`` — zero-filled when the
-engine didn't emit them, so downstream aggregation never special-cases
-which engine ran.
+``cluster.hosts_built`` and the stepper count ``<engine>.wave_groups`` —
+zero-filled when the engine didn't emit them, so downstream aggregation
+never special-cases which engine ran.
 """
-
-from unittest import mock
 
 import pytest
 
@@ -111,28 +108,8 @@ class TestSteppingCounters:
         assert engines[f"{engine}.idle_skips"] > engines[f"{engine}.host_steps"]
         other = "cluster" if engine == "phase" else "phase"
         assert engines[f"{other}.host_steps"] == 0.0
-        # only the cluster copies materialise lazily
+        # only the cluster copies count the hosts they build
         assert (engines["cluster.hosts_built"] > 0) == (engine == "cluster")
-        assert (engines["cluster.hosts_dormant"] > 0) == (engine == "cluster")
-
-    def test_a_dormant_slot_is_a_live_slot(self, workload, object_path):
-        # the start memo changes how many hosts are built, never how the
-        # slots are counted: host_steps and idle_skips keep their values
-        def engines():
-            fresh = Workload(workload.network, workload.algorithms, solo_cache=None)
-            scheduler = PrivateScheduler().with_recorder(InMemoryRecorder())
-            return scheduler.run(fresh, seed=1).report.engine_counters()
-
-        shipped = engines()
-        with mock.patch.object(Workload, "start_memo", lambda self, aid: None):
-            erased = engines()
-        assert erased["cluster.hosts_dormant"] == 0
-        slots = erased["cluster.hosts_built"]
-        assert 0 < shipped["cluster.hosts_built"] < slots
-        assert slots - shipped["cluster.hosts_built"] <= shipped["cluster.hosts_dormant"] < slots
-        for name in ENGINE_COUNTERS:
-            if not name.startswith("cluster.hosts_"):
-                assert shipped[name] == erased[name], name
 
     def test_solo_simulator_reports_its_slots(self):
         from repro.congest import Simulator
