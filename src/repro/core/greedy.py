@@ -32,39 +32,61 @@ from .workload import Workload
 
 __all__ = ["greedy_schedule", "GreedyPatternScheduler"]
 
+_NEVER = float("inf")
+
 
 class _AlgoNodeState:
     """Readiness tracking for one (algorithm, node): prefix-dependency.
 
     An outgoing event of round ``r`` is released once all incoming events
-    of rounds ``< r`` are delivered. Incoming rounds are tracked in a
-    min-heap of undelivered rounds; outgoing events are released in round
-    order as the undelivered minimum advances.
+    of rounds ``< r`` are delivered. ``pending`` counts the undelivered
+    incoming events per round, ``rounds`` lists those rounds ascending
+    and ``frontier`` indexes the smallest with any left undelivered; it
+    only moves forward, so a delivery costs O(1) amortised. Outgoing
+    events are released in round order as the frontier advances.
     """
 
-    __slots__ = ("undelivered", "outgoing", "next_out")
+    __slots__ = ("pending", "rounds", "frontier", "outgoing", "next_out")
 
     def __init__(self) -> None:
-        self.undelivered: List[int] = []  # heap of undelivered incoming rounds
+        self.pending: Dict[int, int] = {}  # incoming round -> undelivered
+        self.rounds: List[int] = []  # the keys of pending, ascending
+        self.frontier = 0
         self.outgoing: List[PatternEvent] = []  # sorted by round
         self.next_out = 0
 
-    def frontier(self) -> float:
-        """Largest round bound such that all smaller incoming are done."""
-        return self.undelivered[0] if self.undelivered else float("inf")
+    def seal(self) -> None:
+        """Order the incoming rounds and outgoing events (after loading)."""
+        self.rounds = sorted(self.pending)
+        self.outgoing.sort()
+
+    def deliver(self, r: int) -> List[PatternEvent]:
+        """Count one incoming event of round ``r`` as delivered; return
+        the outgoing events that releases (none unless the frontier
+        moved)."""
+        pending = self.pending
+        left = pending[r] - 1
+        pending[r] = left
+        rounds = self.rounds
+        if left or rounds[self.frontier] != r:
+            return []
+        frontier = self.frontier + 1
+        while frontier < len(rounds) and not pending[rounds[frontier]]:
+            frontier += 1
+        self.frontier = frontier
+        return self.releasable()
 
     def releasable(self) -> List[PatternEvent]:
         """Pop outgoing events whose prefix of incoming is complete."""
-        bound = self.frontier()
-        released = []
-        while self.next_out < len(self.outgoing):
-            event = self.outgoing[self.next_out]
-            if event[0] <= bound:
-                released.append(event)
-                self.next_out += 1
-            else:
-                break
-        return released
+        rounds, frontier = self.rounds, self.frontier
+        # Largest round bound such that all smaller incoming are done.
+        bound = rounds[frontier] if frontier < len(rounds) else _NEVER
+        outgoing, start = self.outgoing, self.next_out
+        end = start
+        while end < len(outgoing) and outgoing[end][0] <= bound:
+            end += 1
+        self.next_out = end
+        return outgoing[start:end]
 
 
 def greedy_schedule(
@@ -88,21 +110,28 @@ def greedy_schedule(
 
     total_events = 0
     for aid, pattern in enumerate(patterns):
-        for event in sorted(pattern.events):
+        for event in pattern.events:
             r, u, v = event
             state(aid, u).outgoing.append(event)
-            heapq.heappush(state(aid, v).undelivered, r)
+            pending = state(aid, v).pending
+            pending[r] = pending.get(r, 0) + 1
             total_events += 1
     for st in states.values():
-        st.outgoing.sort()
+        st.seal()
 
     # Ready queues per directed edge: heap of (priority, aid, event).
     ready: Dict[Tuple[int, int], List] = {}
+    # The edges whose queue is non-empty, as an insertion-ordered set.
+    busy: Dict[Tuple[int, int], None] = {}
 
     def enqueue(aid: int, event: PatternEvent) -> None:
         r, u, v = event
-        ready.setdefault((u, v), [])
-        heapq.heappush(ready[(u, v)], ((r, aid), aid, event))
+        edge = (u, v)
+        queue = ready.get(edge)
+        if queue is None:
+            queue = ready[edge] = []
+        heapq.heappush(queue, ((r, aid), aid, event))
+        busy[edge] = None
 
     for (aid, _), st in list(states.items()):
         for event in st.releasable():
@@ -116,17 +145,17 @@ def greedy_schedule(
         if slot > max_rounds:
             raise ScheduleError("greedy scheduling exceeded max_rounds")
         newly_released: List[Tuple[int, PatternEvent]] = []
-        for edge in [e for e, q in ready.items() if q]:
-            _, aid, event = heapq.heappop(ready[edge])
+        for edge in list(busy):
+            queue = ready[edge]
+            _, aid, event = heapq.heappop(queue)
+            if not queue:
+                del busy[edge]
             assignment[(aid, event)] = slot
             delivered += 1
             # Delivery unblocks the receiver's later sends of the same
             # algorithm — but only from the next slot onward.
             r, _, v = event
-            receiver_state = states[(aid, v)]
-            receiver_state.undelivered.remove(r)
-            heapq.heapify(receiver_state.undelivered)
-            for released in receiver_state.releasable():
+            for released in states[(aid, v)].deliver(r):
                 newly_released.append((aid, released))
         for aid, event in newly_released:
             enqueue(aid, event)

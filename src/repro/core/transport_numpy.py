@@ -15,19 +15,21 @@ payload: the sending ``NodeContext`` does, once per ``send`` /
   stays one object end to end: one sender, one count, no per-neighbour
   tuples;
 * the trace is an :class:`ArrayTrace` storing each round
-  **run-length-encoded** as int columns: senders and counts (one entry
-  per run) plus one receiver column, adopted **zero-copy** from the
-  channel at delivery time (a full flood round is three flat lists of
-  ints, not ``2·|E|`` event tuples — nothing in it for the cycle
+  **run-length-encoded** as ``array('i')`` columns: senders and counts
+  (one entry per run) plus one receiver column, converted from the
+  channel's lists once, at delivery time (a full flood round is three
+  int32 buffers — 4 bytes a receiver, pickled as raw bytes — not
+  ``2·|E|`` event tuples or int objects: nothing in it for the cycle
   collector to walk). Load/congestion indices (``directed_loads``,
   ``edge_round_counts``, ``max_edge_rounds``, …) are built lazily on
   the first query instead of per-message dict updates, with vectorised
-  ``numpy`` kernels (``np.repeat`` expansion, packed
-  ``sender << 32 | receiver`` int64 keys, ``np.unique`` folds). The
-  per-edge round counts every scheduler's parameters read are the one
-  exception: a trace of fewer than :data:`NUMPY_MIN_MESSAGES` messages
-  counts them by a Python walk of its columns, where numpy's fixed cost
-  per call outweighs the walk;
+  ``numpy`` kernels over ``np.frombuffer`` views of the columns, a
+  batch of whole rounds at a time (``np.repeat`` expansion, packed
+  ``sender << 32 | receiver`` int64 keys, ``np.unique`` and stable-sort
+  folds). The per-edge round counts every scheduler's parameters read
+  are the one exception: a trace of fewer than
+  :data:`NUMPY_MIN_MESSAGES` messages counts them by a Python walk of
+  its columns, where numpy's fixed cost per call outweighs the walk;
 * per-phase edge loads go into the shared
   :class:`~repro.core.transport.LoadWindow` as packed
   ``sender << 32 | receiver`` int keys, a broadcast's from a per-sender
@@ -57,12 +59,13 @@ consequences shape the implementation:
   since its FIFO drain order is output-visible (see its docstring).
 
 Node ids are assumed to fit in 31 bits (they are dense ``0 .. n-1``
-indices everywhere in this codebase), which lets a directed edge pack
-into one non-negative int64 key.
+indices everywhere in this codebase), which lets the trace hold them in
+int32 columns and a directed edge pack into one non-negative int64 key.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Set, Tuple
@@ -98,13 +101,39 @@ _KEY_MASK = (1 << _KEY_BITS) - 1
 #: so a process whose traces all stay below this never loads it.
 NUMPY_MIN_MESSAGES = 512
 
+#: The numpy kernels fold an :class:`ArrayTrace` a batch of whole rounds
+#: at a time, each batch holding at most this many messages unless one
+#: round alone has more. A batch needs about 45 bytes a message of
+#: scratch (int32 columns, int64 keys, a sort order), so a query peaks
+#: near 3 MB above its result, and a trace up to this size is folded in
+#: one pass, paying numpy's fixed cost per call once. The sizes measured
+#: against it are in ``docs/PERFORMANCE.md`` ("Message plane").
+_BATCH_MESSAGES = 1 << 16
+
 
 def _pack_counter(keys: np.ndarray, counts: np.ndarray) -> Counter:
     """Unpack ``sender << 32 | receiver`` keys into an edge Counter."""
-    result: Counter = Counter()
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        result[(key >> _KEY_BITS, key & _KEY_MASK)] = count
-    return result
+    edges = zip((keys >> _KEY_BITS).tolist(), (keys & _KEY_MASK).tolist())
+    return Counter(dict(zip(edges, counts.tolist())))
+
+
+def _sum_tallies(
+    tallies: Iterator[Tuple[np.ndarray, np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold ``(sorted unique keys, counts)`` tallies, one per batch, into
+    one, summing a key's counts across batches. The running tally holds
+    one entry per key, never one per batch and key."""
+    import numpy as np
+
+    keys, counts = next(tallies)
+    for more_keys, more_counts in tallies:
+        keys, where = np.unique(
+            np.concatenate((keys, more_keys)), return_inverse=True
+        )
+        totals = np.zeros(len(keys), np.int64)
+        np.add.at(totals, where, np.concatenate((counts, more_counts)))
+        counts = totals
+    return keys, counts
 
 
 class ArrayTrace(ExecutionTrace):
@@ -112,14 +141,15 @@ class ArrayTrace(ExecutionTrace):
 
     Each round is a receiver column plus run-length-encoded senders (a
     senders column and a counts column, one entry per push — engines
-    push one sender's whole outbox at a time), all flat lists of plain
-    Python ints: pickle-safe, and adopted zero-copy from the numpy solo
-    channel's delivery buffers. The derived indices — directed loads,
-    per-edge round sets/counts — are built lazily on first query with
-    vectorised numpy kernels (per-edge round counts by a walk of the
-    columns below :data:`NUMPY_MIN_MESSAGES` messages) and invalidated
-    by further recording; every query returns exactly what the
-    incremental reference implementation returns.
+    push one sender's whole outbox at a time), all ``array('i')``: 4
+    bytes per entry, pickled as raw bytes. The derived indices —
+    directed loads, per-edge round sets/counts — are built lazily on
+    first query and invalidated by further recording. The numpy kernels
+    read the columns as ``np.frombuffer`` views, folded a batch of whole
+    rounds at a time so no query expands the whole trace; per-edge round
+    counts below :data:`NUMPY_MIN_MESSAGES` messages are a walk of the
+    columns instead. Every query returns exactly what the incremental
+    reference implementation returns.
     """
 
     def __init__(self) -> None:
@@ -127,9 +157,9 @@ class ArrayTrace(ExecutionTrace):
         # allocates the per-message incremental indices this subclass
         # exists to avoid. _num_messages/_last_round keep their base
         # meaning so inherited __repr__/__len__ keep working.
-        self._round_senders: List[List[int]] = []
-        self._round_counts: List[List[int]] = []
-        self._round_receivers: List[List[int]] = []
+        self._round_senders: List[array] = []
+        self._round_counts: List[array] = []
+        self._round_receivers: List[array] = []
         self._num_messages = 0
         self._last_round = 0
         self._invalidate()
@@ -139,7 +169,6 @@ class ArrayTrace(ExecutionTrace):
     def _invalidate(self) -> None:
         """Drop the lazy caches (``None`` until the next query)."""
         self._loads_cache: Optional[Counter] = None
-        self._edge_pairs_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._edge_round_counts_cache: Optional[Counter] = None
         self._edge_rounds_cache: Optional[Dict[Tuple[int, int], Set[int]]] = None
         self._max_edge_rounds_cache: Optional[int] = None
@@ -148,9 +177,9 @@ class ArrayTrace(ExecutionTrace):
         if round_index < 1:
             raise ValueError("round indices are 1-based")
         while len(self._round_receivers) < round_index:
-            self._round_senders.append([])
-            self._round_counts.append([])
-            self._round_receivers.append([])
+            self._round_senders.append(array("i"))
+            self._round_counts.append(array("i"))
+            self._round_receivers.append(array("i"))
 
     def record(self, round_index: int, sender: int, receiver: int) -> None:
         """Record a message traversing ``sender -> receiver`` in a round."""
@@ -183,13 +212,13 @@ class ArrayTrace(ExecutionTrace):
         counts: List[int],
         receivers: List[int],
     ) -> None:
-        """Adopt a whole round's columns (zero-copy; channel internal).
+        """Adopt a whole round's columns (channel internal).
 
         ``senders[i]`` sent to the next ``counts[i]`` entries of
-        ``receivers``. The caller hands ownership of the lists; the round
-        slot must not already contain messages. Empty columns are not
-        recorded (the reference ``record``-only path never materialises
-        silent rounds).
+        ``receivers``. The lists are converted to ``array('i')`` once,
+        here; the round slot must not already contain messages. Empty
+        columns are not recorded (the reference ``record``-only path
+        never materialises silent rounds).
         """
         if not receivers:
             return
@@ -197,9 +226,9 @@ class ArrayTrace(ExecutionTrace):
         slot = round_index - 1
         if self._round_receivers[slot]:  # pragma: no cover - channel misuse
             raise ValueError(f"round {round_index} already has messages")
-        self._round_senders[slot] = senders
-        self._round_counts[slot] = counts
-        self._round_receivers[slot] = receivers
+        self._round_senders[slot] = array("i", senders)
+        self._round_counts[slot] = array("i", counts)
+        self._round_receivers[slot] = array("i", receivers)
         self._num_messages += len(receivers)
         if round_index > self._last_round:
             self._last_round = round_index
@@ -226,76 +255,96 @@ class ArrayTrace(ExecutionTrace):
             for sender, receiver in zip(self._expand(slot), receivers):
                 yield (slot + 1, sender, receiver)
 
-    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All messages as (senders, receivers, rounds) int64 arrays."""
+    def _batches(self) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The messages as ``(senders, receivers, rounds)`` int32 arrays,
+        a batch of consecutive whole rounds at a time.
+
+        A batch takes rounds until the next would carry it past
+        :data:`_BATCH_MESSAGES` messages (one round alone may exceed
+        it), so a mid-size trace is one batch — numpy's fixed cost paid
+        once — and a large one is never expanded whole. There is always
+        at least one batch.
+        """
         import numpy as np
 
-        flat = chain.from_iterable
-        run_senders = np.fromiter(flat(self._round_senders), np.int64)
-        run_counts = np.fromiter(flat(self._round_counts), np.int64)
-        receivers = np.fromiter(
-            flat(self._round_receivers), np.int64, self._num_messages
-        )
-        rounds = np.repeat(
-            np.arange(1, len(self._round_receivers) + 1, dtype=np.int64),
-            [len(column) for column in self._round_receivers],
-        )
-        return np.repeat(run_senders, run_counts), receivers, rounds
+        def joined(columns: List[array]) -> np.ndarray:
+            return np.frombuffer(b"".join(columns), np.intc)
+
+        def batch(slots: List[int]) -> Tuple[np.ndarray, ...]:
+            receivers = joined([self._round_receivers[s] for s in slots])
+            senders = np.repeat(
+                joined([self._round_senders[s] for s in slots]),
+                joined([self._round_counts[s] for s in slots]),
+            )
+            rounds = np.repeat(
+                np.array(slots, np.intc) + 1,
+                [len(self._round_receivers[s]) for s in slots],
+            )
+            return senders, receivers, rounds
+
+        slots: List[int] = []
+        size = 0
+        for slot, receivers in enumerate(self._round_receivers):
+            if receivers:
+                if slots and size + len(receivers) > _BATCH_MESSAGES:
+                    yield batch(slots)
+                    slots, size = [], 0
+                slots.append(slot)
+                size += len(receivers)
+        yield batch(slots)  # empty only when the trace is
 
     def directed_loads(self) -> Counter:
         """Message count per directed edge."""
         if self._loads_cache is None:
             import numpy as np
 
-            senders, receivers, _ = self._columns()
-            keys = (senders << _KEY_BITS) | receivers
-            unique, counts = np.unique(keys, return_counts=True)
-            self._loads_cache = _pack_counter(unique, counts)
+            tallies = (
+                np.unique(
+                    (senders.astype(np.int64) << _KEY_BITS) | receivers,
+                    return_counts=True,
+                )
+                for senders, receivers, _ in self._batches()
+            )
+            self._loads_cache = _pack_counter(*_sum_tallies(tallies))
         return Counter(self._loads_cache)
 
-    def _edge_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Distinct ``(undirected edge key, round)`` pairs, edge-sorted."""
-        if self._edge_pairs_cache is None:
-            import numpy as np
+    def _edge_pairs(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Per batch, its distinct ``(undirected edge key, round)`` pairs,
+        edge-sorted and, within an edge, in round order. Batches hold
+        disjoint rounds, in order, so no pair is in two of them."""
+        import numpy as np
 
-            senders, receivers, rounds = self._columns()
-            lo = np.minimum(senders, receivers)
-            hi = np.maximum(senders, receivers)
-            keys = (lo << _KEY_BITS) | hi
-            order = np.lexsort((rounds, keys))
+        for senders, receivers, rounds in self._batches():
+            lo = np.minimum(senders, receivers).astype(np.int64)
+            keys = (lo << _KEY_BITS) | np.maximum(senders, receivers)
+            # A batch lists its rounds in order, so a stable sort by edge
+            # leaves each edge's rounds ascending.
+            order = np.argsort(keys, kind="stable")
             keys = keys[order]
             rounds = rounds[order]
-            if len(keys):
-                fresh = np.empty(len(keys), dtype=bool)
-                fresh[0] = True
-                np.logical_or(
-                    keys[1:] != keys[:-1],
-                    rounds[1:] != rounds[:-1],
-                    out=fresh[1:],
-                )
-                keys = keys[fresh]
-                rounds = rounds[fresh]
-            self._edge_pairs_cache = (keys, rounds)
-        return self._edge_pairs_cache
+            fresh = np.ones(len(keys), dtype=bool)
+            np.logical_or(
+                keys[1:] != keys[:-1], rounds[1:] != rounds[:-1], out=fresh[1:]
+            )
+            yield keys[fresh], rounds[fresh]
 
     def edge_rounds(self) -> Dict[Tuple[int, int], Set[int]]:
         """For each undirected edge, the set of rounds with any traffic."""
         if self._edge_rounds_cache is None:
-            keys, rounds = self._edge_pairs()
-            result: Dict[Tuple[int, int], Set[int]] = {}
-            if len(keys):
-                import numpy as np
+            import numpy as np
 
+            result: Dict[Tuple[int, int], Set[int]] = {}
+            for keys, rounds in self._edge_pairs():
+                if not len(keys):
+                    continue
                 boundaries = np.flatnonzero(keys[1:] != keys[:-1]) + 1
                 starts = [0, *boundaries.tolist(), len(keys)]
                 key_list = keys.tolist()
                 round_list = rounds.tolist()
-                for i in range(len(starts) - 1):
-                    begin, end = starts[i], starts[i + 1]
+                for begin, end in zip(starts, starts[1:]):
                     key = key_list[begin]
-                    result[(key >> _KEY_BITS, key & _KEY_MASK)] = set(
-                        round_list[begin:end]
-                    )
+                    edge = (key >> _KEY_BITS, key & _KEY_MASK)
+                    result.setdefault(edge, set()).update(round_list[begin:end])
             self._edge_rounds_cache = result
         return {
             edge: set(rounds) for edge, rounds in self._edge_rounds_cache.items()
@@ -316,8 +365,11 @@ class ArrayTrace(ExecutionTrace):
             else:
                 import numpy as np
 
-                keys, _ = self._edge_pairs()
-                unique, runs = np.unique(keys, return_counts=True)
+                tallies = (
+                    np.unique(keys, return_counts=True)
+                    for keys, _ in self._edge_pairs()
+                )
+                unique, runs = _sum_tallies(tallies)
                 counts = _pack_counter(unique, runs)
                 top = int(runs.max()) if len(runs) else 0
             self._edge_round_counts_cache = counts
@@ -355,8 +407,10 @@ class NumpySoloChannel:
     two parallel lists. Delivery walks them in a single pass, building
     inboxes in push order (preserving the reference backend's dict
     insertion/overwrite semantics exactly) while emitting the counts and
-    receiver columns; the :class:`ArrayTrace` stores those and the
-    senders list zero-copy.
+    receiver columns as plain lists (``list.extend`` of a broadcast's
+    neighbours is several times faster than ``array.extend``); the
+    :class:`ArrayTrace` converts those and the senders list to int32
+    arrays once per round.
     """
 
     __slots__ = ("trace", "_buffers")
@@ -415,7 +469,7 @@ class NumpySoloChannel:
                 else:
                     box[sender] = payload
         # The buffers' job as delivery queues is done; the trace adopts
-        # the senders, counts and receiver columns without copying.
+        # the senders, counts and receiver columns.
         self.trace.adopt_round(round_index, senders, counts, receivers_col)
         return deliveries
 

@@ -6,14 +6,17 @@ running maximum — and neither transport looks at it again;
 ``SoloRun.max_message_bits`` is :meth:`HostGroup.max_bits` over the
 contexts. A push leaves no object of its own behind: the numpy channel
 buffers a round as two parallel lists and :class:`ArrayTrace` stores a
-round's run-length senders as two int columns. These tests pin the
-counts (sizings per send, surviving objects per node-round), the values
-(``max_message_bits`` across transports, faults and budgets) and the
-pickled shape.
+round as three ``array('i')`` columns (run-length senders and counts,
+receivers). These tests pin the counts (sizings per send, surviving
+objects per node-round), the values (``max_message_bits`` across
+transports, faults and budgets), the pickled shape and what unpickling
+a trace allocates.
 """
 
 import gc
 import pickle
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given
@@ -30,7 +33,7 @@ from repro.congest.trace import ExecutionTrace
 from repro.core import transport as transport_module
 from repro.core import transport_numpy
 from repro.core.transport import resolve_transport
-from repro.core.transport_numpy import ArrayTrace
+from repro.core.transport_numpy import NUMPY_MIN_MESSAGES, ArrayTrace
 from repro.errors import BandwidthViolation
 from repro.faults import NULL_INJECTOR, FaultPlan
 
@@ -300,16 +303,28 @@ def test_sizer_matches_the_recursive_definition(payload):
     assert payload_bits(payload) == _reference_bits(payload)
 
 
-# -- the trace's int columns -------------------------------------------------
+# -- the trace's int32 columns -----------------------------------------------
 
 _COLUMNS = ("_round_senders", "_round_counts", "_round_receivers")
 
 
-def _flood_trace():
-    network = topology.torus_graph(4, 4)
-    run = Simulator(network, transport="numpy").run(Flooding(5, "tok"), seed=1)
+def _solo_trace(network, algorithm):
+    run = Simulator(network, transport="numpy").run(algorithm, seed=1)
     assert type(run.trace) is ArrayTrace and run.trace.num_messages
     return run.trace
+
+
+def _flood_trace():
+    return _solo_trace(topology.torus_graph(4, 4), Flooding(5, "tok"))
+
+
+#: An adopted trace on each side of NUMPY_MIN_MESSAGES: a flood on a
+#: 4×4 torus (32 messages) and a 6-round multicast on a 12×12 torus
+#: (3 456 messages, above the threshold).
+_TRACES = {
+    "below": _flood_trace,
+    "above": lambda: _solo_trace(topology.torus_graph(12, 12), _Multicast(6)),
+}
 
 
 def _assert_same_queries(trace, expected):
@@ -325,29 +340,62 @@ def _assert_same_queries(trace, expected):
 
 
 class TestIntColumns:
-    def test_pickled_state_is_flat_lists_of_ints(self):
+    def test_pickled_state_is_int32_arrays(self):
         state = _flood_trace().__getstate__()
         assert set(state) == {*_COLUMNS, "_num_messages", "_last_round"}
         for name in _COLUMNS:
             assert state[name]
             for column in state[name]:
-                assert type(column) is list
-                assert all(type(value) is int for value in column)
+                assert type(column) is array and column.typecode == "i"
+                assert column.itemsize == 4
 
     def test_pickle_round_trip(self):
         trace = _flood_trace()
         _assert_same_queries(pickle.loads(pickle.dumps(trace)), trace)
 
-    def test_recorded_equals_adopted_equals_reference(self):
-        adopted = _flood_trace()
+    @pytest.mark.parametrize(
+        "side, batch",
+        [("below", None), ("above", None), ("above", 1), ("above", 700)],
+    )
+    def test_recorded_equals_adopted_equals_reference(
+        self, side, batch, monkeypatch
+    ):
+        """Adopted, recorded and unpickled traces answer every query as
+        the reference does. ``batch`` shrinks the kernels' batch of
+        rounds so the above-threshold trace is folded in many batches:
+        one round each, or a few rounds each."""
+        if batch is not None:
+            monkeypatch.setattr(transport_numpy, "_BATCH_MESSAGES", batch)
+        adopted = _TRACES[side]()
+        assert (adopted.num_messages >= NUMPY_MIN_MESSAGES) == (side == "above")
         recorded, reference = ArrayTrace(), ExecutionTrace()
         for event in adopted.events():
             recorded.record(*event)
             reference.record(*event)
-        _assert_same_queries(recorded, reference)
-        _assert_same_queries(adopted, reference)
+        unpickled = pickle.loads(pickle.dumps(adopted))
+        for trace in (recorded, adopted, unpickled):
+            _assert_same_queries(trace, reference)
         # One run per sender of a round, however it was built.
         assert recorded.__getstate__() == adopted.__getstate__()
+
+    def test_unpickling_makes_no_object_per_message(self):
+        """A 32×32 torus multicast: ids above 255, so list columns of
+        Python ints unpickled one int object per message (44 bytes a
+        message here). The int32 columns hold 6 bytes a message (a
+        4-byte receiver, and an 8-byte sender/count run per 4-message
+        broadcast); the unpickler's memo keeps each column's pickled
+        bytes alive until the load returns, so the load peaks at twice
+        that (12.4)."""
+        trace = _solo_trace(topology.torus_graph(32, 32), _Multicast(8))
+        blob = pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL)
+        tracemalloc.start()
+        try:
+            loaded = pickle.loads(blob)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.num_messages == trace.num_messages == 8 * 4 * 1024
+        assert peak <= 13 * trace.num_messages, peak / trace.num_messages
 
 
 class TestNothingLeftBehindAPush:

@@ -194,7 +194,7 @@ class TestTraceIndexBySize:
         with monkeypatch.context() as patch:
             if count < NUMPY_MIN_MESSAGES:
                 patch.setattr(numpy, "unique", _refuse)
-                patch.setattr(numpy, "fromiter", _refuse)
+                patch.setattr(numpy, "frombuffer", _refuse)
             assert vec.edge_round_counts() == ref.edge_round_counts()
             assert vec.max_edge_rounds() == ref.max_edge_rounds()
         _assert_traces_identical(ref, vec)
@@ -240,7 +240,7 @@ class TestSmallRunsSkipNumpy:
             )
 
         monkeypatch.setattr(numpy, "unique", _refuse)
-        monkeypatch.setattr(numpy, "fromiter", _refuse)
+        monkeypatch.setattr(numpy, "frombuffer", _refuse)
         for name in self.SCHEDULERS:
             workload = Workload(
                 built.network, list(built.algorithms),

@@ -67,8 +67,13 @@ def test_small_service_serve_loads_neither():
 
 @pytest.mark.slow
 def test_trace_above_threshold_loads_numpy_and_matches_reference():
+    """Recording, adopting and pickling a trace above the threshold load
+    no numpy; its first index query does."""
     loaded = _loaded_after(
-        "import sys\n"
+        "import pickle, sys\n"
+        "from repro.algorithms import Flooding\n"
+        "from repro.congest import topology\n"
+        "from repro.congest.simulator import Simulator\n"
         "from repro.congest.trace import ExecutionTrace\n"
         "from repro.core.transport_numpy import NUMPY_MIN_MESSAGES, ArrayTrace\n"
         "n, array, reference = 64, ArrayTrace(), ExecutionTrace()\n"
@@ -77,10 +82,18 @@ def test_trace_above_threshold_loads_numpy_and_matches_reference():
         "        for u in ((v + 1) % n, (v - 1) % n):\n"
         "            array.record(r, v, u)\n"
         "            reference.record(r, v, u)\n"
-        "assert array.num_messages >= NUMPY_MIN_MESSAGES\n"
+        "array = pickle.loads(pickle.dumps(array))\n"
+        "flood = Simulator(topology.torus_graph(16, 16)).run(Flooding(0, 't'), seed=1)\n"
+        "adopted = pickle.loads(pickle.dumps(flood.trace))\n"
+        "assert type(adopted) is ArrayTrace\n"
+        "assert min(array.num_messages, adopted.num_messages) >= NUMPY_MIN_MESSAGES\n"
         "assert 'numpy' not in sys.modules\n"
         "assert array.edge_round_counts() == reference.edge_round_counts()\n"
         "assert array.max_edge_rounds() == reference.max_edge_rounds()\n"
+        "expected = ExecutionTrace()\n"
+        "for event in adopted.events():\n"
+        "    expected.record(*event)\n"
+        "assert adopted.edge_round_counts() == expected.edge_round_counts()\n"
     )
     assert loaded["numpy"] is True
 
