@@ -80,7 +80,7 @@ def test_e1_large_scale_pattern_level(benchmark, results_dir):
 
     from repro.algorithms import random_pattern
     from repro.core.pattern_schedule import evaluate_delay_schedule
-    from repro.metrics import measure_params_from_patterns
+    from repro.metrics import measure_params_from_patterns, phase_schedule_length
 
     rows = []
     ratios = []
@@ -98,7 +98,9 @@ def test_e1_large_scale_pattern_level(benchmark, results_dir):
         rng = _random.Random(17)
         delays = [rng.randrange(delay_range) for _ in range(k)]
         report = evaluate_delay_schedule(patterns, delays)
-        length_rounds = report.num_phases * max(phase_size, report.max_phase_load)
+        length_rounds = phase_schedule_length(
+            report.num_phases, phase_size, report.max_phase_load
+        )
         bound = params.congestion + params.dilation * math.log2(n)
         ratios.append(length_rounds / bound)
         rows.append(

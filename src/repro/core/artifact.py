@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..errors import ScheduleError
-from ..metrics.schedule import phase_schedule_length
+from ..metrics.schedule import PhaseTimeline
 from .base import ScheduleResult, verify_outputs
 from .delays import phase_report
 from .phase_engine import run_delayed_phases
@@ -162,9 +162,9 @@ def capture_delay_schedule(
         network_edges=workload.network.num_edges,
         # What replay recomputes: a doubling schedule's length also
         # charges its rejected guesses, which replay does not run.
-        expected_length=phase_schedule_length(
+        expected_length=PhaseTimeline.stretched(
             report.num_phases, report.phase_size, report.max_phase_load
-        ),
+        ).length,
         expected_max_load=report.max_phase_load,
         network_json=workload.network.to_json(),
     )

@@ -13,11 +13,7 @@ import math
 from typing import Dict, Optional, Sequence
 
 
-from ..metrics.schedule import (
-    ScheduleReport,
-    phase_completion_rounds,
-    phase_schedule_length,
-)
+from ..metrics.schedule import PhaseTimeline, ScheduleReport
 from .base import Scheduler
 from .phase_engine import PhaseExecution, run_delayed_phases
 from .workload import Workload
@@ -77,25 +73,29 @@ def phase_report(
     """The :class:`ScheduleReport` of a delayed-phases execution.
 
     The one place a ``PhaseExecution`` becomes a report: every delay
-    schedule, doubling's accepted guess and a replayed artifact.
+    schedule, doubling's accepted guess and a replayed artifact. A
+    truncated run leaves ``completion_rounds`` undefined: some of its
+    algorithms never finished.
     """
+    timeline = PhaseTimeline.stretched(
+        execution.num_phases, phase_size, execution.max_phase_load
+    )
+    completion_rounds = None
+    if not execution.truncated:
+        completion_rounds = [
+            timeline.completion(delay, run.rounds)
+            for delay, run in zip(delays, workload.solo_runs())
+        ]
     report = ScheduleReport(
         scheduler=name,
         params=workload.params(),
-        length_rounds=phase_schedule_length(
-            execution.num_phases, phase_size, execution.max_phase_load
-        ),
+        length_rounds=timeline.length,
         num_phases=execution.num_phases,
         phase_size=phase_size,
         max_phase_load=execution.max_phase_load,
         messages_sent=execution.messages,
         load_histogram=execution.load_histogram,
-        completion_rounds=phase_completion_rounds(
-            delays,
-            [run.rounds for run in workload.solo_runs()],
-            phase_size,
-            execution.max_phase_load,
-        ),
+        completion_rounds=completion_rounds,
         notes={**(notes or {}), "delays": list(delays)},
     )
     if execution.truncated:

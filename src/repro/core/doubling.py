@@ -75,9 +75,10 @@ class DoublingScheduler(Scheduler):
 
         # The rejected guesses ran first: charge their planned rounds.
         report.length_rounds += wasted_rounds
-        report.completion_rounds = [
-            wasted_rounds + rounds for rounds in report.completion_rounds
-        ]
+        if report.completion_rounds is not None:
+            report.completion_rounds = [
+                wasted_rounds + rounds for rounds in report.completion_rounds
+            ]
         report.notes.update(
             final_guess=guess,
             attempts=attempts,

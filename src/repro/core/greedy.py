@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..congest.pattern import CommunicationPattern, PatternEvent
 from ..errors import ScheduleError
-from ..metrics.schedule import ScheduleReport
+from ..metrics.schedule import PhaseTimeline, ScheduleReport
 from .base import ScheduleResult, Scheduler
 from .physical import PhysicalSchedule
 from .workload import Workload
@@ -161,8 +161,7 @@ def greedy_schedule(
             enqueue(aid, event)
 
     return PhysicalSchedule(
-        assignment=assignment, makespan=slot, num_phases=slot,
-        stretched_phase_size=1,
+        assignment=assignment, timeline=PhaseTimeline(slot, 1)
     )
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..congest.pattern import CommunicationPattern
-from ..metrics.schedule import phase_schedule_length
 
 __all__ = ["PatternLoadReport", "evaluate_delay_schedule"]
 
@@ -31,17 +30,6 @@ class PatternLoadReport:
     max_phase_load: int
     load_histogram: Counter
     total_messages: int
-
-    def length_rounds(self, phase_size: int) -> int:
-        """Physical schedule length for a target phase size."""
-        return phase_schedule_length(
-            self.num_phases, phase_size, self.max_phase_load
-        )
-
-    @property
-    def required_phase_size(self) -> int:
-        """Smallest feasible phase size."""
-        return max(1, self.max_phase_load)
 
 
 def evaluate_delay_schedule(

@@ -16,8 +16,8 @@ within one phase. A phase of ``phase_size`` rounds can carry
 ``phase_size`` messages per edge direction, so the schedule is feasible
 iff the max per-(edge, phase) load is at most ``phase_size``. The engine
 records the full load profile; reports stretch phases to the observed
-maximum when it exceeds the target (see
-:func:`repro.metrics.schedule.phase_schedule_length`).
+maximum when it exceeds the target (a
+:class:`repro.metrics.schedule.PhaseTimeline`).
 
 The same mechanism runs Lemma 4.4's per-cluster copies (Theorem 1.1 is
 the case of one cluster spanning the whole network), so both engines
@@ -222,10 +222,6 @@ class PhaseExecution:
     #: Whether the execution was cut off at its phase cap instead of
     #: running to completion (only possible when ``max_phases`` is given).
     truncated: bool = False
-
-    def required_phase_size(self) -> int:
-        """Smallest phase size (in rounds) making this schedule feasible."""
-        return max(1, self.max_phase_load)
 
 
 def run_delayed_phases(

@@ -1,10 +1,10 @@
 """Materialize phase schedules into explicit per-round assignments.
 
-The delay-based schedulers report their length through the accounting
-formula ``num_phases × max(phase_size, max_load)``. This module makes
-that accounting *constructive*: given the communication patterns and the
-per-algorithm phase delays, it assigns every message an explicit physical
-round such that
+The delay-based schedulers report their length through a
+:class:`~repro.metrics.schedule.PhaseTimeline`. This module makes that
+accounting *constructive*: given the communication patterns and the
+per-algorithm phase delays, it places every message on the same
+timeline's physical rounds such that
 
 * each directed edge carries at most one message per round (the raw
   CONGEST capacity), and
@@ -13,8 +13,8 @@ round such that
   causally ordered messages in distinct phases, so any intra-phase order
   is valid).
 
-The materialized schedule's makespan equals the reported formula length,
-and it is a genuine simulation mapping — checkable with
+The materialized schedule's makespan is the timeline's length, the
+reported length, and it is a genuine simulation mapping — checkable with
 :func:`repro.congest.pattern.validate_simulation_mapping` on small
 instances. This closes the loop between the engines' load accounting and
 an actual wire-level schedule.
@@ -22,12 +22,14 @@ an actual wire-level schedule.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..congest.pattern import CommunicationPattern, PatternEvent
 from ..errors import ScheduleError
+from ..metrics.schedule import PhaseTimeline
+from .pattern_schedule import evaluate_delay_schedule
 
 __all__ = ["PhysicalSchedule", "materialize_phase_schedule"]
 
@@ -38,10 +40,13 @@ class PhysicalSchedule:
 
     #: ``(aid, event) -> physical round`` (1-based).
     assignment: Dict[Tuple[int, PatternEvent], int]
-    makespan: int
-    num_phases: int
-    #: Rounds allocated per phase: ``max(phase_size, max observed load)``.
-    stretched_phase_size: int
+    #: The phases the assignment's rounds are grouped into.
+    timeline: PhaseTimeline
+
+    @property
+    def makespan(self) -> int:
+        """Physical rounds of the whole schedule."""
+        return self.timeline.length
 
     def mapping_for(self, aid: int):
         """The per-algorithm simulation mapping (for validation)."""
@@ -76,37 +81,17 @@ def materialize_phase_schedule(
     messages sharing an (edge, phase) are laid out on consecutive rounds
     within the phase.
     """
-    if len(patterns) != len(delays):
-        raise ValueError("need one delay per pattern")
-    if phase_size < 1:
-        raise ValueError("phase_size must be positive")
-
-    # Group messages by (directed edge, phase).
-    groups: Dict[Tuple[int, int, int], List[Tuple[int, PatternEvent]]] = (
-        defaultdict(list)
+    loads = evaluate_delay_schedule(patterns, delays)
+    timeline = PhaseTimeline.stretched(
+        loads.num_phases, phase_size, loads.max_phase_load
     )
-    num_phases = 0
+    assignment: Dict[Tuple[int, PatternEvent], int] = {}
+    placed: Counter = Counter()
     for aid, (pattern, delay) in enumerate(zip(patterns, delays)):
-        if delay < 0:
-            raise ValueError("delays must be non-negative")
         for event in sorted(pattern.events):
             r, u, v = event
             phase = delay + r - 1
-            groups[(u, v, phase)].append((aid, event))
-            num_phases = max(num_phases, phase + 1)
-
-    max_load = max((len(g) for g in groups.values()), default=0)
-    stretched = max(phase_size, max_load)
-
-    assignment: Dict[Tuple[int, PatternEvent], int] = {}
-    for (u, v, phase), members in groups.items():
-        base = phase * stretched
-        for offset, tagged in enumerate(members):
-            assignment[tagged] = base + offset + 1  # rounds are 1-based
-
-    return PhysicalSchedule(
-        assignment=assignment,
-        makespan=num_phases * stretched,
-        num_phases=num_phases,
-        stretched_phase_size=stretched,
-    )
+            offset = placed[(u, v, phase)]
+            placed[(u, v, phase)] = offset + 1
+            assignment[(aid, event)] = timeline.round_of(phase, offset)
+    return PhysicalSchedule(assignment=assignment, timeline=timeline)

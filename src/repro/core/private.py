@@ -47,7 +47,7 @@ from typing import Optional
 from ..clustering.distributed import run_distributed_clustering
 from ..clustering.layers import Clustering, build_clustering, extend_clustering
 from ..errors import CoverageError
-from ..metrics.schedule import ScheduleReport, phase_schedule_length
+from ..metrics.schedule import PhaseTimeline, ScheduleReport
 from ..randomness.distributions import BlockDelay, UniformDelay
 from .base import ScheduleResult, Scheduler
 from .cluster_delays import ClusterDelaySampler
@@ -214,9 +214,9 @@ class PrivateScheduler(Scheduler):
         report = ScheduleReport(
             scheduler=self.name,
             params=params,
-            length_rounds=phase_schedule_length(
+            length_rounds=PhaseTimeline.stretched(
                 execution.num_big_rounds, phase_size, execution.max_big_round_load
-            ),
+            ).length,
             precomputation_rounds=clustering.precomputation_rounds,
             num_phases=execution.num_big_rounds,
             phase_size=phase_size,

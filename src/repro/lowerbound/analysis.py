@@ -33,6 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 from .._util import derive_seed
 from ..congest.pattern import CommunicationPattern
 from ..core.pattern_schedule import evaluate_delay_schedule
+from ..metrics.schedule import PhaseTimeline
 
 
 __all__ = [
@@ -144,8 +145,8 @@ def empirical_min_schedule(
     """Search random delay assignments for the shortest feasible schedule.
 
     For each trial, delays are sampled uniformly from ``[0, max_delay]``
-    per algorithm; the schedule length is the exact pattern-level cost
-    ``num_phases × max(1, max_load)`` with phase size 1 — i.e. delays in
+    per algorithm; the schedule length is the exact pattern-level cost,
+    the length of a :class:`PhaseTimeline` with phase size 1 — i.e. delays in
     *rounds* and every (edge, round) carrying at most one message, the
     raw CONGEST constraint. Returns the best over ``trials`` samples
     (plus the all-zero assignment when ``include_zero``).
@@ -166,7 +167,9 @@ def empirical_min_schedule(
 
     for delays in candidates:
         report = evaluate_delay_schedule(patterns, list(delays))
-        length = report.num_phases * max(1, report.max_phase_load)
+        length = PhaseTimeline.stretched(
+            report.num_phases, 1, report.max_phase_load
+        ).length
         lengths.append(length)
         if best_length is None or length < best_length:
             best_length = length

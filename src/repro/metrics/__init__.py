@@ -8,10 +8,11 @@ from .congestion import (
 )
 from .objective import design_objective, pick_best_parameter, score_solo_run
 from .profile import CongestionProfile, profile_patterns
-from .schedule import ScheduleReport, phase_schedule_length
+from .schedule import PhaseTimeline, ScheduleReport, phase_schedule_length
 
 __all__ = [
     "CongestionProfile",
+    "PhaseTimeline",
     "ScheduleReport",
     "WorkloadParams",
     "design_objective",

@@ -10,26 +10,27 @@ A scheduler's quality is judged on
 * **load profile** — messages per (directed edge, phase), whose maximum
   drives the feasible phase size (the ``O(log n)`` claims of Lemma 4.4).
 
-For phase-based schedulers the *reported* length is
-``num_phases × max(phase_size, max_phase_load)``: if some phase overloads
-an edge beyond the phase size, the schedule is only feasible once phases
-are stretched to the observed maximum load, and we account for that
-honestly rather than declaring a w.h.p. failure.
+For phase-based schedulers a :class:`PhaseTimeline` turns phases into
+physical rounds: if some phase overloads an edge beyond the phase size,
+the schedule is only feasible once phases are stretched to the observed
+maximum load, and we account for that honestly rather than declaring a
+w.h.p. failure. Reported lengths, completion rounds and the materialised
+wire slots of :mod:`repro.core.physical` all read the same timeline.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from .._version import __version__
 from .congestion import WorkloadParams
 
 __all__ = [
     "ENGINE_COUNTERS",
+    "PhaseTimeline",
     "ScheduleReport",
-    "phase_completion_rounds",
     "phase_schedule_length",
 ]
 
@@ -63,33 +64,51 @@ ENGINE_COUNTERS = (
 )
 
 
+@dataclass(frozen=True)
+class PhaseTimeline:
+    """How the phases of a phase schedule map onto physical rounds.
+
+    Phase ``p`` (0-based) occupies rounds ``p·width + 1 … (p+1)·width``.
+    Every phase has the same ``width`` rounds.
+    """
+
+    num_phases: int
+    width: int
+
+    @classmethod
+    def stretched(
+        cls, num_phases: int, phase_size: int, max_load: int
+    ) -> "PhaseTimeline":
+        """Phases of ``phase_size`` rounds, stretched to ``max_load`` when
+        some (directed edge, phase) carries more messages than that."""
+        if num_phases < 0 or phase_size < 1:
+            raise ValueError("invalid phase accounting")
+        return cls(num_phases, max(phase_size, max_load))
+
+    @property
+    def length(self) -> int:
+        """Physical rounds of the whole schedule."""
+        return self.num_phases * self.width
+
+    def completion(self, delay: int, solo_rounds: int) -> int:
+        """Physical round by which an algorithm finished.
+
+        Algorithm ``i`` sends its last round in phase ``δ_i + D_i - 1``
+        (0-based), so it is done after ``δ_i + D_i`` phases.
+        """
+        return (delay + solo_rounds) * self.width
+
+    def round_of(self, phase: int, offset: int) -> int:
+        """The 1-based physical round of the ``offset``-th (0-based)
+        message on one directed edge in ``phase``."""
+        return phase * self.width + offset + 1
+
+
 def phase_schedule_length(
     num_phases: int, phase_size: int, max_phase_load: int
 ) -> int:
-    """Physical length of a phase-based schedule (see module docstring)."""
-    if num_phases < 0 or phase_size < 1:
-        raise ValueError("invalid phase accounting")
-    return num_phases * max(phase_size, max_phase_load)
-
-
-def phase_completion_rounds(
-    delays: Sequence[int],
-    solo_rounds: Sequence[int],
-    phase_size: int,
-    max_phase_load: int,
-) -> List[int]:
-    """Physical round by which each algorithm of a phase schedule finished.
-
-    Algorithm ``i`` sends its last round in phase ``δ_i + D_i - 1``
-    (0-based), so it is done after ``δ_i + D_i`` phases, each stretched
-    to ``max(phase_size, max_phase_load)`` rounds like the schedule
-    length.
-    """
-    width = max(phase_size, max_phase_load)
-    return [
-        (delay + rounds) * width
-        for delay, rounds in zip(delays, solo_rounds)
-    ]
+    """Physical length of a phase-based schedule."""
+    return PhaseTimeline.stretched(num_phases, phase_size, max_phase_load).length
 
 
 @dataclass
@@ -108,9 +127,9 @@ class ScheduleReport:
     messages_deduplicated: Optional[int] = None
     load_histogram: Optional[Counter] = None
     #: Per algorithm (by aid), the physical round by which it finished
-    #: (:func:`phase_completion_rounds` for the phase-engine schedulers,
+    #: (:meth:`PhaseTimeline.completion` for the phase-engine schedulers,
     #: prefix sums of the solo lengths for the sequential one); ``None``
-    #: where the scheduler does not define it.
+    #: where the scheduler does not define it or the run was truncated.
     completion_rounds: Optional[List[int]] = None
     notes: Dict[str, Any] = field(default_factory=dict)
     #: Metrics snapshot from the run's recorder (``None`` when the run

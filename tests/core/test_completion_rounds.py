@@ -6,9 +6,10 @@ A phase schedule runs algorithm ``i``'s round ``t`` in phase
 that from the report's own ``notes["delays"]`` and the solo rounds and
 demand the scheduler's number, for every phase-engine scheduler;
 sequential finishes algorithm ``i`` after the first ``i + 1`` solo
-runs; the rest leave it undefined.
+runs; the rest, and a truncated phase run, leave it undefined.
 """
 
+import copy
 from itertools import accumulate
 
 import pytest
@@ -71,6 +72,20 @@ def test_phase_schedulers_match_the_formula(workload, scheduler):
     ]
     # The last algorithm to finish ends the schedule.
     assert max(report.completion_rounds) == report.length_rounds
+
+
+@pytest.mark.parametrize(
+    "scheduler",
+    PHASE_SCHEDULERS,
+    ids=["round-robin", "random-delay", "random-delay-wide", "sparse", "doubling"],
+)
+def test_truncated_run_leaves_completion_undefined(workload, scheduler):
+    # Three phases cannot finish the 8-round algorithms: no completion
+    # round of this run is one at which its algorithm had finished.
+    budgeted = copy.copy(scheduler).with_round_budget(3)
+    report = budgeted.run(workload, seed=5).report
+    assert report.notes["truncated"]
+    assert report.completion_rounds is None
 
 
 def test_delays_spread_completion(workload):

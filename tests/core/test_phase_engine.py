@@ -59,7 +59,7 @@ class TestAccounting:
         tokens = [PathToken(list(range(10)), token=i) for i in range(4)]
         work = Workload(path10, tokens)
         ex = run_delayed_phases(work, [0] * 4)
-        assert ex.required_phase_size() == 4
+        assert ex.max_phase_load == 4
 
     def test_histogram_sums_to_pairs(self, grid4):
         work = Workload(grid4, [BFS(0), BFS(15)])

@@ -42,7 +42,7 @@ class TestMaterialization:
         assert schedule.makespan == report.num_phases * max(
             phase_size, report.max_phase_load
         )
-        assert schedule.num_phases == report.num_phases
+        assert schedule.timeline.num_phases == report.num_phases
 
     def test_is_valid_simulation_of_each_algorithm(self, grid4):
         work = Workload(grid4, [BFS(0, hops=3), HopBroadcast(15, "x", 3)])
@@ -57,7 +57,7 @@ class TestMaterialization:
         tokens = [PathToken(list(range(10)), token=i) for i in range(6)]
         work = Workload(path10, tokens)
         schedule = materialize_phase_schedule(work.patterns(), [0] * 6, 2)
-        assert schedule.stretched_phase_size == 6
+        assert schedule.timeline.width == 6
         schedule.validate_capacity()
 
     def test_bad_inputs(self, setup):

@@ -6,6 +6,7 @@ from repro.algorithms import BFS, HopBroadcast, PathToken
 from repro.congest import CommunicationPattern, solo_run
 from repro.core import Workload
 from repro.metrics import (
+    PhaseTimeline,
     ScheduleReport,
     WorkloadParams,
     edge_congestion_profile,
@@ -104,3 +105,26 @@ class TestScheduleReport:
             phase_schedule_length(-1, 4, 0)
         with pytest.raises(ValueError):
             phase_schedule_length(3, 0, 0)
+        with pytest.raises(ValueError):
+            PhaseTimeline.stretched(-1, 4, 0)
+        with pytest.raises(ValueError):
+            PhaseTimeline.stretched(3, 0, 0)
+
+    def test_phase_timeline(self):
+        timeline = PhaseTimeline.stretched(5, 4, 2)
+        assert timeline == PhaseTimeline(num_phases=5, width=4)
+        assert timeline.length == 20
+        # done after delay + solo rounds phases
+        assert timeline.completion(2, 3) == 20
+        assert timeline.completion(0, 1) == 4
+        # phase p holds rounds p·w + 1 … (p+1)·w
+        assert timeline.round_of(0, 0) == 1
+        assert timeline.round_of(0, 3) == 4
+        assert timeline.round_of(2, 1) == 10
+        # an overloaded edge stretches every phase
+        timeline = PhaseTimeline.stretched(5, 4, 9)
+        assert timeline.width == 9
+        assert timeline.length == 45
+        assert timeline.completion(1, 2) == 27
+        assert timeline.round_of(1, 8) == 18
+        assert PhaseTimeline.stretched(0, 3, 0).length == 0

@@ -239,7 +239,7 @@ def test_exact_opt_bounds_greedy(seed, k, length, density):
 def test_materialized_schedule_always_valid(net_index, k, seed, phase_size, delay_data):
     """Any delay assignment materializes into a capacity-respecting,
     causality-preserving physical schedule of exactly the accounted
-    length."""
+    length, with every message inside its phase's window of rounds."""
     from repro.core.pattern_schedule import evaluate_delay_schedule
     from repro.core.physical import materialize_phase_schedule
 
@@ -250,9 +250,13 @@ def test_materialized_schedule_always_valid(net_index, k, seed, phase_size, dela
     schedule = materialize_phase_schedule(patterns, delays, phase_size)
     schedule.validate_capacity()
     report = evaluate_delay_schedule(patterns, delays)
-    assert schedule.makespan == report.num_phases * max(
-        phase_size, report.max_phase_load
-    )
+    width = max(phase_size, report.max_phase_load)
+    assert schedule.makespan == report.num_phases * width
+    # algorithm i's round-r message lands in phase p = δ_i + r - 1,
+    # i.e. on a round p·w < slot ≤ (p+1)·w
+    for (aid, (r, _, _)), slot in schedule.assignment.items():
+        phase = delays[aid] + r - 1
+        assert phase * width < slot <= (phase + 1) * width
     # spot-check causal validity on one algorithm (quadratic check)
     if patterns and len(patterns[0]) <= 40:
         from repro.congest.pattern import validate_simulation_mapping
