@@ -46,13 +46,7 @@ Quickstart::
     print(result.report.summary())
 """
 
-from . import congest, faults, metrics, parallel, service, telemetry
-from ._version import __version__
-from .congest import Network, solo_run
-from .core import Workload
-from .faults import FaultPlan
-from .parallel import ParallelRunner, SoloRunCache
-from .service import RunRegistry, SchedulerService
+from . import _lazy
 
 __all__ = [
     "FaultPlan",
@@ -70,3 +64,33 @@ __all__ = [
     "solo_run",
     "telemetry",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "__version__": "_version",
+        "FaultPlan": "faults",
+        "Network": "congest",
+        "ParallelRunner": "parallel",
+        "RunRegistry": "service",
+        "SchedulerService": "service",
+        "SoloRunCache": "parallel",
+        "Workload": "core",
+        "solo_run": "congest",
+        "algorithms": "algorithms",
+        "clustering": "clustering",
+        "congest": "congest",
+        "core": "core",
+        "derandomize": "derandomize",
+        "errors": "errors",
+        "experiments": "experiments",
+        "faults": "faults",
+        "fuzz": "fuzz",
+        "lowerbound": "lowerbound",
+        "metrics": "metrics",
+        "parallel": "parallel",
+        "randomness": "randomness",
+        "service": "service",
+        "telemetry": "telemetry",
+    },
+)

@@ -1,9 +1,6 @@
 """Distributed MST algorithms: the paper's Section 5 k-shot case study."""
 
-from .boruvka import BoruvkaMST
-from .fragments import FragmentProgram, chain_budgets, phase_schedule, star_budgets
-from .tradeoff import TradeoffMST
-from .weights import incident_mst_edges, kruskal_mst, random_weights
+from ... import _lazy
 
 __all__ = [
     "BoruvkaMST",
@@ -16,3 +13,18 @@ __all__ = [
     "random_weights",
     "star_budgets",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "BoruvkaMST": "boruvka",
+        "FragmentProgram": "fragments",
+        "chain_budgets": "fragments",
+        "phase_schedule": "fragments",
+        "star_budgets": "fragments",
+        "TradeoffMST": "tradeoff",
+        "incident_mst_edges": "weights",
+        "kruskal_mst": "weights",
+        "random_weights": "weights",
+    },
+)

@@ -1,17 +1,7 @@
 """Ball-carving clustering and cluster-local randomness sharing
 (Lemmas 4.2 and 4.3)."""
 
-from .carving import ClusterLayer, carve_layer, draw_radii_and_labels
-from .distributed import CarvingOutput, CarvingProtocol, run_distributed_clustering
-from .layers import (
-    Clustering,
-    build_clustering,
-    carving_horizon,
-    cluster_seed_bits,
-    default_num_layers,
-    default_sharing_chunks,
-    extend_clustering,
-)
+from .. import _lazy
 
 __all__ = [
     "CarvingOutput",
@@ -28,3 +18,22 @@ __all__ = [
     "extend_clustering",
     "run_distributed_clustering",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "ClusterLayer": "carving",
+        "carve_layer": "carving",
+        "draw_radii_and_labels": "carving",
+        "CarvingOutput": "distributed",
+        "CarvingProtocol": "distributed",
+        "run_distributed_clustering": "distributed",
+        "Clustering": "layers",
+        "build_clustering": "layers",
+        "carving_horizon": "layers",
+        "cluster_seed_bits": "layers",
+        "default_num_layers": "layers",
+        "default_sharing_chunks": "layers",
+        "extend_clustering": "layers",
+    },
+)

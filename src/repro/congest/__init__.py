@@ -6,26 +6,7 @@ distributed computing (Peleg 2000), as used by the paper: an undirected
 edge direction per round.
 """
 
-from .message import check_payload, default_message_bits, payload_bits
-from .network import DirectedEdge, Edge, Network
-from .pattern import (
-    CommunicationPattern,
-    PatternEvent,
-    retime_by_delay,
-    time_expanded_graph,
-    validate_simulation_mapping,
-)
-from .program import (
-    Algorithm,
-    HostGroup,
-    NodeContext,
-    NodeProgram,
-    ProgramHost,
-    Send,
-)
-from .simulator import Simulator, SoloRun, solo_run
-from .trace import ExecutionTrace, TraceEvent
-from . import topology
+from .. import _lazy
 
 __all__ = [
     "Algorithm",
@@ -52,3 +33,32 @@ __all__ = [
     "topology",
     "validate_simulation_mapping",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "check_payload": "message",
+        "default_message_bits": "message",
+        "payload_bits": "message",
+        "DirectedEdge": "network",
+        "Edge": "network",
+        "Network": "network",
+        "CommunicationPattern": "pattern",
+        "PatternEvent": "pattern",
+        "retime_by_delay": "pattern",
+        "time_expanded_graph": "pattern",
+        "validate_simulation_mapping": "pattern",
+        "Algorithm": "program",
+        "HostGroup": "program",
+        "NodeContext": "program",
+        "NodeProgram": "program",
+        "ProgramHost": "program",
+        "Send": "program",
+        "Simulator": "simulator",
+        "SoloRun": "simulator",
+        "solo_run": "simulator",
+        "ExecutionTrace": "trace",
+        "TraceEvent": "trace",
+        "topology": "topology",
+    },
+)

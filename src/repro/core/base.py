@@ -22,7 +22,7 @@ from ..errors import (
 )
 from ..faults import NULL_INJECTOR, FaultInjector, FaultPlan
 from ..metrics.schedule import ENGINE_COUNTERS, ScheduleReport
-from ..telemetry import NULL_RECORDER, Recorder, report_profile
+from ..telemetry import NULL_RECORDER, Recorder
 from .workload import OutputMap, Workload
 
 __all__ = [
@@ -120,19 +120,24 @@ class ScheduleResult:
             )
 
 
-def _surface_engine_counters(telemetry: Dict[str, Any]) -> None:
-    """Zero-fill the well-known engine counters in a telemetry snapshot.
+def _stamp_telemetry(report: ScheduleReport, recorder: Recorder) -> None:
+    """Put a recorded run's telemetry snapshot and profile on its report.
 
     The engines emit ``sim.late_deliveries`` / ``sim.skipped_rounds`` /
     ``phase.skipped_phases`` / ``cluster.skipped_rounds`` only when the
     corresponding code path fired, and ``<engine>.host_steps`` /
     ``.idle_skips`` only for the engine that ran; recorded reports
-    surface all of them uniformly so downstream aggregation (the service
-    metrics, dashboards) never special-cases which engine ran.
+    surface all of them uniformly (zero-filled) so downstream aggregation
+    (the service metrics, dashboards) never special-cases which engine
+    ran. The profiler is imported here, by recorded runs only.
     """
-    counters = telemetry.setdefault("counters", {})
+    from ..telemetry.profile import report_profile
+
+    report.telemetry = recorder.snapshot()
+    counters = report.telemetry.setdefault("counters", {})
     for name in ENGINE_COUNTERS:
         counters.setdefault(name, 0.0)
+    report.profile = report_profile(recorder)
 
 
 def verify_outputs(workload: Workload, outputs: OutputMap) -> List[Mismatch]:
@@ -252,9 +257,7 @@ class Scheduler(ABC):
             )
             if self.recorder.enabled:
                 self.recorder.counter("scheduler.failures")
-                report.telemetry = self.recorder.snapshot()
-                _surface_engine_counters(report.telemetry)
-                report.profile = report_profile(self.recorder)
+                _stamp_telemetry(report, self.recorder)
             self._stamp_faults(report)
             return ScheduleResult(
                 outputs={}, report=report, mismatches=[], failure=failure
@@ -285,8 +288,6 @@ class Scheduler(ABC):
             recorder.gauge(
                 "scheduler.precomputation_rounds", report.precomputation_rounds
             )
-            report.telemetry = recorder.snapshot()
-            _surface_engine_counters(report.telemetry)
-            report.profile = report_profile(recorder)
+            _stamp_telemetry(report, recorder)
         self._stamp_faults(report)
         return ScheduleResult(outputs=outputs, report=report, mismatches=mismatches)

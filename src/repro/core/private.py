@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from ..clustering.distributed import run_distributed_clustering
 from ..clustering.layers import Clustering, build_clustering, extend_clustering
 from ..errors import CoverageError
 from ..metrics.schedule import PhaseTimeline, ScheduleReport
@@ -116,6 +115,8 @@ class PrivateScheduler(Scheduler):
             2, math.ceil(self.layer_constant * math.log2(max(n, 2)))
         )
         if self.distributed_precomputation:
+            from ..clustering.distributed import run_distributed_clustering
+
             return run_distributed_clustering(
                 workload.network,
                 radius_scale,

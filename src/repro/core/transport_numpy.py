@@ -136,13 +136,20 @@ def _sum_tallies(
     return keys, counts
 
 
+#: The per-round column lists of an :class:`ArrayTrace`.
+_COLUMNS = ("_round_senders", "_round_counts", "_round_receivers")
+
+
 class ArrayTrace(ExecutionTrace):
     """An :class:`~repro.congest.trace.ExecutionTrace` stored columnar.
 
     Each round is a receiver column plus run-length-encoded senders (a
     senders column and a counts column, one entry per push — engines
     push one sender's whole outbox at a time), all ``array('i')``: 4
-    bytes per entry, pickled as raw bytes. The derived indices —
+    bytes per entry, pickled as raw bytes. An unpickled trace keeps those
+    bytes and reads them through ``memoryview(...).cast("i")``, so a
+    load copies nothing; a slot becomes an ``array('i')`` again only if
+    something records into it. The derived indices —
     directed loads, per-edge round sets/counts — are built lazily on
     first query and invalidated by further recording. The numpy kernels
     read the columns as ``np.frombuffer`` views, folded a batch of whole
@@ -181,11 +188,21 @@ class ArrayTrace(ExecutionTrace):
             self._round_counts.append(array("i"))
             self._round_receivers.append(array("i"))
 
+    def _thaw(self, slot: int) -> array:
+        """Turn a slot a pickle load left as read-only int32 views of its
+        bytes back into ``array('i')`` columns; its senders column."""
+        for name in _COLUMNS:
+            columns = getattr(self, name)
+            columns[slot] = array("i", columns[slot])
+        return self._round_senders[slot]
+
     def record(self, round_index: int, sender: int, receiver: int) -> None:
         """Record a message traversing ``sender -> receiver`` in a round."""
         self._reserve(round_index)
         slot = round_index - 1
         senders = self._round_senders[slot]
+        if type(senders) is memoryview:
+            senders = self._thaw(slot)
         if senders and senders[-1] == sender:
             self._round_counts[slot][-1] += 1
         else:
@@ -385,16 +402,26 @@ class ArrayTrace(ExecutionTrace):
     # -- pickling ------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, Any]:
-        """Ship only the columns; caches rebuild on demand."""
-        return {
-            "_round_senders": self._round_senders,
-            "_round_counts": self._round_counts,
-            "_round_receivers": self._round_receivers,
-            "_num_messages": self._num_messages,
-            "_last_round": self._last_round,
+        """Ship only the columns, each as its raw bytes; caches rebuild
+        on demand.
+
+        Bytes, not arrays: an unpickled array is a copy of a ``bytes``
+        object the unpickler's memo keeps alive until the load returns,
+        so a load would peak at twice the columns. The loaded trace
+        reads the unpickled bytes in place instead (native byte order:
+        a trace is unpickled on the machine that pickled it).
+        """
+        state = {
+            name: [column.tobytes() for column in getattr(self, name)]
+            for name in _COLUMNS
         }
+        state["_num_messages"] = self._num_messages
+        state["_last_round"] = self._last_round
+        return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
+        for name in _COLUMNS:
+            state[name] = [memoryview(raw).cast("i") for raw in state[name]]
         self.__dict__.update(state)
         self._invalidate()
 

@@ -1,8 +1,6 @@
 """Appendix A: removing shared randomness from Bellagio algorithms."""
 
-from .distinct_elements import DistinctElements, true_distinct_counts
-from .harness import BellagioResult, run_with_private_randomness
-from .newman_pipeline import NewmanPipelineResult, reduce_seed_space_and_run
+from .. import _lazy
 
 __all__ = [
     "BellagioResult",
@@ -12,3 +10,15 @@ __all__ = [
     "run_with_private_randomness",
     "true_distinct_counts",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "DistinctElements": "distinct_elements",
+        "true_distinct_counts": "distinct_elements",
+        "BellagioResult": "harness",
+        "run_with_private_randomness": "harness",
+        "NewmanPipelineResult": "newman_pipeline",
+        "reduce_seed_space_and_run": "newman_pipeline",
+    },
+)

@@ -27,10 +27,7 @@ See ``docs/ROBUSTNESS.md`` for the fault-model semantics and
 ``python -m repro chaos`` for the survival-curve CLI.
 """
 
-from .crashpoints import InjectedCrash, arm, armed, crash_point, disarm
-from .injector import NULL_INJECTOR, FaultInjector, NullInjector, SeededInjector
-from .plan import EdgeOutage, FaultPlan, NodeCrash
-from .retransmit import ResilientAlgorithm, window_rounds, wrap_workload
+from .. import _lazy
 
 __all__ = [
     "EdgeOutage",
@@ -49,3 +46,24 @@ __all__ = [
     "window_rounds",
     "wrap_workload",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "InjectedCrash": "crashpoints",
+        "arm": "crashpoints",
+        "armed": "crashpoints",
+        "crash_point": "crashpoints",
+        "disarm": "crashpoints",
+        "NULL_INJECTOR": "injector",
+        "FaultInjector": "injector",
+        "NullInjector": "injector",
+        "SeededInjector": "injector",
+        "EdgeOutage": "plan",
+        "FaultPlan": "plan",
+        "NodeCrash": "plan",
+        "ResilientAlgorithm": "retransmit",
+        "window_rounds": "retransmit",
+        "wrap_workload": "retransmit",
+    },
+)

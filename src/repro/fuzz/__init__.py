@@ -10,17 +10,7 @@ tests. ``python -m repro fuzz`` drives the pipeline; docs/FUZZING.md
 has the workflow.
 """
 
-from .corpus import Corpus, CorpusEntry
-from .inject import INJECT_ENV, from_env, injector
-from .oracle import DifferentialOracle, Divergence, OracleReport
-from .scenario import (
-    ALGORITHM_FAMILIES,
-    TOPOLOGY_KINDS,
-    BuiltScenario,
-    Scenario,
-    ScenarioGenerator,
-)
-from .shrink import Shrinker, ShrinkResult
+from .. import _lazy
 
 __all__ = [
     "ALGORITHM_FAMILIES",
@@ -39,3 +29,24 @@ __all__ = [
     "from_env",
     "injector",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "Corpus": "corpus",
+        "CorpusEntry": "corpus",
+        "INJECT_ENV": "inject",
+        "from_env": "inject",
+        "injector": "inject",
+        "DifferentialOracle": "oracle",
+        "Divergence": "oracle",
+        "OracleReport": "oracle",
+        "ALGORITHM_FAMILIES": "scenario",
+        "TOPOLOGY_KINDS": "scenario",
+        "BuiltScenario": "scenario",
+        "Scenario": "scenario",
+        "ScenarioGenerator": "scenario",
+        "Shrinker": "shrink",
+        "ShrinkResult": "shrink",
+    },
+)

@@ -1,21 +1,6 @@
 """Hard instances and analysis for the Theorem 3.1 lower bound."""
 
-from .analysis import (
-    EmpiricalScheduleResult,
-    average_layer_phase_load,
-    edge_overload_probability,
-    empirical_min_schedule,
-    layer_overload_probability,
-    log_crossing_pattern_count,
-    lower_bound_formula,
-)
-from .crossing import CrossingPattern, crossing_from_delays, heaviest_layer_phase
-from .exhaustive import (
-    CrossingSearchResult,
-    certified_min_phases,
-    search_crossing_patterns,
-)
-from .hard_instance import HardInstance, paper_parameters, sample_hard_instance
+from .. import _lazy
 
 __all__ = [
     "CrossingPattern",
@@ -35,3 +20,25 @@ __all__ = [
     "sample_hard_instance",
     "search_crossing_patterns",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "EmpiricalScheduleResult": "analysis",
+        "average_layer_phase_load": "analysis",
+        "edge_overload_probability": "analysis",
+        "empirical_min_schedule": "analysis",
+        "layer_overload_probability": "analysis",
+        "log_crossing_pattern_count": "analysis",
+        "lower_bound_formula": "analysis",
+        "CrossingPattern": "crossing",
+        "crossing_from_delays": "crossing",
+        "heaviest_layer_phase": "crossing",
+        "CrossingSearchResult": "exhaustive",
+        "certified_min_phases": "exhaustive",
+        "search_crossing_patterns": "exhaustive",
+        "HardInstance": "hard_instance",
+        "paper_parameters": "hard_instance",
+        "sample_hard_instance": "hard_instance",
+    },
+)

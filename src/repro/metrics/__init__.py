@@ -1,14 +1,6 @@
 """Scheduling metrics: congestion, dilation, and schedule reports."""
 
-from .congestion import (
-    WorkloadParams,
-    edge_congestion_profile,
-    measure_params,
-    measure_params_from_patterns,
-)
-from .objective import design_objective, pick_best_parameter, score_solo_run
-from .profile import CongestionProfile, profile_patterns
-from .schedule import PhaseTimeline, ScheduleReport, phase_schedule_length
+from .. import _lazy
 
 __all__ = [
     "CongestionProfile",
@@ -24,3 +16,21 @@ __all__ = [
     "profile_patterns",
     "score_solo_run",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "WorkloadParams": "congestion",
+        "edge_congestion_profile": "congestion",
+        "measure_params": "congestion",
+        "measure_params_from_patterns": "congestion",
+        "design_objective": "objective",
+        "pick_best_parameter": "objective",
+        "score_solo_run": "objective",
+        "CongestionProfile": "profile",
+        "profile_patterns": "profile",
+        "PhaseTimeline": "schedule",
+        "ScheduleReport": "schedule",
+        "phase_schedule_length": "schedule",
+    },
+)

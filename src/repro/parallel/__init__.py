@@ -16,16 +16,7 @@ cache every :class:`~repro.core.workload.Workload` consults unless told
 otherwise; ``REPRO_SOLO_CACHE=0`` switches it off.
 """
 
-from .cache import (
-    CACHE_ENV,
-    SoloRunCache,
-    algorithm_fingerprint,
-    default_cache,
-    network_fingerprint,
-    reset_default_cache,
-    set_default_cache,
-)
-from .runner import WORKERS_ENV, ParallelRunner, resolve_workers
+from .. import _lazy
 
 __all__ = [
     "CACHE_ENV",
@@ -39,3 +30,19 @@ __all__ = [
     "resolve_workers",
     "set_default_cache",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "CACHE_ENV": "cache",
+        "SoloRunCache": "cache",
+        "algorithm_fingerprint": "cache",
+        "default_cache": "cache",
+        "network_fingerprint": "cache",
+        "reset_default_cache": "cache",
+        "set_default_cache": "cache",
+        "WORKERS_ENV": "runner",
+        "ParallelRunner": "runner",
+        "resolve_workers": "runner",
+    },
+)

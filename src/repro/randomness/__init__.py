@@ -1,14 +1,6 @@
 """Randomness substrate: primes, k-wise independence, delay distributions."""
 
-from .distributions import (
-    BlockDelay,
-    DelayDistribution,
-    TruncatedExponential,
-    UniformDelay,
-)
-from .kwise import KWiseGenerator, prime_for_buckets, seed_bits_required
-from .newman import SubcollectionResult, find_good_subcollection, majority_fraction
-from .primes import bertrand_prime, is_prime, next_prime
+from .. import _lazy
 
 __all__ = [
     "BlockDelay",
@@ -25,3 +17,22 @@ __all__ = [
     "prime_for_buckets",
     "seed_bits_required",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "BlockDelay": "distributions",
+        "DelayDistribution": "distributions",
+        "TruncatedExponential": "distributions",
+        "UniformDelay": "distributions",
+        "KWiseGenerator": "kwise",
+        "prime_for_buckets": "kwise",
+        "seed_bits_required": "kwise",
+        "SubcollectionResult": "newman",
+        "find_good_subcollection": "newman",
+        "majority_fraction": "newman",
+        "bertrand_prime": "primes",
+        "is_prime": "primes",
+        "next_prime": "primes",
+    },
+)

@@ -36,28 +36,7 @@ so resubmissions never re-execute.
   the ``python -m repro serve|submit|status`` CLI.
 """
 
-from .admission import AdmissionDecision, AdmissionPolicy
-from .daemon import ServeLoop
-from .events import (
-    FSYNC_POLICIES,
-    EventLog,
-    JobEvent,
-    LatencyAccumulator,
-    latency_stats,
-    read_events,
-)
-from .jobs import Job, JobResult, JobState, job_fingerprint
-from .journal import JobJournal, JournalState, read_journal
-from .registry import RunArtifact, RunRegistry
-from .service import CRASH_POINTS, JobQueue, SchedulerService, ServiceClosed
-from .service import ShardedSchedulerService, shard_key
-from .specs import (
-    format_fault_plan,
-    parse_algorithm,
-    parse_fault_plan,
-    parse_network,
-    parse_scheduler,
-)
+from .. import _lazy
 
 __all__ = [
     "AdmissionDecision",
@@ -90,3 +69,38 @@ __all__ = [
     "read_journal",
     "shard_key",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "AdmissionDecision": "admission",
+        "AdmissionPolicy": "admission",
+        "ServeLoop": "daemon",
+        "FSYNC_POLICIES": "events",
+        "EventLog": "events",
+        "JobEvent": "events",
+        "LatencyAccumulator": "events",
+        "latency_stats": "events",
+        "read_events": "events",
+        "Job": "jobs",
+        "JobResult": "jobs",
+        "JobState": "jobs",
+        "job_fingerprint": "jobs",
+        "JobJournal": "journal",
+        "JournalState": "journal",
+        "read_journal": "journal",
+        "RunArtifact": "registry",
+        "RunRegistry": "registry",
+        "CRASH_POINTS": "service",
+        "JobQueue": "service",
+        "SchedulerService": "service",
+        "ServiceClosed": "service",
+        "ShardedSchedulerService": "service",
+        "shard_key": "service",
+        "format_fault_plan": "specs",
+        "parse_algorithm": "specs",
+        "parse_fault_plan": "specs",
+        "parse_network": "specs",
+        "parse_scheduler": "specs",
+    },
+)

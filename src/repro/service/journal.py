@@ -68,15 +68,14 @@ instead of O(history).
 from __future__ import annotations
 
 import base64
-import json
 import pickle
 import re
 import time
-import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .._util import atomic_write_text
+from . import framing
 from .events import FSYNC_POLICIES, AppendLog
 from .jobs import TERMINAL_STATES, TRANSITIONS, id_order
 
@@ -100,20 +99,6 @@ TERMINAL_RECORD_STATES = frozenset(state.value for state in TERMINAL_STATES)
 
 _JOB_NUMBER = re.compile(r"^j(\d+)$")
 _BATCH_NUMBER = re.compile(r"^b(\d+)$")
-
-
-def _encode(record: Dict[str, Any]) -> str:
-    """Serialize a record (sans CRC) deterministically for hashing."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
-def _crc(payload: str) -> str:
-    return format(zlib.crc32(payload.encode("utf8")) & 0xFFFFFFFF, "08x")
-
-
-def _frame(record: Dict[str, Any]) -> str:
-    """One journal line: the record plus the CRC of its encoding."""
-    return _encode({**record, "crc": _crc(_encode(record))})
 
 
 def encode_job_payload(
@@ -315,7 +300,7 @@ def read_journal(
             problems.append(f"line {lineno}: missing seq/crc framing")
             break
         crc = record.pop("crc")
-        if _crc(_encode(record)) != crc:
+        if framing.crc(framing.encode(record)) != crc:
             problems.append(f"line {lineno}: CRC mismatch")
             break
         seq = record["seq"]
@@ -421,7 +406,7 @@ class JobJournal(AppendLog):
             "ts": self.clock(),
         }
         record.update(fields)
-        self._append(_frame(record))
+        self._append(framing.frame(record))
         self._seq += 1
         self.state.apply(record)
         self._since_checkpoint += 1
@@ -438,16 +423,18 @@ class JobJournal(AppendLog):
     def _rewrite(self, records: List[Dict[str, Any]]) -> None:
         """Atomically replace the file with exactly ``records``.
 
-        Each record is re-framed with its CRC (:func:`_encode` is
-        deterministic, so an unmodified record reproduces its original
-        bytes), and :func:`~repro._util.atomic_write_text` fsyncs the
-        replacement before the ``os.replace``, so a crash at any point
-        leaves either the old file or the complete new one — never a
-        torn mix.
+        Each record is re-framed with its CRC
+        (:func:`~repro.service.framing.encode` is deterministic, so an
+        unmodified record reproduces its original bytes), and
+        :func:`~repro._util.atomic_write_text` fsyncs the replacement
+        before the ``os.replace``, so a crash at any point leaves either
+        the old file or the complete new one — never a torn mix.
         """
         self.close()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(self.path, "".join(_frame(r) + "\n" for r in records))
+        atomic_write_text(
+            self.path, "".join(framing.frame(r) + "\n" for r in records)
+        )
 
     def checkpoint(self) -> None:
         """Compact the journal to one ``checkpoint`` record, atomically."""

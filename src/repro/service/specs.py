@@ -38,23 +38,15 @@ build a different job).
 
 from __future__ import annotations
 
-from importlib import import_module
-from typing import Dict, List, Optional, Tuple
+import sys
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..algorithms.aggregation import MAX, MIN, SUM, Aggregation
-from ..algorithms.bfs import BFS
-from ..algorithms.broadcast import Flooding, HopBroadcast
-from ..algorithms.coloring import RandomColoring
-from ..algorithms.gossip import PushGossip
-from ..algorithms.leader_election import LeaderElection
-from ..algorithms.mis import LubyMIS
-from ..algorithms.source_detection import SourceDetection
-from ..algorithms.token_broadcast import TokenBroadcast
-from ..algorithms.tokens import PathToken
 from ..congest import topology
-from ..congest.network import Network
-from ..congest.program import Algorithm
-from ..faults.plan import EdgeOutage, FaultPlan, NodeCrash
+
+if TYPE_CHECKING:
+    from ..congest.network import Network
+    from ..congest.program import Algorithm
+    from ..faults.plan import FaultPlan
 
 __all__ = [
     "ALGORITHM_KINDS",
@@ -83,36 +75,52 @@ NETWORK_KINDS = (
     "gnp",
 )
 
+#: Every algorithm :func:`parse_algorithm` builds: ``kind -> (module of
+#: repro, class)``, imported when a spec of that kind is parsed, so that
+#: naming an algorithm loads only its module.
+_ALGORITHMS: Dict[str, Tuple[str, str]] = {
+    "bfs": ("algorithms.bfs", "BFS"),
+    "broadcast": ("algorithms.broadcast", "HopBroadcast"),
+    "pathtoken": ("algorithms.tokens", "PathToken"),
+    "flooding": ("algorithms.broadcast", "Flooding"),
+    "gossip": ("algorithms.gossip", "PushGossip"),
+    "leader": ("algorithms.leader_election", "LeaderElection"),
+    "mis": ("algorithms.mis", "LubyMIS"),
+    "coloring": ("algorithms.coloring", "RandomColoring"),
+    "agg": ("algorithms.aggregation", "Aggregation"),
+    "sourcedetect": ("algorithms.source_detection", "SourceDetection"),
+    "tokenbroadcast": ("algorithms.token_broadcast", "TokenBroadcast"),
+}
+
 #: Every algorithm kind :func:`parse_algorithm` accepts.
-ALGORITHM_KINDS = (
-    "bfs",
-    "broadcast",
-    "pathtoken",
-    "flooding",
-    "gossip",
-    "leader",
-    "mis",
-    "coloring",
-    "agg",
-    "sourcedetect",
-    "tokenbroadcast",
-)
+ALGORITHM_KINDS = tuple(_ALGORITHMS)
 
 #: Every scheduler :func:`parse_scheduler` builds: ``name -> (module of
-#: repro.core, class)``, imported on first use so that naming a
-#: scheduler loads only its engine.
+#: repro, class)``, imported on first use so that naming a scheduler
+#: loads only its engine.
 _SCHEDULERS: Dict[str, Tuple[str, str]] = {
-    "sequential": ("sequential", "SequentialScheduler"),
-    "round-robin": ("round_robin", "RoundRobinScheduler"),
-    "eager": ("eager", "EagerScheduler"),
-    "random-delay": ("random_delay", "RandomDelayScheduler"),
-    "sparse-phase": ("sparse_phase", "SparsePhaseScheduler"),
-    "doubling": ("doubling", "DoublingScheduler"),
-    "private": ("private", "PrivateScheduler"),
+    "sequential": ("core.sequential", "SequentialScheduler"),
+    "round-robin": ("core.round_robin", "RoundRobinScheduler"),
+    "eager": ("core.eager", "EagerScheduler"),
+    "random-delay": ("core.random_delay", "RandomDelayScheduler"),
+    "sparse-phase": ("core.sparse_phase", "SparsePhaseScheduler"),
+    "doubling": ("core.doubling", "DoublingScheduler"),
+    "private": ("core.private", "PrivateScheduler"),
 }
 
 #: Scheduler names :func:`parse_scheduler` accepts.
 SCHEDULER_KINDS = tuple(_SCHEDULERS)
+
+
+def _load(where: Tuple[str, str]) -> Any:
+    """The object ``where = (module of repro, name)`` names, imported.
+
+    Through the builtin ``__import__`` (as :mod:`repro._lazy` does), so
+    that ``python -X importtime`` lists the module.
+    """
+    module = f"repro.{where[0]}"
+    __import__(module)
+    return getattr(sys.modules[module], where[1])
 
 
 def _split(spec: str) -> Tuple[str, str]:
@@ -225,9 +233,10 @@ def _require_network(network: Optional[Network], spec: str) -> Network:
     return network
 
 
-#: Aggregation ops the ``agg`` spec accepts. ``sum`` requires
+#: Aggregation ops the ``agg`` spec accepts, by the name of their
+#: constant in :mod:`repro.algorithms.aggregation`. ``sum`` requires
 #: ``operator.add`` (not a lambda) so the algorithm stays fingerprintable.
-_AGG_OPS = {"sum": SUM, "min": MIN, "max": MAX}
+_AGG_OPS = {"sum": "SUM", "min": "MIN", "max": "MAX"}
 
 
 def parse_algorithm(spec: str, network: Optional[Network] = None) -> Algorithm:
@@ -239,17 +248,23 @@ def parse_algorithm(spec: str, network: Optional[Network] = None) -> Algorithm:
     deterministic, so the spec alone addresses the job content.
     """
     kind, rest = _split(spec)
+    if kind not in _ALGORITHMS:
+        raise ValueError(
+            f"unknown algorithm kind {kind!r} "
+            f"(expected {'/'.join(ALGORITHM_KINDS)})"
+        )
+    cls = _load(_ALGORITHMS[kind])
     if kind == "bfs":
         fields = _fields(
             rest, spec, allowed=("source", "hops"), required=("source", "hops")
         )
-        return BFS(int(fields["source"]), hops=int(fields["hops"]))
+        return cls(int(fields["source"]), hops=int(fields["hops"]))
     if kind == "broadcast":
         fields = _fields(
             rest, spec, allowed=("source", "token", "hops"),
             required=("source", "token", "hops"),
         )
-        return HopBroadcast(
+        return cls(
             int(fields["source"]), int(fields["token"]), int(fields["hops"])
         )
     if kind == "pathtoken":
@@ -261,34 +276,34 @@ def parse_algorithm(spec: str, network: Optional[Network] = None) -> Algorithm:
             raise ValueError(
                 f"algorithm spec {spec!r} needs a path of >= 2 nodes"
             )
-        return PathToken(path, token=int(fields["token"]))
+        return cls(path, token=int(fields["token"]))
     if kind == "flooding":
         fields = _fields(
             rest, spec, allowed=("source", "token"),
             required=("source", "token"),
         )
-        return Flooding(int(fields["source"]), int(fields["token"]))
+        return cls(int(fields["source"]), int(fields["token"]))
     if kind == "gossip":
         fields = _fields(
             rest, spec, allowed=("source", "rounds"),
             required=("source", "rounds"),
         )
-        return PushGossip(int(fields["source"]), int(fields["rounds"]))
+        return cls(int(fields["source"]), int(fields["rounds"]))
     if kind == "leader":
         fields = _fields(rest, spec, allowed=("deadline",), required=("deadline",))
-        return LeaderElection(int(fields["deadline"]))
+        return cls(int(fields["deadline"]))
     if kind == "mis":
         fields = _fields(
             rest, spec, allowed=("nodes", "phases"), required=("nodes",)
         )
         phases = int(fields["phases"]) if "phases" in fields else None
-        return LubyMIS(int(fields["nodes"]), phase_budget=phases)
+        return cls(int(fields["nodes"]), phase_budget=phases)
     if kind == "coloring":
         fields = _fields(rest, spec, allowed=("palette", "phases"))
         net = _require_network(network, spec)
         palette = int(fields["palette"]) if "palette" in fields else None
         phases = int(fields["phases"]) if "phases" in fields else None
-        return RandomColoring(net, palette_size=palette, phase_budget=phases)
+        return cls(net, palette_size=palette, phase_budget=phases)
     if kind == "agg":
         fields = _fields(
             rest, spec, allowed=("root", "height", "op"),
@@ -302,9 +317,9 @@ def parse_algorithm(spec: str, network: Optional[Network] = None) -> Algorithm:
                 f"(expected {'/'.join(sorted(_AGG_OPS))})"
             )
         values = {v: v for v in net.nodes}
-        return Aggregation(
+        return cls(
             int(fields["root"]), values, int(fields["height"]),
-            op=_AGG_OPS[op_name],
+            op=_load(("algorithms.aggregation", _AGG_OPS[op_name])),
         )
     if kind == "sourcedetect":
         fields = _fields(
@@ -312,7 +327,7 @@ def parse_algorithm(spec: str, network: Optional[Network] = None) -> Algorithm:
             required=("sources", "hops", "topk"),
         )
         sources = _int_list(fields["sources"], spec, "source list")
-        return SourceDetection(
+        return cls(
             sources, int(fields["hops"]), int(fields["topk"])
         )
     if kind == "tokenbroadcast":
@@ -322,11 +337,8 @@ def parse_algorithm(spec: str, network: Optional[Network] = None) -> Algorithm:
         )
         nodes = _int_list(fields["nodes"], spec, "node list")
         placement = {node: (101 + i,) for i, node in enumerate(nodes)}
-        return TokenBroadcast(placement, deadline=int(fields["deadline"]))
-    raise ValueError(
-        f"unknown algorithm kind {kind!r} "
-        f"(expected {'/'.join(ALGORITHM_KINDS)})"
-    )
+        return cls(placement, deadline=int(fields["deadline"]))
+    raise AssertionError(f"parse_algorithm does not handle kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +371,8 @@ def parse_fault_plan(spec: str) -> FaultPlan:
     items: ``edgedrop=0-1@0.5``, ``outages=0-1@2-4`` (edge, inclusive
     tick window) and ``crashes=5@3`` (node, crash round).
     """
+    from ..faults.plan import EdgeOutage, FaultPlan, NodeCrash
+
     kind, rest = _split(spec)
     if kind != "faults":
         raise ValueError(f"fault spec must start with 'faults:', got {spec!r}")
@@ -445,5 +459,4 @@ def parse_scheduler(spec: str):
             f"unknown scheduler {spec!r} "
             f"(expected {'/'.join(SCHEDULER_KINDS)})"
         )
-    module, cls = _SCHEDULERS[name]
-    return getattr(import_module(f"..core.{module}", __package__), cls)()
+    return _load(_SCHEDULERS[name])()

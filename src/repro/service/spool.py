@@ -45,7 +45,7 @@ from typing import (
     Union,
 )
 
-from .journal import _crc, _encode, _frame
+from . import framing
 
 __all__ = ["SPOOL_LOG", "SpoolLine", "SpoolReader", "append", "check_layout"]
 
@@ -136,7 +136,7 @@ def append(
         if last is None:
             last = last_id()
         ids = [f"s{last + k:04d}" for k in range(1, count + 1)]
-        data = "".join(_frame({**spec, "id": sid}) + "\n" for sid in ids)
+        data = "".join(framing.frame({**spec, "id": sid}) + "\n" for sid in ids)
         view = memoryview(data.encode("utf8"))
         while view:
             view = view[os.write(fd, view):]
@@ -229,7 +229,7 @@ class SpoolReader:
         missing = [name for name in ("id", "net", "algo") if name not in record]
         if crc is None:
             error = "spool record lacks its crc"
-        elif crc != _crc(_encode(record)):
+        elif crc != framing.crc(framing.encode(record)):
             error = "CRC mismatch"
         elif missing:
             error = f"spool record lacks {'/'.join(missing)}"

@@ -19,30 +19,7 @@ See ``docs/OBSERVABILITY.md`` for the full guide, or try::
     python -m repro trace quickstart --out trace.json
 """
 
-from .export import (
-    chrome_trace,
-    jsonl_records,
-    summary_table,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import HistogramStats, MetricsRegistry
-from .profile import (
-    load_trace_spans,
-    profile_recorder,
-    profile_spans,
-    profile_table,
-    report_profile,
-)
-from .prometheus import prometheus_text
-from .recorder import (
-    NULL_RECORDER,
-    EventRecord,
-    InMemoryRecorder,
-    NullRecorder,
-    Recorder,
-    SpanRecord,
-)
+from .. import _lazy
 
 __all__ = [
     "EventRecord",
@@ -65,3 +42,28 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+__getattr__, __dir__ = _lazy.attach(
+    __name__,
+    {
+        "chrome_trace": "export",
+        "jsonl_records": "export",
+        "summary_table": "export",
+        "write_chrome_trace": "export",
+        "write_jsonl": "export",
+        "HistogramStats": "metrics",
+        "MetricsRegistry": "metrics",
+        "load_trace_spans": "profile",
+        "profile_recorder": "profile",
+        "profile_spans": "profile",
+        "profile_table": "profile",
+        "report_profile": "profile",
+        "prometheus_text": "prometheus",
+        "NULL_RECORDER": "recorder",
+        "EventRecord": "recorder",
+        "InMemoryRecorder": "recorder",
+        "NullRecorder": "recorder",
+        "Recorder": "recorder",
+        "SpanRecord": "recorder",
+    },
+)

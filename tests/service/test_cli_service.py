@@ -6,7 +6,7 @@ import pytest
 
 from repro.__main__ import SERVICE_SCHEDULERS, main
 from repro.service import parse_scheduler
-from repro.service.journal import _frame
+from repro.service.framing import frame
 from repro.service.spool import SPOOL_LOG, SpoolReader
 
 
@@ -50,7 +50,7 @@ class TestSubmit:
             "seed": 0,
         }
         log = (tmp_path / SPOOL_LOG).read_text()
-        assert log == _frame(record) + "\n"
+        assert log == frame(record) + "\n"
         assert [line.record for line in SpoolReader(tmp_path).read_new()] == [
             record
         ]

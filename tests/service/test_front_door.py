@@ -26,7 +26,7 @@ from repro.__main__ import main
 from repro.fuzz.scenario import TOPOLOGY_KINDS, ScenarioGenerator
 from repro.parallel.cache import network_fingerprint
 from repro.service import ServeLoop, parse_network, spool
-from repro.service.journal import _frame
+from repro.service.framing import frame
 from repro.service.spool import SPOOL_LOG, SpoolReader
 
 ALGO = "bfs:source=0,hops=2"
@@ -166,7 +166,7 @@ class TestAllocation:
         _submit(capsys, tmp_path, count=2)
         _submit(capsys, tmp_path, count=120)
         expected = [
-            (_frame({"algo": ALGO, "id": f"s{n:04d}", "net": "ring:6",
+            (frame({"algo": ALGO, "id": f"s{n:04d}", "net": "ring:6",
                      "seed": 0}) + "\n").encode()
             for n in range(1, 123)
         ]
@@ -357,15 +357,15 @@ class TestBadSpoolRecords:
         torn_at = _offset(tmp_path, 1)
         _replace_line(tmp_path, 1, b"{not json\n")
         _replace_line(
-            tmp_path, 2, (_frame({"id": "s0003", "net": "ring:6"}) + "\n").encode()
+            tmp_path, 2, (frame({"id": "s0003", "net": "ring:6"}) + "\n").encode()
         )
         _replace_line(
             tmp_path, 3,
-            (_frame({**good, "id": "s0004", "net": "blob:9"}) + "\n").encode(),
+            (frame({**good, "id": "s0004", "net": "blob:9"}) + "\n").encode(),
         )
         _replace_line(
             tmp_path, 4,
-            (_frame({**good, "id": "s0005", "algo": "bfs:sauce=0"}) + "\n").encode(),
+            (frame({**good, "id": "s0005", "algo": "bfs:sauce=0"}) + "\n").encode(),
         )
         unframed = (f"spool@{torn_at}", "Expecting property name")
         # status lists what it cannot frame or parse, and never raises;
@@ -429,7 +429,7 @@ class TestBadSpoolRecords:
     def test_unterminated_tail_is_skipped_and_retried(self, tmp_path, capsys):
         _submit(capsys, tmp_path, count=3)
         record = (
-            _frame({"algo": ALGO, "id": "s0004", "net": "ring:6", "seed": 0})
+            frame({"algo": ALGO, "id": "s0004", "net": "ring:6", "seed": 0})
             + "\n"
         ).encode()
         log = tmp_path / SPOOL_LOG
