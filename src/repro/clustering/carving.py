@@ -124,7 +124,9 @@ def draw_radii_and_labels(
     distribution = TruncatedExponential.for_ball_carving(
         radius_scale, network.num_nodes, horizon_constant
     )
-    return draw_radii_and_labels_from(network, distribution, seed, layer, label_bits)
+    return draw_radii_and_labels_from(
+        network, distribution, seed, layer, random.Random(0), label_bits
+    )
 
 
 def draw_radii_and_labels_from(
@@ -132,15 +134,16 @@ def draw_radii_and_labels_from(
     distribution: TruncatedExponential,
     seed: int,
     layer: int,
+    rng: random.Random,
     label_bits: int = 64,
 ) -> Tuple[List[int], List[int]]:
-    """:func:`draw_radii_and_labels` from a radius distribution the
-    caller built once (``TruncatedExponential.for_ball_carving``) for
-    every layer it carves."""
+    """:func:`draw_radii_and_labels` from a radius distribution and a
+    generator the caller built once for every layer it carves
+    (``TruncatedExponential.for_ball_carving``; ``rng`` is reseeded for
+    each node, so its state on entry does not matter)."""
     radii: List[int] = []
     labels: List[int] = []
     prefix = stable_hasher(seed, "carve", layer)
-    rng = random.Random()
     for u in network.nodes:
         radius, label = carve_draw(prefix, u, distribution, label_bits, rng)
         radii.append(radius)
@@ -161,7 +164,7 @@ def carve_draw(
     private generator is seeded with ``derive_seed(seed, "carve", layer,
     node)`` and draws the radius, then the label (the node id appended).
     ``rng``, when given, is reseeded instead of building a new one: the
-    oracle reuses one over a whole layer.
+    oracle reuses one over every layer it carves.
     """
     seed = derive_seed_after(prefix, node)
     if rng is None:

@@ -189,13 +189,14 @@ def build_clustering(
     radius_distribution = TruncatedExponential.for_ball_carving(
         radius_scale, network.num_nodes, horizon_constant
     )
+    rng = random.Random(0)
     layers = []
     for layer_index in range(num_layers):
         with recorder.span(
             "carve-layer", category="clustering", layer=layer_index
         ):
             radii, labels = draw_radii_and_labels_from(
-                network, radius_distribution, seed, layer_index
+                network, radius_distribution, seed, layer_index, rng
             )
             layers.append(carve_layer(network, radii, labels))
     if recorder.enabled:
@@ -230,9 +231,10 @@ def extend_clustering(clustering: Clustering, extra_layers: int) -> Clustering:
     radius_distribution = TruncatedExponential.for_ball_carving(
         clustering.radius_scale, network.num_nodes, clustering.horizon_constant
     )
+    rng = random.Random(0)
     for layer_index in range(start, start + extra_layers):
         radii, labels = draw_radii_and_labels_from(
-            network, radius_distribution, clustering.seed, layer_index
+            network, radius_distribution, clustering.seed, layer_index, rng
         )
         new_layers.append(carve_layer(network, radii, labels))
     per_layer = (

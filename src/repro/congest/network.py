@@ -74,6 +74,20 @@ class BfsStats:
             "pruned_sources": self.pruned_sources,
         }
 
+
+def require_networkx(caller: str):
+    """The networkx module, or an ``ImportError`` naming the extra that
+    installs it: networkx is optional, and only the export functions
+    (``caller``) use it."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            f"{caller} needs networkx; install it with `pip install 'repro[interop]'`"
+        ) from exc
+    return networkx
+
+
 #: Canonical undirected edge: ``(min(u, v), max(u, v))``.
 Edge = Tuple[int, int]
 
@@ -424,8 +438,7 @@ class Network:
 
     def to_networkx(self) -> nx.Graph:
         """Export as a networkx graph (nodes ``0..n-1``)."""
-        import networkx as nx
-
+        nx = require_networkx("Network.to_networkx")
         g = nx.Graph()
         g.add_nodes_from(self.nodes)
         g.add_edges_from(self._edges)

@@ -22,7 +22,7 @@ from collections import Counter, defaultdict
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 from ..errors import ScheduleError
-from .network import Edge, Network
+from .network import Edge, Network, require_networkx
 from .trace import ExecutionTrace
 
 if TYPE_CHECKING:
@@ -187,8 +187,7 @@ def time_expanded_graph(network: Network, span: int) -> nx.DiGraph:
     """
     if span < 0:
         raise ValueError("span must be non-negative")
-    import networkx as nx
-
+    nx = require_networkx("time_expanded_graph")
     graph = nx.DiGraph()
     for i in range(span + 1):
         for v in network.nodes:

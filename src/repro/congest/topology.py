@@ -11,11 +11,12 @@ its raw layered network.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import List, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import NetworkError
-from .network import Network
+from .network import Edge, Network
 
 __all__ = [
     "path_graph",
@@ -26,6 +27,8 @@ __all__ = [
     "binary_tree",
     "random_regular",
     "gnp_connected",
+    "gnp_edges",
+    "regular_edges",
     "layered_graph",
     "hypercube",
     "torus_graph",
@@ -109,35 +112,135 @@ def hypercube(dimension: int) -> Network:
 def random_regular(n: int, degree: int, seed: int = 0) -> Network:
     """A connected random ``degree``-regular graph on ``n`` nodes.
 
-    Retries with fresh seeds until networkx yields a connected sample
-    (overwhelmingly likely for ``degree >= 3``).
+    Attempt ``a`` samples from ``random.Random(seed + a)`` with
+    :func:`regular_edges` until the sample is connected (overwhelmingly
+    likely for ``degree >= 3``). Each attempt draws what
+    ``networkx.random_regular_graph(degree, n, seed=seed + a)`` draws, so
+    the graphs equal networkx 3.x's edge for edge.
     """
     if degree < 3:
         raise NetworkError("use degree >= 3 to guarantee likely connectivity")
     if n <= degree:
         raise NetworkError("need n > degree")
-    import networkx as nx
-
+    if n * degree % 2:
+        raise NetworkError("n * degree must be even")
     for attempt in range(64):
-        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
-        if nx.is_connected(g):
-            return Network.from_networkx(g)
+        edges = regular_edges(n, degree, random.Random(seed + attempt))
+        if _connected(n, edges):
+            return Network(edges, num_nodes=n)
     raise NetworkError(
         f"failed to sample a connected {degree}-regular graph on {n} nodes"
     )
 
 
 def gnp_connected(n: int, p: float, seed: int = 0) -> Network:
-    """A connected Erdős–Rényi ``G(n, p)`` sample (resampled until connected)."""
+    """A connected Erdős–Rényi ``G(n, p)`` sample (resampled until connected).
+
+    Attempt ``a`` draws from ``random.Random(seed + a)`` with
+    :func:`gnp_edges`, as ``networkx.gnp_random_graph(n, p, seed=seed + a)``
+    does.
+    """
     if not 0 < p <= 1:
         raise NetworkError("p must be in (0, 1]")
-    import networkx as nx
-
+    if n < 1:
+        raise NetworkError("need at least one node")
     for attempt in range(256):
-        g = nx.gnp_random_graph(n, p, seed=seed + attempt)
-        if nx.is_connected(g):
-            return Network.from_networkx(g)
+        edges = gnp_edges(n, p, random.Random(seed + attempt))
+        if _connected(n, edges):
+            return Network(edges, num_nodes=n)
     raise NetworkError(f"failed to sample a connected G({n}, {p})")
+
+
+def gnp_edges(n: int, p: float, rng: random.Random) -> List[Edge]:
+    """Each pair of ``combinations(range(n), 2)`` is an edge iff its
+    ``rng.random() < p``; ``p >= 1`` draws nothing and gives ``K_n``."""
+    pairs = itertools.combinations(range(n), 2)
+    if p >= 1:
+        return list(pairs)
+    return [pair for pair in pairs if rng.random() < p]
+
+
+def regular_edges(n: int, degree: int, rng: random.Random) -> Set[Edge]:
+    """A random ``degree``-regular edge set by Steger–Wormald pairing.
+
+    Steger and Wormald, *Generating random regular graphs quickly*,
+    Comb. Probab. Comput. 8 (1999). Each node gets ``degree`` stubs; a
+    pass shuffles the open stubs and pairs them off in order, keeping
+    every pair that is neither a loop nor an edge already taken. The
+    stubs of rejected pairs, grouped by node in the order their nodes
+    were first rejected, are the next pass's stubs. A pass after which
+    :func:`_suitable` finds no pair of open nodes left to join fails the
+    attempt, and pairing starts over from all stubs on the same ``rng``.
+    ``n * degree`` must be even. The draws, the order of the re-stubs
+    and the failure test are those of networkx 3.x's
+    ``random_regular_graph``.
+    """
+    while True:
+        edges = _pair_stubs(n, degree, rng)
+        if edges is not None:
+            return edges
+
+
+def _pair_stubs(n: int, degree: int, rng: random.Random) -> Optional[Set[Edge]]:
+    """One pairing attempt of :func:`regular_edges` (``None``: it failed)."""
+    edges: Set[Edge] = set()
+    stubs = list(range(n)) * degree
+    while stubs:
+        rejected: Dict[int, int] = {}
+        rng.shuffle(stubs)
+        pairing = iter(stubs)
+        for s1, s2 in zip(pairing, pairing):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                rejected[s1] = rejected.get(s1, 0) + 1
+                rejected[s2] = rejected.get(s2, 0) + 1
+        if not _suitable(edges, rejected):
+            return None
+        stubs = [node for node, count in rejected.items() for _ in range(count)]
+    return edges
+
+
+def _suitable(edges: Set[Edge], rejected: Dict[int, int]) -> bool:
+    """Whether some pair of open nodes could still be joined.
+
+    Kept as networkx writes it: the swap rebinds ``s1`` for the rest of
+    the inner loop, so not every pair is looked at. The pairs it skips
+    decide when an attempt fails, and with it the draws that follow.
+    """
+    if not rejected:
+        return True
+    for s1 in rejected:
+        for s2 in rejected:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if (s1, s2) not in edges:
+                return True
+    return False
+
+
+def _connected(n: int, edges: Iterable[Edge]) -> bool:
+    """Whether ``edges`` connect all of ``0 .. n-1`` (checked before a
+    :class:`Network` is built, since that rejects a disconnected graph)."""
+    adjacency: List[List[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for v in adjacency[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                reached += 1
+                stack.append(v)
+    return reached == n
 
 
 def layered_graph(num_layers: int, width: int) -> Network:

@@ -31,13 +31,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .._util import stable_digest
-from ..congest.network import Network
-from ..congest.program import Algorithm
-from ..metrics.congestion import WorkloadParams
-from ..parallel.cache import algorithm_fingerprint, network_fingerprint
+
+if TYPE_CHECKING:
+    from ..congest.network import Network
+    from ..congest.program import Algorithm
+    from ..metrics.congestion import WorkloadParams
 
 __all__ = ["Job", "JobResult", "JobState", "id_order", "job_fingerprint"]
 
@@ -69,6 +70,8 @@ def job_fingerprint(
     stably (e.g. it holds a lambda) has no fingerprint — such jobs still
     run, but bypass the registry and get a per-submission tape identity.
     """
+    from ..parallel.cache import algorithm_fingerprint, network_fingerprint
+
     algo_fp = algorithm_fingerprint(algorithm)
     if algo_fp is None:
         return None

@@ -1,5 +1,7 @@
 """Tests for centralized ball carving (Lemma 4.2 reference)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +110,35 @@ class TestDraws:
 
         radii, _ = draw_radii_and_labels(grid6, 4, seed=2, layer=0)
         assert all(0 <= r <= carving_horizon(4, grid6.num_nodes) for r in radii)
+
+    def test_one_generator_per_clustering_and_no_entropy_seeding(
+        self, grid6, monkeypatch
+    ):
+        """``build_clustering`` builds one generator, seeded, and reseeds it
+        per node; each layer still draws what every node's own
+        ``random.Random(derive_seed(seed, "carve", layer, node))`` draws."""
+        from repro._util import stable_hasher
+        from repro.clustering import build_clustering, extend_clustering
+        from repro.clustering.carving import carve_draw
+        from repro.randomness.distributions import TruncatedExponential
+
+        seeds = []
+
+        class Counted(random.Random):
+            def __init__(self, *args):
+                seeds.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counted)
+        clustering = build_clustering(grid6, 2, num_layers=3, seed=5)
+        clustering = extend_clustering(clustering, 2)
+        monkeypatch.undo()
+        assert seeds == [(0,), (0,)]
+        distribution = TruncatedExponential.for_ball_carving(2, grid6.num_nodes)
+        for index, layer in enumerate(clustering.layers):
+            prefix = stable_hasher(5, "carve", index)
+            own = [carve_draw(prefix, u, distribution, 64) for u in grid6.nodes]
+            assert list(zip(layer.radii, layer.labels)) == own
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,5 +1,7 @@
 """Tests for repro.congest.network."""
 
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,15 @@ class TestInterop:
 
     def test_equality_differs(self, grid4, path10):
         assert grid4 != path10
+
+    def test_without_networkx_the_exports_name_the_extra(self, grid4, monkeypatch):
+        from repro.congest.pattern import time_expanded_graph
+
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError, match=r"repro\[interop\]"):
+            grid4.to_networkx()
+        with pytest.raises(ImportError, match=r"repro\[interop\]"):
+            time_expanded_graph(grid4, 2)
 
 
 @settings(max_examples=25, deadline=None)

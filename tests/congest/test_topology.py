@@ -68,6 +68,10 @@ class TestRandomTopologies:
         with pytest.raises(NetworkError):
             topology.random_regular(20, 2, seed=1)
 
+    def test_random_regular_odd_stub_count(self):
+        with pytest.raises(NetworkError, match="even"):
+            topology.random_regular(7, 3, seed=1)
+
     def test_gnp_connected(self):
         net = topology.gnp_connected(30, 0.15, seed=3)
         assert net.num_nodes == 30
@@ -75,6 +79,11 @@ class TestRandomTopologies:
     def test_gnp_invalid_probability(self):
         with pytest.raises(NetworkError):
             topology.gnp_connected(10, 0.0)
+
+    def test_gnp_node_count(self):
+        with pytest.raises(NetworkError):
+            topology.gnp_connected(0, 0.5)
+        assert topology.gnp_connected(1, 0.5).num_nodes == 1
 
 
 class TestLayeredGraph:

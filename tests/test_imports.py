@@ -4,12 +4,14 @@ Every ``python -m repro submit`` is a fresh process, so an import that
 a run never uses is paid on every job. Each test here runs a fresh
 interpreter and reads ``sys.modules`` after the work:
 
-* numpy and networkx: a small run, the CLI modules and a resolved
-  transport load neither package, while a trace big enough for the
-  numpy kernels and a networkx-backed topology load the one they use;
+* numpy and networkx: a small run, the CLI modules, a resolved
+  transport and the random topologies (sampled in the repo, also
+  through a real ``submit``) load neither package, while a trace big
+  enough for the numpy kernels loads numpy;
 * the package itself: every package ``__init__`` is lazy, so
   ``import repro`` loads no subpackage, ``submit`` loads no engine,
-  journal or job model, ``status`` no engine — and every public name,
+  journal or job model, ``status`` no engine, simulator, solo cache or
+  congestion measure — and every public name,
   ``__all__`` entry and subpackage still resolves by attribute.
 """
 
@@ -30,12 +32,13 @@ print(json.dumps({name: name in sys.modules for name in ("numpy", "networkx")}))
 """
 
 
-def _loaded_after(code):
-    """Run ``code`` in a fresh interpreter; which heavy packages it loaded."""
+def _loaded_after(code, *args):
+    """Run ``code`` in a fresh interpreter; which heavy packages it loaded.
+    ``code`` sees ``args`` in ``sys.argv[1:]``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
-        [sys.executable, "-c", code + _REPORT],
+        [sys.executable, "-c", code + _REPORT, *args],
         capture_output=True,
         text=True,
         env=env,
@@ -104,15 +107,6 @@ def test_trace_above_threshold_loads_numpy_and_matches_reference():
     assert loaded["numpy"] is True
 
 
-@pytest.mark.slow
-def test_random_regular_loads_networkx():
-    loaded = _loaded_after(
-        "from repro.congest import topology\n"
-        "assert topology.random_regular(8, 3, seed=0).num_nodes == 8\n"
-    )
-    assert loaded["networkx"] is True
-
-
 def _modules_after(code, *args):
     """Run ``code`` in a fresh interpreter; the ``repro`` modules and
     ``importlib.metadata`` it loaded. ``code`` sees ``args`` in
@@ -162,6 +156,16 @@ SUBMIT_FORBIDDEN = (
     "importlib.metadata",
 )
 
+#: What ``status`` must not load: the engines, the solo simulator, the
+#: solo cache and the congestion measures.
+STATUS_FORBIDDEN = (
+    "repro.core",
+    "repro.clustering",
+    "repro.congest.simulator",
+    "repro.parallel.cache",
+    "repro.metrics.congestion",
+)
+
 
 def _under(modules, names):
     """The modules that are one of ``names`` or inside one of them."""
@@ -203,7 +207,24 @@ def test_status_loads_no_engine(tmp_path):
     assert _under(submit, SUBMIT_FORBIDDEN) == []
     loaded = _modules_after(_CLI, "status", "--dir", str(tmp_path))
     assert "repro.service.spool" in loaded
-    assert _under(loaded, ("repro.core", "repro.clustering")) == []
+    assert _under(loaded, STATUS_FORBIDDEN) == []
+
+
+@pytest.mark.slow
+def test_random_topologies_load_no_networkx(tmp_path):
+    loaded = _loaded_after(
+        "from repro.congest import topology\n"
+        "assert topology.random_regular(8, 3, seed=0).num_nodes == 8\n"
+        "assert topology.gnp_connected(8, 0.5, seed=0).num_nodes == 8\n"
+    )
+    assert loaded["networkx"] is False
+    for net in ("regular:n=8,degree=3,seed=0", "gnp:n=8,p=0.5,seed=0"):
+        loaded = _loaded_after(
+            _CLI, "submit", "--dir", str(tmp_path), "--net", net,
+            "--algo", "bfs:source=0,hops=4",
+        )
+        assert loaded == {"numpy": False, "networkx": False}, net
+    assert len((tmp_path / "spool.jsonl").read_text().splitlines()) == 2
 
 
 def _packages():
