@@ -391,10 +391,6 @@ def _sweep_cli(args) -> None:
 #: Default service directory for serve/submit/status.
 SERVICE_DIR = ".repro_service"
 
-#: Schedulers the serve subcommand can run batches with.
-SERVICE_SCHEDULERS = ("random-delay", "round-robin", "sequential", "private")
-
-
 def _read_state(base) -> dict:
     import json
     from pathlib import Path
@@ -1072,6 +1068,7 @@ def main(argv=None) -> int:
 
     if argv and argv[0] == "serve":
         from repro.service.events import FSYNC_POLICIES
+        from repro.service.specs import SCHEDULER_KINDS
 
         parser = argparse.ArgumentParser(
             prog="python -m repro serve",
@@ -1094,7 +1091,7 @@ def main(argv=None) -> int:
             help="park over-budget jobs instead of rejecting them",
         )
         parser.add_argument(
-            "--scheduler", default="random-delay", choices=SERVICE_SCHEDULERS,
+            "--scheduler", default="random-delay", choices=SCHEDULER_KINDS,
             help="scheduler executing each batch (default: random-delay)",
         )
         parser.add_argument(

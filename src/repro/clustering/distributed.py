@@ -148,10 +148,6 @@ class _CarvingProgram(NodeProgram):
         return 2 * self._horizon + 1
 
     @property
-    def _share_start(self) -> int:
-        return 2 * self._horizon + 2
-
-    @property
     def _share_end(self) -> int:
         # The pipelining bound is H + K; the factor-2 slack absorbs the
         # blocking by the smaller-labelled chunk streams relayed along

@@ -37,11 +37,10 @@ inboxes, crashed)`` with the round's ``node -> inbox`` mapping. For a
 — that is a :class:`~repro.congest.wave.WaveGroup`, which runs the copy
 from flat per-copy state with no per-node objects and must step exactly
 as the object programs do (``tests/core/test_hint_erasure.py`` compares
-the two). Every other family, every group with ``on_error`` (the eager
-baseline) and every user algorithm gets a :class:`HostGroup` (the hosts
-of one algorithm copy), whose :meth:`HostGroup.step` makes one in-order
-pass over the hosts that have not halted and runs ``on_round`` only for
-those that *act*. A program opts out of being stepped with
+the two). Every other family and every user algorithm gets a
+:class:`HostGroup` (the hosts of one algorithm copy), whose
+:meth:`HostGroup.step` makes one in-order pass over the hosts that have
+not halted and runs ``on_round`` only for those that *act*. A program opts out of being stepped with
 :meth:`NodeProgram.idle_until`: until algorithm-round ``r``, an
 ``on_round`` with an **empty inbox** would be a no-op — no send, no halt,
 no state or output change, no draw from ``ctx.rng``. The promise may be
@@ -369,18 +368,15 @@ def make_group(
     tape_id: Any,
     message_bits: Optional[int] = None,
     limits: Optional[Mapping[int, int]] = None,
-    on_error: Optional[Callable[[int, Exception], None]] = None,
 ) -> "StepGroup":
     """The stepper of one copy of ``algorithm`` on ``nodes`` (arguments
     as in :class:`HostGroup`): a wave group when the algorithm is a
-    :meth:`~Algorithm.wave` and no ``on_error`` asks for the confused
-    programs of the eager baseline, else a :class:`HostGroup`."""
-    wave = None if on_error is not None else algorithm.wave()
+    :meth:`~Algorithm.wave`, else a :class:`HostGroup`."""
+    wave = algorithm.wave()
     if wave is not None:
         return wave.group(nodes, network, message_bits, limits)
     return HostGroup(
-        algorithm, nodes, network, master_seed, tape_id, message_bits,
-        limits, on_error,
+        algorithm, nodes, network, master_seed, tape_id, message_bits, limits
     )
 
 
@@ -461,9 +457,7 @@ class HostGroup:
     that may still act, and the :meth:`NodeProgram.idle_until` skipping;
     engines keep the scheduling decisions and the message transport.
     ``limits`` (cluster copies, Lemma 4.4) maps every node to the last
-    algorithm-round it steps. ``on_error(node, exc)`` makes a raising
-    ``on_round`` non-fatal: the round's sends stay undrained and the pass
-    continues (the eager baseline's "confused program" semantics).
+    algorithm-round it steps. A raising ``on_round`` propagates.
     """
 
     def __init__(
@@ -475,7 +469,6 @@ class HostGroup:
         tape_id: Any,
         message_bits: Optional[int] = None,
         limits: Optional[Mapping[int, int]] = None,
-        on_error: Optional[Callable[[int, Exception], None]] = None,
     ):
         self.algorithm = algorithm
         self.nodes = nodes
@@ -489,7 +482,6 @@ class HostGroup:
         self.hosts_built = 0
         self._host_args = (network, (master_seed, tape_id), message_bits)
         self._limits = limits
-        self._on_error = on_error
         self._hosts: Optional[List[ProgramHost]] = None
         self._position: Dict[int, int] = {}
 
@@ -534,7 +526,6 @@ class HostGroup:
         :attr:`live`, which is updated once the iterator is exhausted.
         """
         limits = self._limits
-        on_error = self._on_error
         inbox_of = inboxes.get
         kept: List[ProgramHost] = []
         keep = kept.append
@@ -555,14 +546,8 @@ class HostGroup:
             steps += 1
             ctx = host.ctx
             ctx.round = algo_round
-            outbox: Outbox = _NO_SENDS
-            try:
-                program.on_round(ctx, inbox)
-                outbox = ctx._drain()
-            except Exception as exc:
-                if on_error is None:
-                    raise
-                on_error(node, exc)
+            program.on_round(ctx, inbox)
+            outbox = ctx._drain()
             if not program._halted and (
                 limits is None or algo_round < limits[node]
             ):

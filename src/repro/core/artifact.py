@@ -14,7 +14,7 @@ computed once can be shipped and re-validated elsewhere.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -63,12 +63,32 @@ class ScheduleArtifact:
 
     @classmethod
     def from_json(cls, text: str) -> "ScheduleArtifact":
-        """Parse an artifact; rejects unknown format versions."""
+        """Parse an artifact; a non-object document, an unknown format
+        version and an unknown or missing field raise :class:`ScheduleError`
+        naming what is wrong."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ScheduleError(
+                f"artifact must be a JSON object, not {type(data).__name__}"
+            )
         if data.get("version") != FORMAT_VERSION:
             raise ScheduleError(
                 f"unsupported artifact version {data.get('version')!r}"
             )
+        known = {field.name: field for field in fields(cls)}
+        unknown = sorted(set(data) - set(known))
+        if unknown:
+            raise ScheduleError(
+                f"artifact has unknown fields {unknown} "
+                f"(expected a subset of {sorted(known)})"
+            )
+        missing = sorted(
+            name
+            for name, field in known.items()
+            if name not in data and field.default is MISSING
+        )
+        if missing:
+            raise ScheduleError(f"artifact is missing fields {missing}")
         return cls(**data)
 
     def save(self, path) -> None:

@@ -14,20 +14,70 @@ mismatch counts instead of pretending to be correct; on workloads whose
 per-round edge loads never exceed 1 it is correct and optimally fast
 (length = dilation).
 
-This baseline exists for the ablation: it quantifies how often naive
-concurrency corrupts outputs, motivating the delay/cluster machinery.
+This baseline exists for the ablation (E12, ``examples/datacenter_mix.py``
+and the ``schedulers`` demo): it quantifies how often naive concurrency
+corrupts outputs, motivating the delay/cluster machinery. It is not a
+scheduler kind of :mod:`repro.service.specs`, so neither the service nor
+the fuzzer runs it: every kind they accept returns the solo outputs.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from collections import deque
+from typing import Any, Deque, Dict, List, Tuple
 
+from ..congest.program import HostGroup
 from ..metrics.schedule import ScheduleReport
 from .base import ScheduleResult, Scheduler
-from .transport import ReferenceEagerChannel
+from .transport import Send
 from .workload import Workload, group_outputs
 
 __all__ = ["EagerScheduler"]
+
+
+class EagerChannel:
+    """Per-directed-edge FIFO queues, shared across algorithms.
+
+    Object-per-message whatever the workload's transport: the inbox
+    construction order (queue-dict insertion order) is output-visible —
+    a program fed a corrupted inbox may read "the first message" of it —
+    so any reordering would change the (honestly wrong) outputs.
+    """
+
+    __slots__ = ("in_flight", "_queues")
+
+    def __init__(self) -> None:
+        self.in_flight = 0
+        # Entries are (aid, sender, receiver, payload).
+        self._queues: Dict[Tuple[int, int], Deque] = {}
+
+    def push(self, aid: int, sender: int, sends: List[Send]) -> None:
+        """Append ``sends`` to their edges' FIFO queues."""
+        queues = self._queues
+        for receiver, payload in sends:
+            queues.setdefault((sender, receiver), deque()).append(
+                (aid, sender, receiver, payload)
+            )
+            self.in_flight += 1
+
+    def transmit(self) -> Tuple[Dict[Tuple[int, int], Dict[int, Any]], int, int]:
+        """Move one message per directed edge; returns
+        ``(inboxes, overwrites, delivered)`` where inboxes is keyed
+        ``(aid, receiver) -> {sender: payload}``."""
+        inboxes: Dict[Tuple[int, int], Dict[int, Any]] = {}
+        overwrites = 0
+        delivered = 0
+        for queue in self._queues.values():
+            if not queue:
+                continue
+            aid, sender, receiver, payload = queue.popleft()
+            self.in_flight -= 1
+            delivered += 1
+            box = inboxes.setdefault((aid, receiver), {})
+            if sender in box:
+                overwrites += 1
+            box[sender] = payload
+        return inboxes, overwrites, delivered
 
 
 class EagerScheduler(Scheduler):
@@ -36,6 +86,9 @@ class EagerScheduler(Scheduler):
     ``max_rounds_factor`` bounds the run at
     ``factor × (congestion + dilation + k)`` physical rounds; programs
     still unhalted then are cut off (their outputs count as mismatches).
+    Every copy runs on a :class:`~repro.congest.program.HostGroup` (the
+    object path, never a wave), and a program that raises on the inbox
+    it was handed ends the run with its exception.
     """
 
     name = "eager-unsafe"
@@ -50,18 +103,16 @@ class EagerScheduler(Scheduler):
             params.congestion + params.dilation + k + 4
         )
 
-        # The per-directed-edge FIFO queues live in the eager channel
-        # (object-per-message whatever the workload's transport: the
-        # inbox build order here is output-visible — see its docstring).
-        channel = ReferenceEagerChannel()
+        channel = EagerChannel()
         overwrites = 0
         delivered_late = 0
-        # A confused program may violate CONGEST rules (e.g. double-sends
-        # after duplicate deliveries); naive execution just drops the
-        # round's sends.
-        confused: List[int] = []
+        network = workload.network
         groups = [
-            workload.host_group(aid, on_error=lambda node, exc: confused.append(node))
+            HostGroup(
+                workload.algorithms[aid], network.nodes, network,
+                workload.master_seed, workload.tape_id(aid),
+                workload.message_bits,
+            )
             for aid in workload.aids
         ]
         for aid, group in enumerate(groups):
@@ -104,7 +155,7 @@ class EagerScheduler(Scheduler):
             notes={
                 "in_flight_at_cutoff": channel.in_flight,
                 "inbox_overwrites": overwrites,
-                "late_or_dropped": delivered_late + len(confused),
+                "late_or_dropped": delivered_late,
                 "cap": cap,
             },
         )

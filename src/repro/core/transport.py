@@ -27,9 +27,7 @@ The phase channels serve the one big-round loop,
 engine's channel (its shared pool, dedup registry and truncation gates
 are Lemma 4.4's scheduling decisions, so it lives in
 :mod:`repro.core.cluster_engine` with one implementation).  All three
-account per-edge loads in :class:`LoadWindow`.  The eager scheduler's
-edge queues (:class:`ReferenceEagerChannel`) have one implementation;
-its engine builds them directly.
+account per-edge loads in :class:`LoadWindow`.
 
 Backend selection
 -----------------
@@ -51,8 +49,8 @@ fault fates or telemetry values — only how fast the messages move.
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Tuple
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from ..congest.trace import ExecutionTrace
 from ..faults import FaultInjector
@@ -314,52 +312,6 @@ class ReferencePhaseChannel(LoadWindow):
     def idle(self, copy: "Copy") -> bool:
         """True when ``copy``'s algorithm has nothing buffered or in flight."""
         return not self._pending[copy.aid] and not self._delayed[copy.aid]
-
-
-class ReferenceEagerChannel:
-    """Per-directed-edge FIFO queues for the eager (unsafe) scheduler.
-
-    Kept object-per-message in every backend: the eager engine's inbox
-    construction order (queue-dict insertion order) is output-visible —
-    a confused program may read "the first message" of a corrupted inbox
-    — so any reordering would change the (honestly wrong) outputs.
-    """
-
-    __slots__ = ("in_flight", "_queues")
-
-    def __init__(self) -> None:
-        self.in_flight = 0
-        # One FIFO per directed edge, shared across algorithms: entries
-        # are (aid, sender, receiver, payload).
-        self._queues: Dict[Tuple[int, int], Deque] = {}
-
-    def push(self, aid: int, sender: int, sends: List[Send]) -> None:
-        """Append ``sends`` to their edges' FIFO queues."""
-        queues = self._queues
-        for receiver, payload in sends:
-            queues.setdefault((sender, receiver), deque()).append(
-                (aid, sender, receiver, payload)
-            )
-            self.in_flight += 1
-
-    def transmit(self) -> Tuple[Dict[Tuple[int, int], Dict[int, Any]], int, int]:
-        """Move one message per directed edge; returns
-        ``(inboxes, overwrites, delivered)`` where inboxes is keyed
-        ``(aid, receiver) -> {sender: payload}``."""
-        inboxes: Dict[Tuple[int, int], Dict[int, Any]] = {}
-        overwrites = 0
-        delivered = 0
-        for queue in self._queues.values():
-            if not queue:
-                continue
-            aid, sender, receiver, payload = queue.popleft()
-            self.in_flight -= 1
-            delivered += 1
-            box = inboxes.setdefault((aid, receiver), {})
-            if sender in box:
-                overwrites += 1
-            box[sender] = payload
-        return inboxes, overwrites, delivered
 
 
 class ReferenceTransport(Transport):

@@ -54,9 +54,6 @@ consequences shape the implementation:
   be batched without re-deriving them message-by-message anyway, so
   fault-injected runs (a tiny fraction of real workloads) simply use the
   golden code path — identical by construction.
-* **The eager channel stays object-per-message**: it has one
-  implementation, :class:`~repro.core.transport.ReferenceEagerChannel`,
-  since its FIFO drain order is output-visible (see its docstring).
 
 Node ids are assumed to fit in 31 bits (they are dense ``0 .. n-1``
 indices everywhere in this codebase), which lets the trace hold them in

@@ -21,7 +21,7 @@ Pass ``solo_cache=None`` (or set ``REPRO_SOLO_CACHE=0``) to opt out.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..congest.message import default_message_bits
 from ..congest.network import Network
@@ -137,16 +137,15 @@ class Workload:
         aid: int,
         nodes: Optional[Sequence[int]] = None,
         limits: Optional[Dict[int, int]] = None,
-        on_error: Optional[Callable[[int, Exception], None]] = None,
     ) -> StepGroup:
         """The stepper of one copy of algorithm ``aid`` on ``nodes``
         (default: all), drawing the tapes :meth:`tape_id` names; ``limits``
-        and ``on_error`` as in :class:`~repro.congest.program.HostGroup`.
+        as in :class:`~repro.congest.program.HostGroup`.
 
         :func:`~repro.congest.program.make_group` picks it: a
         :class:`~repro.congest.wave.WaveGroup` for a BFS or broadcast
-        (no per-node objects, no tapes, ``hosts_built`` 0) unless
-        ``on_error`` is given, a ``HostGroup`` otherwise.
+        (no per-node objects, no tapes, ``hosts_built`` 0), a
+        ``HostGroup`` otherwise.
         """
         return make_group(
             self.algorithms[aid],
@@ -156,7 +155,6 @@ class Workload:
             self.tape_id(aid),
             self.message_bits,
             limits,
-            on_error,
         )
 
     def _resolve_cache(self) -> Optional[SoloRunCache]:

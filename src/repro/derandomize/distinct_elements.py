@@ -29,7 +29,7 @@ paper states (our bundles are 64-bit words).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from .._util import stable_digest
 from ..congest.network import Network

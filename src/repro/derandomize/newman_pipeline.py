@@ -27,7 +27,7 @@ enumerable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..congest.network import Network
 from ..randomness.newman import SubcollectionResult, find_good_subcollection

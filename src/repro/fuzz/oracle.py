@@ -56,17 +56,7 @@ __all__ = [
     "DifferentialOracle",
     "Divergence",
     "OracleReport",
-    "UNSAFE_SCHEDULERS",
 ]
-
-#: Schedulers whose *contract* is honest divergence, not correctness —
-#: the eager baseline exists to quantify how often naive concurrency
-#: corrupts outputs (see ``core/eager.py``). The oracle holds them to
-#: honesty (self-reported mismatches match recomputation), determinism,
-#: and transport identity, but not to solo equivalence or the
-#: ``max(C, D)`` bound (eager also over-delivers per edge, so it can
-#: finish below the CONGEST lower bound).
-UNSAFE_SCHEDULERS = frozenset({"eager"})
 
 
 @dataclass(frozen=True)
@@ -217,22 +207,6 @@ class DifferentialOracle:
                     )
                     continue
                 mismatches = verify_outputs(workload, result.outputs)
-                if name in UNSAFE_SCHEDULERS:
-                    # Honest-divergence contract: whatever it got wrong,
-                    # it must have *said* it got wrong.
-                    if sorted(map(repr, mismatches)) != sorted(
-                        map(repr, result.mismatches)
-                    ):
-                        divergences.append(
-                            Divergence(
-                                "honesty", fingerprint,
-                                f"self-reported {len(result.mismatches)} "
-                                f"mismatches, oracle found "
-                                f"{len(mismatches)}",
-                                scheduler=name, transport=transport,
-                            )
-                        )
-                    continue
                 if mismatches:
                     shown = "; ".join(str(m) for m in mismatches[:3])
                     divergences.append(
@@ -299,12 +273,9 @@ class DifferentialOracle:
         divergences: List[Divergence],
     ) -> int:
         fingerprint = scenario.fingerprint()
-        safe = [
-            s for s in scenario.schedulers if s not in UNSAFE_SCHEDULERS
-        ]
         scheduler_name = next(
-            (s for s in safe if s != "sequential"),
-            safe[0] if safe else "round-robin",
+            (s for s in scenario.schedulers if s != "sequential"),
+            scenario.schedulers[0],
         )
         spec = {"scenario": fingerprint}
         if self.fuzz_seed is not None:

@@ -41,11 +41,6 @@ class CrossingSearchResult:
     #: Search-tree nodes explored (bookkeeping/pruning effectiveness).
     nodes_explored: int
 
-    @property
-    def implied_rounds(self) -> int:
-        """``P · f``: the schedule length this pattern family models."""
-        return self.num_phases * self.capacity
-
 
 def _monotone_assignments(
     num_layers: int, num_phases: int, max_per_phase: int

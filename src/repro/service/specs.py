@@ -21,8 +21,8 @@ module defines a tiny ``kind:key=value,...`` spec language::
                 tokenbroadcast:nodes=0-3,deadline=8
     faults      faults:seed=3,drop=0.05,delay=0.1,maxdelay=2
                 faults:seed=1,outages=0-1@2-4,crashes=5@3
-    schedulers  sequential  round-robin  eager  random-delay
-                sparse-phase  doubling  private
+    schedulers  sequential  round-robin  random-delay  sparse-phase
+                doubling  private
 
 Specs round-trip: a job spec appended to the service's spool log
 (or a scenario persisted into a fuzz corpus) is parsed back by ``serve``
@@ -97,11 +97,13 @@ ALGORITHM_KINDS = tuple(_ALGORITHMS)
 
 #: Every scheduler :func:`parse_scheduler` builds: ``name -> (module of
 #: repro, class)``, imported on first use so that naming a scheduler
-#: loads only its engine.
+#: loads only its engine. The one scheduler table: ``serve --scheduler``,
+#: the fuzzer's rotation and the oracle all read it, and every kind in it
+#: returns the solo outputs (the eager ablation, which does not, is
+#: :class:`repro.core.EagerScheduler` and has no spec name).
 _SCHEDULERS: Dict[str, Tuple[str, str]] = {
     "sequential": ("core.sequential", "SequentialScheduler"),
     "round-robin": ("core.round_robin", "RoundRobinScheduler"),
-    "eager": ("core.eager", "EagerScheduler"),
     "random-delay": ("core.random_delay", "RandomDelayScheduler"),
     "sparse-phase": ("core.sparse_phase", "SparsePhaseScheduler"),
     "doubling": ("core.doubling", "DoublingScheduler"),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter, time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .metrics import MetricsRegistry
 
@@ -234,15 +234,6 @@ class InMemoryRecorder(Recorder):
     def relative(self, ts: float) -> float:
         """A timestamp shifted so the recorder's creation is 0."""
         return ts - self.origin
-
-    def wall_time(self, ts: float) -> float:
-        """A ``perf_counter`` timestamp mapped onto the wall clock.
-
-        Unix seconds, comparable across processes (up to clock skew);
-        the anchor is captured once at recorder creation so the mapping
-        is a pure offset.
-        """
-        return self.wall_origin + (ts - self.origin)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -186,7 +186,7 @@ class TestLimitsCrashesErrors:
         assert [host.node for host in group.live] == [2]
         assert algorithm.programs[2].calls == []
 
-    def test_program_errors_propagate_by_default(self, path4):
+    def test_program_errors_propagate(self, path4):
         class Confused(NodeProgram):
             def on_round(self, ctx, inbox):
                 ctx.send(ctx.neighbors[0], "a")
@@ -200,13 +200,6 @@ class TestLimitsCrashesErrors:
         list(group.start())
         with pytest.raises(BandwidthViolation):
             list(group.step(1, {}))
-
-        errors = []
-        group = _group(path4, Factory(), on_error=lambda node, exc: errors.append(node))
-        list(group.start())
-        assert list(group.step(1, {})) == []
-        assert errors == [0, 1, 2, 3]
-        assert len(group.live) == 4
 
 
 class TestLazyTapes:

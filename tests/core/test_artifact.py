@@ -52,6 +52,19 @@ class TestSerialization:
         with pytest.raises(ScheduleError):
             ScheduleArtifact.from_json(json.dumps(data))
 
+    def test_malformed_documents_name_what_is_wrong(self, captured):
+        _, _, artifact = captured
+        import json
+
+        data = json.loads(artifact.to_json())
+        with pytest.raises(ScheduleError, match="JSON object, not list"):
+            ScheduleArtifact.from_json(json.dumps([data]))
+        with pytest.raises(ScheduleError, match="unknown fields.*'seed'"):
+            ScheduleArtifact.from_json(json.dumps({**data, "seed": 3}))
+        del data["phase_size"]
+        with pytest.raises(ScheduleError, match="missing fields.*'phase_size'"):
+            ScheduleArtifact.from_json(json.dumps(data))
+
 
 class TestReplay:
     def test_replay_reproduces_everything(self, captured):

@@ -39,7 +39,7 @@ from repro.congest.program import (
     make_group,
 )
 from repro.congest.wave import WaveGroup
-from repro.core import PrivateScheduler, Workload
+from repro.core import EagerScheduler, PrivateScheduler, Workload
 from repro.core.phase_engine import run_delayed_phases
 from repro.errors import BandwidthViolation
 from repro.fuzz import ScenarioGenerator
@@ -62,12 +62,14 @@ STEPPER = (
     "phase.wave_groups",
     "cluster.wave_groups",
 )
-#: Every scheduler the spec language names, plus the private scheduler's
-#: two other paths, which hint erasure also runs: uniform cluster delays
-#: without dedup, and the clustering computed on the simulator (neither
-#: steps a wave the plain ``private`` run does not).
+#: Every scheduler the spec language names, plus three paths hint
+#: erasure also runs: the eager ablation (no spec name; it never steps a
+#: wave), and the private scheduler's uniform cluster delays without
+#: dedup and its clustering computed on the simulator (neither steps a
+#: wave the plain ``private`` run does not).
 SCHEDULERS = {
     **{name: partial(parse_scheduler, name) for name in SCHEDULER_KINDS},
+    "eager": EagerScheduler,
     "private:dedup=off": partial(PrivateScheduler, dedup=False),
     "private:distributed": partial(
         PrivateScheduler, distributed_precomputation=True

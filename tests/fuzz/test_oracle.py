@@ -11,7 +11,6 @@ from repro.fuzz import (
     ScenarioGenerator,
     injector,
 )
-from repro.fuzz.oracle import UNSAFE_SCHEDULERS
 from repro.service import SchedulerService
 from repro.service.specs import parse_algorithm
 
@@ -106,25 +105,6 @@ class TestTransportIdentity:
         )
         report = DifferentialOracle(service=False).check(scenario)
         assert [d.check for d in report.divergences] == ["transport-identity"]
-
-
-class TestUnsafeSchedulerContract:
-    def test_eager_exempt_from_solo_equivalence(self):
-        # A congested mix eager is expected to corrupt: the oracle must
-        # hold it to honesty, not to correctness.
-        assert "eager" in UNSAFE_SCHEDULERS
-        scenario = Scenario(
-            network="star:6",
-            algorithms=(
-                "broadcast:source=1,token=5,hops=3",
-                "broadcast:source=2,token=6,hops=3",
-                "broadcast:source=3,token=7,hops=3",
-            ),
-            schedulers=("sequential", "eager"),
-            transports=("reference",),
-        )
-        report = DifferentialOracle().check(scenario)
-        assert report.ok, [str(d) for d in report.divergences]
 
 
 class TestProvenanceStamping:

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from repro.__main__ import SERVICE_SCHEDULERS, main
+from repro.__main__ import main
 from repro.service import parse_scheduler
 from repro.service.framing import frame
+from repro.service.specs import SCHEDULER_KINDS
 from repro.service.spool import SPOOL_LOG, SpoolReader
 
 
@@ -162,7 +163,7 @@ class TestServeAndStatus:
         code, out = _run(capsys, "serve", "--dir", str(tmp_path))
         assert code == 0 and "nothing to serve" in out
 
-    @pytest.mark.parametrize("name", SERVICE_SCHEDULERS)
+    @pytest.mark.parametrize("name", SCHEDULER_KINDS)
     def test_every_scheduler_choice_runs_its_scheduler(
         self, tmp_path, capsys, name
     ):

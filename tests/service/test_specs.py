@@ -233,3 +233,17 @@ class TestSchedulersAndTransports:
 
         with pytest.raises(ValueError, match="greedy-ilp"):
             parse_scheduler("greedy-ilp")
+
+    def test_eager_is_not_a_kind(self):
+        # Every kind returns the solo outputs; the eager ablation does
+        # not, so it has no spec name.
+        from repro.service import parse_scheduler
+        from repro.service.specs import SCHEDULER_KINDS
+
+        assert SCHEDULER_KINDS == (
+            "sequential", "round-robin", "random-delay", "sparse-phase",
+            "doubling", "private",
+        )
+        with pytest.raises(ValueError) as info:
+            parse_scheduler("eager")
+        assert "/".join(SCHEDULER_KINDS) in str(info.value)
